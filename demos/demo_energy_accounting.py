@@ -7,7 +7,10 @@ dynamic energy but loses once the idle CPU's draw is charged for the
 GPU's longer run.
 """
 
-from heterotune import total_energy
+import numpy as np
+
+from heterotune import total_energy_row
+from heterotune.energy import static_power_mw
 from heterotune.platforms import PlatformKind, PlatformSpec
 
 cpu = PlatformSpec(
@@ -22,25 +25,24 @@ gpu = PlatformSpec(
 )
 system = (cpu, gpu)
 
-runs = {
-    "cpu": dict(dynamic_mj=100.0, duration_s=1.0),   # faster but hungrier
-    "gpu": dict(dynamic_mj=80.0, duration_s=1.6),    # thriftier but slower
-}
+# One run on each platform: the CPU is faster but hungrier, the GPU
+# thriftier but slower.
+active = ["cpu", "gpu"]
+dynamic_mj = np.array([100.0, 80.0])
+duration_s = np.array([1.0, 1.6])
+totals = total_energy_row(dynamic_mj / duration_s, duration_s, system)
 
 print(f"{'run on':<8}{'dynamic mJ':>12}{'duration s':>12}{'total mJ':>10}")
-totals = {}
-for active, run in runs.items():
-    breakdown = total_energy(system, active, **run)
-    totals[active] = breakdown.total_mj
-    print(f"{active:<8}{run['dynamic_mj']:>12.1f}{run['duration_s']:>12.1f}"
-          f"{breakdown.total_mj:>10.1f}")
-    for part in breakdown.platforms:
-        role = "active" if part.platform == active else "idle"
-        print(f"         {part.platform} ({role}): static {part.static_mj:.1f} mJ"
-              f" + dynamic {part.dynamic_mj:.1f} mJ")
+for name, dyn, t, total in zip(active, dynamic_mj, duration_s, totals):
+    print(f"{name:<8}{dyn:>12.1f}{t:>12.1f}{total:>10.1f}")
+    for spec in system:
+        role = "active" if spec.name == name else "idle"
+        part_dyn = dyn if spec.name == name else 0.0
+        print(f"         {spec.name} ({role}): static {static_power_mw([spec]) * t:.1f} mJ"
+              f" + dynamic {part_dyn:.1f} mJ")
 
-dyn_winner = min(runs, key=lambda k: runs[k]["dynamic_mj"])
-total_winner = min(totals, key=totals.get)
+dyn_winner = active[int(np.argmin(dynamic_mj))]
+total_winner = active[int(np.argmin(totals))]
 print(f"\ndynamic-energy winner: {dyn_winner}")
 print(f"whole-system winner:   {total_winner}")
 assert dyn_winner != total_winner

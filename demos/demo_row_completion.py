@@ -15,6 +15,7 @@ from heterotune import (
     predict_best_config,
     select_samples,
 )
+from heterotune.evaluation import measured_energy_row
 from heterotune.synthetic import SyntheticSpec
 
 system = generate_system(SyntheticSpec(n_apps=18, rank=4, noise_sd=0.05, seed=11))
@@ -37,10 +38,7 @@ print(f"time prediction error vs retained truth: "
 chosen = matrix.configs[result.chosen]
 opt_idx, opt_energy = brute_force_best(matrix, app.app_id)
 opt = matrix.configs[opt_idx]
-measured = matrix.power[row] * matrix.time[row]
-from heterotune.energy import static_power_mw
-
-energies = matrix.time[row] * (matrix.power[row] + static_power_mw(matrix.system))
+energies = measured_energy_row(matrix, app.app_id)
 gap = (energies[result.chosen] - opt_energy) / opt_energy * 100
 
 print(f"\npredicted best: {chosen.config_id} "

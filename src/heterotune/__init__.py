@@ -23,11 +23,8 @@ from .dataset import (
     select_samples,
 )
 from .energy import (
-    EnergyBreakdown,
     RunMeasurement,
     power_from,
-    static_energy,
-    total_energy,
     total_energy_row,
 )
 from .errors import (

@@ -19,7 +19,7 @@ from .dataset import TrainingMatrix
 from .energy import RunMeasurement
 from .errors import BackendError
 from .platforms import NativeConfig, PlatformKind
-from .synthetic import SyntheticSpec, SyntheticSystem, generate_system
+from .synthetic import SyntheticSpec, generate_system
 
 WORKGROUP_ENV_VAR = "HETEROTUNE_WORKGROUP_SIZE"
 
@@ -75,10 +75,6 @@ class SimulatedBackend:
     def generate(cls, spec: SyntheticSpec) -> "SimulatedBackend":
         return cls(generate_system(spec).matrix)
 
-    @classmethod
-    def from_synthetic(cls, system: SyntheticSystem) -> "SimulatedBackend":
-        return cls(system.matrix)
-
     @staticmethod
     def app_of(descriptor: ExecutableDescriptor, platform: str) -> int:
         cmd = descriptor.command_for(platform).strip()
@@ -109,7 +105,4 @@ class SimulatedBackend:
             config=config,
             mean_time=time,
             mean_energy=power * time,
-            time_stddev=0.0,
-            energy_stddev=0.0,
-            runs=1,
         )

@@ -7,8 +7,10 @@ measurement backend, and the only backend shipped is the simulated one
 previously benchmarked matrix (``--backend-data``).
 
 Exit codes: 0 success, 2 input/parse failure, 3 estimator failure,
-4 backend failure.  Any flag may also be supplied through a run manifest
-file (``--manifest``) holding ``key = value`` lines; explicit flags win.
+4 backend failure.  Each command takes only the flags it reads.  A
+command's flags may also be supplied through a run manifest file
+(``--manifest``) holding ``key = value`` lines; explicit flags win, and a
+key that names no flag of the command is rejected.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .energy import power_from
 from .errors import BackendError, DataFormatError, EstimatorError
 from .estimator import EstimatorParams, predict_best_config, predict_new_app
 from .evaluation import APPROACHES, evaluate
-from .platforms import PlatformKind, load_system
+from .platforms import PlatformKind, enumerate_configs, load_system
 from .synthetic import PROFILES
 
 EXIT_OK = 0
@@ -117,7 +119,7 @@ def _descriptor(args, system) -> ExecutableDescriptor:
 def _make_backend(args, system=None, apps=None) -> MeasurementBackend:
     if args.backend != "simulated":
         raise BackendError(f"unknown backend {args.backend!r}")
-    if getattr(args, "backend_data", None):
+    if args.backend_data:
         return SimulatedBackend(load_training(args.backend_data))
     profile = PROFILES[args.profile]
     platforms = tuple(system) if system is not None else profile.platforms
@@ -140,7 +142,7 @@ def cmd_benchmark(args) -> int:
     system = _resolve_system(args)
     apps = _resolve_apps(args)
     backend = _make_backend(args, system, apps)
-    configs = tuple(cfg for spec in system for cfg in spec.native_settings)
+    configs = enumerate_configs(system)
     n_apps, n_cfg = len(apps), len(configs)
     power = np.full((n_apps, n_cfg), np.nan)
     time = np.full((n_apps, n_cfg), np.nan)
@@ -238,7 +240,7 @@ def cmd_sample(args) -> int:
         )
     backend = _make_backend(args, system)
     desc = _descriptor(args, system)
-    configs = tuple(cfg for spec in system for cfg in spec.native_settings)
+    configs = enumerate_configs(system)
     plan = select_samples(len(configs), args.samples, args.seed)
     power, time = [], []
     app_id = 0
@@ -298,8 +300,7 @@ def cmd_predict(args) -> int:
 def cmd_run(args) -> int:
     """Execute once at a chosen configuration and report the measurement."""
     system = _resolve_system(args)
-    configs = {cfg.config_id: cfg
-               for spec in system for cfg in spec.native_settings}
+    configs = {cfg.config_id: cfg for cfg in enumerate_configs(system)}
     if args.config not in configs:
         raise DataFormatError(f"unknown configuration {args.config!r}")
     cfg = configs[args.config]
@@ -328,6 +329,7 @@ def cmd_evaluate(args) -> int:
         trials=args.trials,
         seed=args.seed,
         holistic_samples=args.samples,
+        params=load_params(args.params),
     )
     print(report.summary_text())
     if args.out:
@@ -336,67 +338,74 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+# Every flag of the CLI; each command below lists the ones it reads.
+FLAGS = {
+    "--profile": dict(choices=sorted(PROFILES), default="full",
+                      help="synthetic system profile (default full)"),
+    "--system": dict(help="platform descriptor file"),
+    "--apps": dict(help="application catalog file"),
+    "--backend": dict(choices=["simulated"], default="simulated"),
+    "--backend-data": dict(help="training manifest backing the simulated backend"),
+    "--noise": dict(type=float, default=None,
+                    help="relative per-run noise of the generated system"),
+    "--cpu-cmd": dict(help="CPU executable (simulated: 'app:<id>')"),
+    "--gpu-cmd": dict(help="GPU executable (simulated: 'app:<id>')"),
+    "--training": dict(required=True, help="training manifest"),
+    "--sample": dict(required=True, help="sample file from 'sample'"),
+    "--config": dict(required=True, help="configuration id"),
+    "--predicted-energy": dict(type=float, default=None),
+    "--samples": dict(type=int, default=15, help="sample count (default 15)"),
+    "--trials": dict(type=int, default=1),
+    "--approaches": dict(help="comma list, default all"),
+    "--seed": dict(type=int, default=0),
+    "--params": dict(help="estimator parameter file"),
+    "--out": dict(help="output file or directory"),
+    "--manifest": dict(help="run manifest supplying this command's flags as key = value"),
+}
+
+_BACKEND_FLAGS = ("--profile", "--system", "--backend", "--backend-data", "--noise")
+
+COMMANDS = {
+    "benchmark": (cmd_benchmark, "measure all apps on all configurations",
+                  _BACKEND_FLAGS + ("--apps", "--seed", "--out", "--manifest")),
+    "sample": (cmd_sample, "measure one executable on sampled configurations",
+               _BACKEND_FLAGS + ("--cpu-cmd", "--gpu-cmd", "--samples", "--params",
+                                 "--seed", "--out", "--manifest")),
+    "predict": (cmd_predict, "predict the best configuration (offline)",
+                ("--training", "--sample", "--params", "--out", "--manifest")),
+    "run": (cmd_run, "run once at a chosen configuration",
+            _BACKEND_FLAGS + ("--cpu-cmd", "--gpu-cmd", "--config", "--predicted-energy",
+                              "--seed", "--manifest")),
+    "evaluate": (cmd_evaluate, "compare approaches against brute force",
+                 ("--training", "--trials", "--approaches", "--samples", "--seed",
+                  "--params", "--out", "--manifest")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heterotune",
         description="energy-optimal configuration selection for heterogeneous systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, backend=False):
-        p.add_argument("--system", help="platform descriptor file")
-        p.add_argument("--apps", help="application catalog file")
-        p.add_argument("--samples", type=int, default=15, help="sample count (default 15)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--params", help="estimator parameter file")
-        p.add_argument("--out", help="output file or directory")
-        p.add_argument("--profile", choices=sorted(PROFILES), default="full")
-        p.add_argument("--manifest", help="run manifest supplying any flag as key = value")
-        if backend:
-            p.add_argument("--backend", choices=["simulated"], default="simulated")
-            p.add_argument("--backend-data", help="training manifest backing the simulated backend")
-            p.add_argument("--noise", type=float, default=None,
-                           help="relative per-run noise of the generated system")
-            p.add_argument("--cpu-cmd", help="CPU executable (simulated: 'app:<id>')")
-            p.add_argument("--gpu-cmd", help="GPU executable (simulated: 'app:<id>')")
-
-    p = sub.add_parser("benchmark", help="measure all apps on all configurations")
-    common(p, backend=True)
-    p.set_defaults(func=cmd_benchmark)
-
-    p = sub.add_parser("sample", help="measure one executable on sampled configurations")
-    common(p, backend=True)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("predict", help="predict the best configuration (offline)")
-    common(p)
-    p.add_argument("--training", required=True, help="training manifest")
-    p.add_argument("--sample", required=True, help="sample file from 'sample'")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("run", help="run once at a chosen configuration")
-    common(p, backend=True)
-    p.add_argument("--config", required=True, help="configuration id")
-    p.add_argument("--predicted-energy", type=float, default=None)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("evaluate", help="compare approaches against brute force")
-    common(p)
-    p.add_argument("--training", required=True, help="training manifest")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--approaches", help="comma list, default all")
-    p.set_defaults(func=cmd_evaluate)
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
-def _apply_manifest(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold a run-manifest file into parser defaults; explicit flags win."""
-    if "--manifest" not in argv:
+def _splice_manifest(argv: list[str]) -> list[str]:
+    """Insert a run manifest's ``key = value`` lines as ``--key=value``
+    tokens right after the command name.  The command's parser then
+    converts, validates or rejects them, and explicit flags, parsed later,
+    win."""
+    pre = argparse.ArgumentParser(prog="heterotune", add_help=False, allow_abbrev=False)
+    pre.add_argument("--manifest")
+    path = pre.parse_known_args(argv[1:])[0].manifest
+    if path is None:
         return argv
-    at = argv.index("--manifest")
-    if at + 1 >= len(argv):
-        raise DataFormatError("--manifest needs a file path")
-    path = argv[at + 1]
     cfg = configparser.ConfigParser()
     cfg.optionxform = str
     try:
@@ -406,29 +415,15 @@ def _apply_manifest(parser: argparse.ArgumentParser, argv: list[str]) -> list[st
         raise DataFormatError(f"cannot read manifest {path}: {exc}") from exc
     except configparser.Error as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    overrides = {}
-    for key, value in cfg["run"].items():
-        dest = key.strip().replace("-", "_")
-        for cast in (int, float):
-            try:
-                overrides[dest] = cast(value)
-                break
-            except ValueError:
-                continue
-        else:
-            overrides[dest] = value
-    for action in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-        known = {a.dest for a in action._actions}
-        action.set_defaults(**{k: v for k, v in overrides.items() if k in known})
-    return argv
+    tokens = [f"--{key.strip().replace('_', '-')}={value}" for key, value in cfg["run"].items()]
+    return argv[:1] + tokens + argv[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_manifest(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_splice_manifest(argv))
         return args.func(args)
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

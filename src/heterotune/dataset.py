@@ -1,7 +1,7 @@
 """Training matrices: loading, validation, masking and static-energy views.
 
 The on-disk layout is a small manifest naming one delimited-text grid per
-quantity (mean power, mean time, optional stddevs) plus the platform file.
+quantity (mean power, mean time) plus the platform file.
 Grids share row keys (app_id) and column keys (config ids) and use the
 explicit sentinel ``NA`` for unmeasured cells, so a truncated file never
 parses as a sparser matrix.  Formats are documented in docs/data-formats.md.
@@ -132,8 +132,6 @@ class TrainingMatrix:
     time: np.ndarray
     mask: np.ndarray
     system: tuple[PlatformSpec, ...]
-    power_std: np.ndarray | None = None
-    time_std: np.ndarray | None = None
     static_augmented: bool = False
 
     def __post_init__(self) -> None:
@@ -189,8 +187,6 @@ class TrainingMatrix:
             power=self.power[:, idx].copy(),
             time=self.time[:, idx].copy(),
             mask=self.mask[:, idx].copy(),
-            power_std=None if self.power_std is None else self.power_std[:, idx].copy(),
-            time_std=None if self.time_std is None else self.time_std[:, idx].copy(),
         )
 
     def platform_config_indices(self, platform: str) -> tuple[int, ...]:
@@ -203,8 +199,6 @@ def build_training_matrix(
     power: np.ndarray,
     time: np.ndarray,
     mask: np.ndarray | None = None,
-    power_std: np.ndarray | None = None,
-    time_std: np.ndarray | None = None,
     static_augmented: bool = False,
 ) -> TrainingMatrix:
     """Assemble a matrix over the system's full enumerated config list."""
@@ -224,8 +218,6 @@ def build_training_matrix(
         time=time,
         mask=mask,
         system=tuple(system),
-        power_std=None if power_std is None else np.array(power_std, dtype=float),
-        time_std=None if time_std is None else np.array(time_std, dtype=float),
         static_augmented=static_augmented,
     )
 
@@ -275,8 +267,6 @@ def mask_application(
         power=matrix.power[keep].copy(),
         time=matrix.time[keep].copy(),
         mask=matrix.mask[keep].copy(),
-        power_std=None if matrix.power_std is None else matrix.power_std[keep].copy(),
-        time_std=None if matrix.time_std is None else matrix.time_std[keep].copy(),
     )
     idx = np.array(plan.sample_configs, dtype=int)
     if idx.size and not matrix.mask[row, idx].all():
@@ -350,9 +340,9 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
     return app_ids, values, mask
 
 
-def save_training(matrix: TrainingMatrix, directory: str, apps_meta: bool = True) -> str:
-    """Write a matrix as manifest + grids (+ platform file); returns the
-    manifest path."""
+def save_training(matrix: TrainingMatrix, directory: str) -> str:
+    """Write a matrix as manifest + grids + platform and application files;
+    returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
     platform_file = os.path.join(directory, "system.conf")
     save_system(matrix.system, platform_file)
@@ -366,18 +356,9 @@ def save_training(matrix: TrainingMatrix, directory: str, apps_meta: bool = True
         "time = time.csv",
         "platforms = system.conf",
         f"static_augmented = {'true' if matrix.static_augmented else 'false'}",
+        "apps = apps.csv",
     ]
-    if matrix.power_std is not None:
-        _write_grid(os.path.join(directory, "power_std.csv"), matrix.apps, matrix.configs,
-                    matrix.power_std, matrix.mask)
-        lines.append("power_std = power_std.csv")
-    if matrix.time_std is not None:
-        _write_grid(os.path.join(directory, "time_std.csv"), matrix.apps, matrix.configs,
-                    matrix.time_std, matrix.mask)
-        lines.append("time_std = time_std.csv")
-    if apps_meta:
-        save_applications(matrix.apps, os.path.join(directory, "apps.csv"))
-        lines.append("apps = apps.csv")
+    save_applications(matrix.apps, os.path.join(directory, "apps.csv"))
     manifest = os.path.join(directory, "manifest.conf")
     with open(manifest, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -438,11 +419,6 @@ def load_training(manifest_path: str) -> TrainingMatrix:
             for i in app_ids
         )
 
-    kwargs = {}
-    for key in ("power_std", "time_std"):
-        if key in sec:
-            _, grid, _ = _read_grid(rel(sec[key]), configs)
-            kwargs[key] = grid
     augmented = sec.get("static_augmented", "false").strip().lower() == "true"
     try:
         return TrainingMatrix(
@@ -454,7 +430,6 @@ def load_training(manifest_path: str) -> TrainingMatrix:
             mask=mask,
             system=system,
             static_augmented=augmented,
-            **kwargs,
         )
     except ValueError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from exc

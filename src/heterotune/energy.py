@@ -21,26 +21,6 @@ W_TO_MW = 1000.0
 
 
 @dataclass(frozen=True)
-class PlatformEnergy:
-    platform: str
-    static_mj: float
-    dynamic_mj: float
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Per-platform static/dynamic split for one run; idle platforms carry
-    zero dynamic energy."""
-
-    platforms: tuple[PlatformEnergy, ...]
-    active: frozenset[str]
-
-    @property
-    def total_mj(self) -> float:
-        return sum(p.static_mj + p.dynamic_mj for p in self.platforms)
-
-
-@dataclass(frozen=True)
 class RunMeasurement:
     """Mean measurement of one (application, configuration) point."""
 
@@ -48,19 +28,12 @@ class RunMeasurement:
     config: NativeConfig
     mean_time: float
     mean_energy: float
-    time_stddev: float = 0.0
-    energy_stddev: float = 0.0
-    runs: int = 1
 
     def __post_init__(self) -> None:
         if self.mean_time <= 0:
             raise ValueError("mean_time must be positive")
         if self.mean_energy < 0:
             raise ValueError("mean_energy must be non-negative")
-        if self.time_stddev < 0 or self.energy_stddev < 0:
-            raise ValueError("stddevs must be non-negative")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
 
     @property
     def mean_power(self) -> float:
@@ -74,50 +47,26 @@ def power_from(energy_mj: float, time_s: float) -> float:
     return energy_mj / time_s
 
 
-def static_energy(spec: PlatformSpec, duration_s: float) -> float:
-    """Idle energy (mJ) of one platform over ``duration_s``."""
-    if duration_s < 0:
-        raise ValueError(f"duration must be non-negative, got {duration_s}")
-    return spec.static_power * W_TO_MW * duration_s
-
-
 def static_power_mw(system: Sequence[PlatformSpec]) -> float:
     """Combined static draw of every platform in the system, in mW."""
     return sum(spec.static_power for spec in system) * W_TO_MW
-
-
-def total_energy(
-    system: Sequence[PlatformSpec],
-    active: str,
-    dynamic_mj: float,
-    duration_s: float,
-) -> EnergyBreakdown:
-    """Whole-system energy of one run: the active platform contributes its
-    static and dynamic energy, every idle platform its static energy."""
-    names = [spec.name for spec in system]
-    if active not in names:
-        raise ValueError(f"active platform {active!r} not in system {names}")
-    parts = tuple(
-        PlatformEnergy(
-            platform=spec.name,
-            static_mj=static_energy(spec, duration_s),
-            dynamic_mj=dynamic_mj if spec.name == active else 0.0,
-        )
-        for spec in system
-    )
-    return EnergyBreakdown(platforms=parts, active=frozenset({active}))
 
 
 def total_energy_row(
     power_row: np.ndarray,
     time_row: np.ndarray,
     system: Sequence[PlatformSpec],
+    static_included: bool = False,
 ) -> np.ndarray:
-    """Vectorized whole-system energy per configuration.
+    """Whole-system energy (mJ) per configuration.
 
-    ``power_row`` is dynamic power (mW) and ``time_row`` duration (s) per
-    configuration; the run duration charges all platforms' static draw.
+    ``time_row`` is the run duration (s) per configuration.  ``power_row``
+    is the active platform's dynamic power (mW), and the duration is charged
+    every platform's static draw on top; with ``static_included`` the power
+    already carries that draw (see ``dataset.augment_static``) and is only
+    multiplied by the duration.
     """
     power_row = np.asarray(power_row, dtype=float)
     time_row = np.asarray(time_row, dtype=float)
-    return time_row * (power_row + static_power_mw(system))
+    static = 0.0 if static_included else static_power_mw(system)
+    return time_row * (power_row + static)

@@ -391,10 +391,7 @@ def predict_energy(
         fallback = (min_observed_time if min_observed_time is not None else 1.0) * 1e-3
         clamped = [int(i) for i in np.flatnonzero(bad)]
         time_row[bad] = fallback
-    if static_included:
-        energy = power_row * time_row
-    else:
-        energy = total_energy_row(power_row, time_row, system)
+    energy = total_energy_row(power_row, time_row, system, static_included)
     chosen = int(np.argmin(energy))
     obs = set(int(i) for i in observed_idx)
     provenance = tuple(

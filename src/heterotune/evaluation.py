@@ -10,7 +10,7 @@ percent above the brute-force optimum, which is zero by construction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +45,9 @@ def measured_energy_row(matrix: TrainingMatrix, app_id: int) -> np.ndarray:
     row = matrix.app_index(app_id)
     if not matrix.mask[row].all():
         raise ValueError(f"app {app_id} row has unobserved cells")
-    if matrix.static_augmented:
-        return matrix.power[row] * matrix.time[row]
-    return total_energy_row(matrix.power[row], matrix.time[row], matrix.system)
+    return total_energy_row(
+        matrix.power[row], matrix.time[row], matrix.system, matrix.static_augmented
+    )
 
 
 def brute_force_best(matrix: TrainingMatrix, app_id: int) -> tuple[int, float]:
@@ -82,14 +82,7 @@ def single_platform_baseline(
     mode = FEATURES_SINGLE if kind is PlatformKind.GPU else FEATURES_UNIFIED
     params = params or EstimatorParams()
     n_feat = 3 if mode == FEATURES_SINGLE else 10
-    params = EstimatorParams(
-        latent_dim=params.latent_dim,
-        max_iters=params.max_iters,
-        tol=params.tol,
-        min_samples=min(params.min_samples, n_feat),
-        ridge=params.ridge,
-        log_time=params.log_time,
-    )
+    params = replace(params, min_samples=min(params.min_samples, n_feat))
     plan = select_samples(sub.n_configs, n_samples, seed, target_app=app_id)
     result = predict_best_config(sub, app_id, plan, params, feature_mode=mode)
     return cols[result.chosen], result

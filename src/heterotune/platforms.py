@@ -213,17 +213,11 @@ def reference_platform(system: Sequence[PlatformSpec]) -> PlatformSpec:
 MIN_EQUIV_CORES = 0.5
 
 
-def _round_half(x: float) -> float:
-    return max(MIN_EQUIV_CORES, round(x * 2.0) / 2.0)
-
-
 def unify(
     cfg: NativeConfig,
     src: PlatformSpec,
     ref: PlatformSpec,
     fidx: FrequencyIndex,
-    *,
-    round_half_cores: bool = False,
 ) -> UnifiedConfig:
     """Map a native configuration into unified coordinates.
 
@@ -231,14 +225,13 @@ def unify(
     counts exactly.  GPU workgroup sizes scale linearly through the per-core
     compute ratio (clamped below at ``MIN_EQUIV_CORES``); a GPU always
     engages all of its memory controllers, scaled through the bandwidth
-    ratio.  ``round_half_cores`` snaps the parallelism coordinate to the
-    nearest half core, which loses information and is off by default.
+    ratio.
     """
     src.validate_config(cfg)
     cores = equiv_cores(src, ref, cfg.cores)
     mem = equiv_mem(src, ref, cfg.mem)
     if src.kind is PlatformKind.GPU:
-        cores = _round_half(cores) if round_half_cores else max(cores, MIN_EQUIV_CORES)
+        cores = max(cores, MIN_EQUIV_CORES)
     return UnifiedConfig(
         equiv_cores=cores,
         freq_index=fidx.index_of(cfg.platform, cfg.freq),
@@ -257,8 +250,6 @@ def enumerate_configs(system: Sequence[PlatformSpec]) -> tuple[NativeConfig, ...
 
 def unify_system(
     system: Sequence[PlatformSpec],
-    *,
-    round_half_cores: bool = False,
 ) -> tuple[tuple[NativeConfig, ...], tuple[UnifiedConfig, ...], FrequencyIndex]:
     """Enumerate and unify every configuration of a system in one pass."""
     fidx = build_frequency_index(system)
@@ -266,7 +257,7 @@ def unify_system(
     by_name = {spec.name: spec for spec in system}
     configs = enumerate_configs(system)
     unified = tuple(
-        unify(cfg, by_name[cfg.platform], ref, fidx, round_half_cores=round_half_cores)
+        unify(cfg, by_name[cfg.platform], ref, fidx)
         for cfg in configs
     )
     return configs, unified, fidx

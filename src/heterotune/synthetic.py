@@ -10,9 +10,8 @@ produces the platform crossovers the estimator has to detect without
 claiming fidelity to any real machine.
 
 Measurement noise follows the multi-run protocol: each cell is emitted as
-the mean of ``runs_per_point`` relative-noise draws, with the sample
-standard deviation stored alongside; the noiseless truth is retained for
-scoring.
+the mean of ``runs_per_point`` relative-noise draws; the noiseless truth is
+retained for scoring.
 """
 
 from __future__ import annotations
@@ -197,8 +196,6 @@ def generate_system(spec: SyntheticSpec) -> SyntheticSystem:
 
     if spec.noise_sd == 0.0:
         power, time = truth_power.copy(), truth_time.copy()
-        power_std = np.zeros_like(power)
-        time_std = np.zeros_like(time)
     else:
         shape = (spec.runs_per_point,) + truth_time.shape
         t_draws = truth_time * (1.0 + spec.noise_sd * rng.standard_normal(shape))
@@ -207,9 +204,6 @@ def generate_system(spec: SyntheticSpec) -> SyntheticSystem:
         p_draws = np.maximum(p_draws, truth_power * 1e-3)
         time = t_draws.mean(axis=0)
         power = p_draws.mean(axis=0)
-        ddof = 1 if spec.runs_per_point > 1 else 0
-        time_std = t_draws.std(axis=0, ddof=ddof)
-        power_std = p_draws.std(axis=0, ddof=ddof)
 
     matrix = build_training_matrix(
         apps=_app_catalog(spec.n_apps),
@@ -217,8 +211,6 @@ def generate_system(spec: SyntheticSpec) -> SyntheticSystem:
         power=power,
         time=time,
         mask=np.ones(truth_time.shape, dtype=bool),
-        power_std=power_std,
-        time_std=time_std,
     )
     return SyntheticSystem(matrix=matrix, truth_power=truth_power,
                            truth_time=truth_time, spec=spec)

@@ -249,6 +249,28 @@ class TestEvaluateCommand:
         assert (out / "report.csv").exists()
         assert (out / "gap_by_app.csv").exists()
 
+    def test_params_file_reaches_evaluate(self, training_dir, tmp_path, monkeypatch):
+        seen = {}
+
+        class Report:
+            def summary_text(self):
+                return ""
+
+        def fake_evaluate(matrix, **kwargs):
+            seen.update(kwargs)
+            return Report()
+
+        monkeypatch.setattr("heterotune.cli.evaluate", fake_evaluate)
+        argv = ["evaluate", "--training", str(training_dir / "manifest.conf"), "--params"]
+        bad = tmp_path / "bad.conf"
+        bad.write_text("[estimator]\nwhatever = 3\n")
+        assert main(argv + [str(bad)]) == EXIT_PARSE
+        assert not seen
+        good = tmp_path / "good.conf"
+        good.write_text("[estimator]\nlatent_dim = 3\n")
+        assert main(argv + [str(good)]) == EXIT_OK
+        assert seen["params"] == EstimatorParams(latent_dim=3)
+
     def test_malformed_training_exits_parse(self, tmp_path):
         bad = tmp_path / "manifest.conf"
         bad.write_text("[training]\npower = nowhere.csv\ntime = nowhere.csv\nplatforms = nope.conf\n")
@@ -283,6 +305,20 @@ class TestManifestAndParams:
         assert rc == EXIT_OK
         rows = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
         assert len(rows) - 1 == 16
+
+    def test_flag_the_command_does_not_read_rejected(self, training_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--training", str(training_dir / "manifest.conf"),
+                  "--sample", str(tmp_path / "s.csv"), "--profile", "ci"])
+        assert exc.value.code == EXIT_PARSE
+
+    def test_manifest_key_naming_no_flag_rejected(self, training_dir, tmp_path):
+        run_manifest = tmp_path / "run.conf"
+        run_manifest.write_text("profile = ci\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--training", str(training_dir / "manifest.conf"),
+                  "--sample", str(tmp_path / "s.csv"), "--manifest", str(run_manifest)])
+        assert exc.value.code == EXIT_PARSE
 
     def test_params_file(self, tmp_path):
         p = tmp_path / "params.conf"

@@ -61,18 +61,19 @@ class TestPersistence:
         assert loaded.static_augmented == m.static_augmented
 
     def test_round_trip_with_missing_cells_and_stds(self, tmp_path):
+        # manifests written before stddev grids were dropped still list
+        # them; the keys are ignored like any other unknown key
         system = tiny_system()
         power = np.array([[100.0, np.nan, 80.0], [90.0, 95.0, np.nan]])
         time = np.array([[1.0, np.nan, 1.5], [0.5, 0.25, np.nan]])
-        m = build_training_matrix(
-            DEFAULT_APPLICATIONS[:2], system, power, time,
-            power_std=np.zeros((2, 3)), time_std=np.zeros((2, 3)),
-        )
+        m = build_training_matrix(DEFAULT_APPLICATIONS[:2], system, power, time)
         manifest = save_training(m, str(tmp_path / "t"))
+        with open(manifest, "a") as fh:
+            fh.write("power_std = power_std.csv\ntime_std = time_std.csv\n")
         loaded = load_training(manifest)
         np.testing.assert_array_equal(loaded.mask, m.mask)
         np.testing.assert_array_equal(loaded.power[loaded.mask], m.power[m.mask])
-        assert loaded.power_std is not None and loaded.time_std is not None
+        np.testing.assert_array_equal(loaded.time[loaded.mask], m.time[m.mask])
 
     def test_negative_power_cell_error_names_cell(self, tmp_path):
         m = tiny_matrix()

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from heterotune.dataset import DEFAULT_APPLICATIONS, augment_static, build_training_matrix
 from heterotune.energy import (
     RunMeasurement,
     power_from,
-    static_energy,
     static_power_mw,
-    total_energy,
     total_energy_row,
 )
 from heterotune.platforms import NativeConfig, PlatformKind
 
 from conftest import tiny_system
+
+
+def one_run(system, dynamic_mj, duration_s):
+    """Whole-system energy of a single run given its dynamic energy."""
+    return float(total_energy_row([dynamic_mj / duration_s], [duration_s], system)[0])
 
 
 class TestPowerFrom:
@@ -35,60 +39,50 @@ class TestPowerFrom:
 
 class TestStaticEnergy:
     def test_zero_power(self):
-        cpu, _ = tiny_system(cpu_static=0.0)
-        assert static_energy(cpu, 12.5) == 0
+        system = tiny_system(cpu_static=0.0, gpu_static=0.0)
+        assert static_power_mw(system) == 0
+        assert one_run(system, 0.0, 12.5) == 0
 
     def test_zero_duration(self):
-        cpu, _ = tiny_system(cpu_static=7.0)
-        assert static_energy(cpu, 0) == 0
+        system = tiny_system(cpu_static=7.0, gpu_static=3.0)
+        assert total_energy_row([5.0], [0.0], system)[0] == 0
 
     def test_unit_conversion(self):
-        # 10 W for 2 s is 20 J, i.e. 20000 mJ
-        cpu, _ = tiny_system(cpu_static=10.0)
-        assert static_energy(cpu, 2) == 20000
-
-    def test_negative_duration_rejected(self):
-        cpu, _ = tiny_system()
-        with pytest.raises(ValueError):
-            static_energy(cpu, -0.1)
+        # 10 W is 10000 mW; over 2 s that is 20 J, i.e. 20000 mJ
+        system = tiny_system(cpu_static=10.0, gpu_static=0.0)
+        assert static_power_mw(system) == 10000
+        assert one_run(system, 0.0, 2.0) == 20000
 
 
 class TestTotalEnergy:
     def test_zero_statics_total_is_dynamic(self):
         system = tiny_system(cpu_static=0.0, gpu_static=0.0)
-        bd = total_energy(system, "tiny-cpu", dynamic_mj=123.0, duration_s=9.0)
-        assert bd.total_mj == 123.0
+        assert one_run(system, dynamic_mj=123.0, duration_s=9.0) == pytest.approx(123.0)
 
     def test_hand_sum_two_platform(self):
         # dynamic 100 mJ; statics 0.02 W and 0.03 W over 1 s are 20 and 30 mJ
         system = tiny_system(cpu_static=0.02, gpu_static=0.03)
-        bd = total_energy(system, "tiny-cpu", dynamic_mj=100.0, duration_s=1.0)
-        assert bd.total_mj == pytest.approx(150.0)
+        assert one_run(system, dynamic_mj=100.0, duration_s=1.0) == pytest.approx(150.0)
 
     def test_symmetry_when_roles_swap(self):
+        # columns 0-1 are CPU configurations, column 2 the GPU one: the same
+        # run costs the same whichever platform is active
         system = tiny_system(cpu_static=0.02, gpu_static=0.03)
-        cpu_run = total_energy(system, "tiny-cpu", 100.0, 1.0)
-        gpu_run = total_energy(system, "tiny-gpu", 100.0, 1.0)
-        assert cpu_run.total_mj == pytest.approx(gpu_run.total_mj)
-        by_name = {p.platform: p for p in gpu_run.platforms}
-        assert by_name["tiny-cpu"].dynamic_mj == 0.0
-        assert by_name["tiny-gpu"].dynamic_mj == 100.0
+        row = total_energy_row([100.0, 100.0, 100.0], [1.0, 1.0, 1.0], system)
+        assert row[0] == row[1] == row[2] == pytest.approx(150.0)
 
     def test_idle_platforms_have_zero_dynamic_and_appear_once(self):
-        system = tiny_system()
-        bd = total_energy(system, "tiny-gpu", 50.0, 2.0)
-        assert sorted(p.platform for p in bd.platforms) == ["tiny-cpu", "tiny-gpu"]
-        assert {p.platform for p in bd.platforms if p.dynamic_mj > 0} == {"tiny-gpu"}
-
-    def test_unknown_active_platform_rejected(self):
-        with pytest.raises(ValueError):
-            total_energy(tiny_system(), "nope", 1.0, 1.0)
+        # with no dynamic power left, a run pays each platform's static
+        # draw exactly once: (20 + 30) mW over 2 s
+        system = tiny_system(cpu_static=0.02, gpu_static=0.03)
+        row = total_energy_row([0.0, 0.0, 0.0], [2.0, 2.0, 2.0], system)
+        np.testing.assert_allclose(row, 100.0, rtol=1e-12)
 
     def test_additivity_in_each_term(self):
         system = tiny_system(cpu_static=0.02, gpu_static=0.03)
-        base = total_energy(system, "tiny-cpu", 100.0, 1.0).total_mj
+        base = one_run(system, 100.0, 1.0)
         for delta in (1.0, 17.5):
-            less = total_energy(system, "tiny-cpu", 100.0 - delta, 1.0).total_mj
+            less = one_run(system, 100.0 - delta, 1.0)
             assert base - less == pytest.approx(delta, rel=1e-12)
 
 
@@ -100,32 +94,47 @@ class TestDynamicVsTotalDivergence:
         cpu_dyn, cpu_t = 100.0, 1.0
         gpu_dyn, gpu_t = 80.0, 1.6
         assert gpu_dyn < cpu_dyn
-        cpu_total = total_energy(system, "tiny-cpu", cpu_dyn, cpu_t).total_mj
-        gpu_total = total_energy(system, "tiny-gpu", gpu_dyn, gpu_t).total_mj
-        assert cpu_total == pytest.approx(150.0)
-        assert gpu_total == pytest.approx(160.0)
-        assert cpu_total < gpu_total
+        row = total_energy_row([cpu_dyn / cpu_t, gpu_dyn / gpu_t], [cpu_t, gpu_t], system)
+        assert row[0] == pytest.approx(150.0)
+        assert row[1] == pytest.approx(160.0)
+        assert int(np.argmin(row)) == 0
 
 
 class TestTotalEnergyRow:
     def test_matches_scalar_route(self):
+        # one configuration at a time in Python floats: dynamic energy plus
+        # every platform's static power times the duration
         system = tiny_system(cpu_static=0.02, gpu_static=0.03)
         power = np.array([100.0, 50.0, 75.0])
         time = np.array([1.0, 2.0, 0.5])
         row = total_energy_row(power, time, system)
         for j in range(3):
-            scalar = total_energy(system, "tiny-cpu", power[j] * time[j], time[j]).total_mj
+            scalar = float(power[j]) * float(time[j]) + (20.0 + 30.0) * float(time[j])
             assert row[j] == pytest.approx(scalar, rel=1e-12)
 
     def test_static_power_sum(self):
         system = tiny_system(cpu_static=0.25, gpu_static=0.75)
         assert static_power_mw(system) == pytest.approx(1000.0)
 
+    @given(
+        power=st.lists(st.floats(1e-3, 1e5), min_size=3, max_size=3),
+        time=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+        statics=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
+    )
+    def test_static_included_view_matches_dynamic_view(self, power, time, statics):
+        system = tiny_system(*statics)
+        m = build_training_matrix(DEFAULT_APPLICATIONS[:1], system, [power], [time])
+        aug = augment_static(m)
+        dynamic = total_energy_row(m.power[0], m.time[0], system)
+        included = total_energy_row(aug.power[0], aug.time[0], system, static_included=True)
+        np.testing.assert_allclose(included, dynamic, rtol=1e-12)
+        assert int(np.argmin(included)) == int(np.argmin(dynamic))
+
 
 class TestRunMeasurement:
     def test_mean_power(self):
         cfg = NativeConfig("tiny-cpu", PlatformKind.CPU, 1, 1.0, 1)
-        m = RunMeasurement(app_id=1, config=cfg, mean_time=2.0, mean_energy=1000.0, runs=5)
+        m = RunMeasurement(app_id=1, config=cfg, mean_time=2.0, mean_energy=1000.0)
         assert m.mean_power == 500.0
 
     def test_validation(self):
@@ -133,4 +142,4 @@ class TestRunMeasurement:
         with pytest.raises(ValueError):
             RunMeasurement(1, cfg, mean_time=0.0, mean_energy=1.0)
         with pytest.raises(ValueError):
-            RunMeasurement(1, cfg, mean_time=1.0, mean_energy=1.0, runs=0)
+            RunMeasurement(1, cfg, mean_time=1.0, mean_energy=-1.0)

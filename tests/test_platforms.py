@@ -149,9 +149,6 @@ class TestUnify:
         cfg = NativeConfig("quadro-k620", PlatformKind.GPU, 2, 1.73, 2)
         u = unify(cfg, DEFAULT_GPU, DEFAULT_CPU, self.fidx)
         assert u.equiv_cores == pytest.approx(2 * equiv_cores(DEFAULT_GPU, DEFAULT_CPU, 1))
-        rounded = unify(cfg, DEFAULT_GPU, DEFAULT_CPU, self.fidx, round_half_cores=True)
-        assert rounded.equiv_cores == 1.0
-        assert rounded.equiv_mem == pytest.approx(u.equiv_mem)
 
     def test_unknown_frequency_rejected(self):
         cfg = NativeConfig("quadro-k620", PlatformKind.GPU, 2, 1.5, 2)
