@@ -35,8 +35,6 @@ from .errors import (
     RankDeficiencyError,
 )
 from .estimator import (
-    FEATURES_SINGLE,
-    FEATURES_UNIFIED,
     EstimatorParams,
     EstimatorState,
     PredictionResult,

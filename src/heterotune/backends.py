@@ -12,6 +12,7 @@ GPU parallelism is communicated to executables through the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -29,7 +30,6 @@ class ExecutableDescriptor:
     """What to run: one command line per platform plus its environment."""
 
     commands: dict[str, str]          # platform name -> command line
-    workdir: str | None = None
     env: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -96,10 +96,10 @@ class SimulatedBackend:
         col = self._col.get(config.config_id)
         if col is None:
             raise BackendError(f"configuration {config.config_id} not in backing matrix")
-        if not self.matrix.mask[row, col]:
-            raise BackendError(f"cell ({app_id}, {config.config_id}) is unmeasured")
         time = float(self.matrix.time[row, col])
         power = float(self.matrix.power[row, col])
+        if math.isnan(time):
+            raise BackendError(f"cell ({app_id}, {config.config_id}) is unmeasured")
         return RunMeasurement(
             app_id=app_id,
             config=config,

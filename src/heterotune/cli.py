@@ -4,7 +4,8 @@ evaluation harness.
 Prediction is entirely offline; only benchmark, sample and run touch a
 measurement backend, and the only backend shipped is the simulated one
 (``--backend simulated``), which answers from a synthetic system or a
-previously benchmarked matrix (``--backend-data``).
+previously benchmarked matrix (``--backend-data``).  A backing matrix
+defines the system the command runs on.
 
 Exit codes: 0 success, 2 input/parse failure, 3 estimator failure,
 4 backend failure.  Each command takes only the flags it reads.  A
@@ -24,14 +25,8 @@ import sys
 import numpy as np
 
 from . import dataset
-from .backends import (
-    ExecutableDescriptor,
-    MeasurementBackend,
-    SimulatedBackend,
-    build_environment,
-)
+from .backends import ExecutableDescriptor, SimulatedBackend, build_environment
 from .dataset import (
-    DEFAULT_APPLICATIONS,
     SamplePlan,
     SampleSet,
     TrainingMatrix,
@@ -42,9 +37,9 @@ from .dataset import (
 )
 from .energy import power_from
 from .errors import BackendError, DataFormatError, EstimatorError
-from .estimator import EstimatorParams, predict_best_config, predict_new_app
+from .estimator import EstimatorParams, feature_matrix, predict_best_config, predict_new_app
 from .evaluation import APPROACHES, evaluate
-from .platforms import PlatformKind, enumerate_configs, load_system
+from .platforms import PlatformKind, load_system
 from .synthetic import PROFILES
 
 EXIT_OK = 0
@@ -74,9 +69,7 @@ def load_params(path: str | None) -> EstimatorParams:
         "latent_dim": int,
         "max_iters": int,
         "tol": float,
-        "min_samples": int,
         "ridge": float,
-        "log_time": lambda s: s.strip().lower() == "true",
     }
     for key, value in sec.items():
         if key not in casts:
@@ -91,19 +84,6 @@ def load_params(path: str | None) -> EstimatorParams:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def _resolve_system(args) -> tuple:
-    if args.system:
-        return load_system(args.system)
-    return PROFILES[args.profile].platforms
-
-
-def _resolve_apps(args):
-    if args.apps:
-        return load_applications(args.apps)
-    n = PROFILES[args.profile].n_apps
-    return DEFAULT_APPLICATIONS[:n]
-
-
 def _descriptor(args, system) -> ExecutableDescriptor:
     commands = {}
     for spec in system:
@@ -116,13 +96,30 @@ def _descriptor(args, system) -> ExecutableDescriptor:
     return ExecutableDescriptor(commands=commands, env={})
 
 
-def _make_backend(args, system=None, apps=None) -> MeasurementBackend:
+def _make_backend(args, apps=None) -> SimulatedBackend:
+    """The simulated backend.  With ``--backend-data`` it answers from that
+    training set, whose system the command then runs on; otherwise from a
+    system generated from ``--profile`` or ``--system``, ``--seed`` and
+    ``--noise``, with one application per entry of ``apps`` if given."""
     if args.backend != "simulated":
         raise BackendError(f"unknown backend {args.backend!r}")
     if args.backend_data:
-        return SimulatedBackend(load_training(args.backend_data))
-    profile = PROFILES[args.profile]
-    platforms = tuple(system) if system is not None else profile.platforms
+        if args.noise is not None:
+            raise DataFormatError("--noise cannot take effect with --backend-data")
+        matrix = load_training(args.backend_data)
+        named = {}
+        if args.profile:
+            named["--profile"] = PROFILES[args.profile].platforms
+        if args.system:
+            named["--system"] = load_system(args.system)
+        for flag, system in named.items():
+            if system != matrix.system:
+                raise DataFormatError(
+                    f"{flag} names a different system than --backend-data {args.backend_data}"
+                )
+        return SimulatedBackend(matrix)
+    profile = PROFILES[args.profile or "full"]
+    platforms = load_system(args.system) if args.system else profile.platforms
     n_apps = len(apps) if apps is not None else profile.n_apps
     n_cfg = sum(len(p.native_settings) for p in platforms)
     spec = dataclasses.replace(
@@ -136,17 +133,24 @@ def _make_backend(args, system=None, apps=None) -> MeasurementBackend:
     return SimulatedBackend.generate(spec)
 
 
+def _require_out(args) -> None:
+    if args.out is None:
+        raise DataFormatError(f"{args.command} needs --out")
+
+
 def cmd_benchmark(args) -> int:
     """Measure every (application, configuration) cell and write the
-    training files; backend failures leave missing cells and continue."""
-    system = _resolve_system(args)
-    apps = _resolve_apps(args)
-    backend = _make_backend(args, system, apps)
-    configs = enumerate_configs(system)
+    training files; backend failures leave missing cells and continue.
+    Without ``--apps`` the backend's own applications are measured."""
+    _require_out(args)
+    apps = load_applications(args.apps) if args.apps else None
+    backend = _make_backend(args, apps)
+    system, configs = backend.matrix.system, backend.matrix.configs
+    if apps is None:
+        apps = backend.matrix.apps
     n_apps, n_cfg = len(apps), len(configs)
     power = np.full((n_apps, n_cfg), np.nan)
     time = np.full((n_apps, n_cfg), np.nan)
-    mask = np.zeros((n_apps, n_cfg), dtype=bool)
     failures = 0
     for i, app in enumerate(apps):
         desc = ExecutableDescriptor(
@@ -160,12 +164,11 @@ def cmd_benchmark(args) -> int:
                 continue
             time[i, j] = meas.mean_time
             power[i, j] = power_from(meas.mean_energy, meas.mean_time)
-            mask[i, j] = True
-    matrix = dataset.build_training_matrix(apps, system, power, time, mask)
+    matrix = dataset.build_training_matrix(apps, system, power, time)
     manifest = save_training(matrix, args.out)
     with open(manifest, "a") as fh:
         fh.write(f"seed = {args.seed}\n")
-    print(f"benchmarked {int(mask.sum())}/{n_apps * n_cfg} cells "
+    print(f"benchmarked {n_apps * n_cfg - failures}/{n_apps * n_cfg} cells "
           f"({failures} failures) -> {manifest}")
     return EXIT_OK
 
@@ -232,15 +235,15 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
 
 def cmd_sample(args) -> int:
     """Measure the target executable on randomly chosen configurations."""
-    system = _resolve_system(args)
-    params = load_params(args.params)
-    if args.samples < params.min_samples:
+    _require_out(args)
+    backend = _make_backend(args)
+    minimum = feature_matrix(backend.matrix).shape[1]
+    if args.samples < minimum:
         raise DataFormatError(
-            f"--samples {args.samples} below the estimator minimum {params.min_samples}"
+            f"--samples {args.samples} below the estimator minimum {minimum}"
         )
-    backend = _make_backend(args, system)
-    desc = _descriptor(args, system)
-    configs = enumerate_configs(system)
+    desc = _descriptor(args, backend.matrix.system)
+    configs = backend.matrix.configs
     plan = select_samples(len(configs), args.samples, args.seed)
     power, time = [], []
     app_id = 0
@@ -299,13 +302,12 @@ def cmd_predict(args) -> int:
 
 def cmd_run(args) -> int:
     """Execute once at a chosen configuration and report the measurement."""
-    system = _resolve_system(args)
-    configs = {cfg.config_id: cfg for cfg in enumerate_configs(system)}
+    backend = _make_backend(args)
+    configs = {cfg.config_id: cfg for cfg in backend.matrix.configs}
     if args.config not in configs:
         raise DataFormatError(f"unknown configuration {args.config!r}")
     cfg = configs[args.config]
-    backend = _make_backend(args, system)
-    desc = _descriptor(args, system)
+    desc = _descriptor(args, backend.matrix.system)
     run_desc = dataclasses.replace(desc, env=build_environment(desc, cfg))
     meas = backend.run(run_desc, cfg)
     print(f"config: {cfg.config_id}")
@@ -340,12 +342,13 @@ def cmd_evaluate(args) -> int:
 
 # Every flag of the CLI; each command below lists the ones it reads.
 FLAGS = {
-    "--profile": dict(choices=sorted(PROFILES), default="full",
+    "--profile": dict(choices=sorted(PROFILES),
                       help="synthetic system profile (default full)"),
     "--system": dict(help="platform descriptor file"),
     "--apps": dict(help="application catalog file"),
     "--backend": dict(choices=["simulated"], default="simulated"),
-    "--backend-data": dict(help="training manifest backing the simulated backend"),
+    "--backend-data": dict(help="training manifest backing the simulated backend; "
+                                "it defines the system"),
     "--noise": dict(type=float, default=None,
                     help="relative per-run noise of the generated system"),
     "--cpu-cmd": dict(help="CPU executable (simulated: 'app:<id>')"),
@@ -369,8 +372,8 @@ COMMANDS = {
     "benchmark": (cmd_benchmark, "measure all apps on all configurations",
                   _BACKEND_FLAGS + ("--apps", "--seed", "--out", "--manifest")),
     "sample": (cmd_sample, "measure one executable on sampled configurations",
-               _BACKEND_FLAGS + ("--cpu-cmd", "--gpu-cmd", "--samples", "--params",
-                                 "--seed", "--out", "--manifest")),
+               _BACKEND_FLAGS + ("--cpu-cmd", "--gpu-cmd", "--samples", "--seed", "--out",
+                                 "--manifest")),
     "predict": (cmd_predict, "predict the best configuration (offline)",
                 ("--training", "--sample", "--params", "--out", "--manifest")),
     "run": (cmd_run, "run once at a chosen configuration",
@@ -423,7 +426,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_splice_manifest(argv))
+        try:
+            args = parser.parse_args(_splice_manifest(argv))
+        except SystemExit as exc:
+            # argparse exits 0 after --help and 2 on a bad or missing flag
+            return EXIT_OK if exc.code == 0 else EXIT_PARSE
         return args.func(args)
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

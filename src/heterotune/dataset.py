@@ -10,6 +10,7 @@ parses as a sparser matrix.  Formats are documented in docs/data-formats.md.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -120,9 +121,9 @@ class SampleSet:
 class TrainingMatrix:
     """Applications x configurations grid of mean power (mW) and mean time (s).
 
-    ``mask`` is True where a cell was measured; ``power`` and ``time`` hold
-    NaN exactly at unmeasured cells.  ``static_augmented`` records whether
-    the power grid already includes the whole-system static draw.
+    ``power`` and ``time`` hold NaN exactly at unmeasured cells.
+    ``static_augmented`` records whether the power grid already includes the
+    whole-system static draw.
     """
 
     apps: tuple[ApplicationMeta, ...]
@@ -130,14 +131,13 @@ class TrainingMatrix:
     unified: tuple[UnifiedConfig, ...]
     power: np.ndarray
     time: np.ndarray
-    mask: np.ndarray
     system: tuple[PlatformSpec, ...]
     static_augmented: bool = False
 
     def __post_init__(self) -> None:
         n_apps, n_cfg = len(self.apps), len(self.configs)
         shape = (n_apps, n_cfg)
-        for name in ("power", "time", "mask"):
+        for name in ("power", "time"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} grid shape {getattr(self, name).shape} != {shape}")
         if len(self.unified) != n_cfg:
@@ -145,15 +145,20 @@ class TrainingMatrix:
         ids = [a.app_id for a in self.apps]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate app_id in matrix")
-        m = self.mask
-        if not (np.isfinite(self.power[m]).all() and np.isfinite(self.time[m]).all()):
+        if np.isinf(self.power).any() or np.isinf(self.time).any():
             raise ValueError("observed cells must be finite")
-        if np.isfinite(self.power[~m]).any() or np.isfinite(self.time[~m]).any():
+        m = self.mask
+        if not np.array_equal(m, ~np.isnan(self.time)):
             raise ValueError("unobserved cells must be NaN in both grids")
         if (self.power[m] < 0).any():
             raise ValueError("negative power cell")
         if (self.time[m] <= 0).any():
             raise ValueError("non-positive time cell")
+
+    @property
+    def mask(self) -> np.ndarray:
+        """True where a cell was measured."""
+        return ~np.isnan(self.power)
 
     @property
     def n_apps(self) -> int:
@@ -186,7 +191,6 @@ class TrainingMatrix:
             unified=tuple(self.unified[i] for i in idx),
             power=self.power[:, idx].copy(),
             time=self.time[:, idx].copy(),
-            mask=self.mask[:, idx].copy(),
         )
 
     def platform_config_indices(self, platform: str) -> tuple[int, ...]:
@@ -198,25 +202,17 @@ def build_training_matrix(
     system: Sequence[PlatformSpec],
     power: np.ndarray,
     time: np.ndarray,
-    mask: np.ndarray | None = None,
     static_augmented: bool = False,
 ) -> TrainingMatrix:
-    """Assemble a matrix over the system's full enumerated config list."""
+    """Assemble a matrix over the system's full enumerated config list;
+    unmeasured cells are NaN in both grids."""
     configs, unified, _ = unify_system(system)
-    power = np.array(power, dtype=float)
-    time = np.array(time, dtype=float)
-    if mask is None:
-        mask = np.isfinite(power) & np.isfinite(time)
-    mask = np.array(mask, dtype=bool)
-    power = np.where(mask, power, np.nan)
-    time = np.where(mask, time, np.nan)
     return TrainingMatrix(
         apps=tuple(apps),
         configs=configs,
         unified=unified,
-        power=power,
-        time=time,
-        mask=mask,
+        power=np.array(power, dtype=float),
+        time=np.array(time, dtype=float),
         system=tuple(system),
         static_augmented=static_augmented,
     )
@@ -266,10 +262,9 @@ def mask_application(
         apps=tuple(matrix.apps[i] for i in keep),
         power=matrix.power[keep].copy(),
         time=matrix.time[keep].copy(),
-        mask=matrix.mask[keep].copy(),
     )
     idx = np.array(plan.sample_configs, dtype=int)
-    if idx.size and not matrix.mask[row, idx].all():
+    if np.isnan(matrix.power[row, idx]).any():
         raise ValueError("plan samples an unobserved cell of the target row")
     samples = SampleSet(
         app_id=app_id,
@@ -284,20 +279,17 @@ def mask_application(
 # persistence
 
 
-def _fmt(value: float, observed: bool) -> str:
-    return repr(float(value)) if observed else MISSING
-
-
 def _write_grid(path: str, apps: Sequence[ApplicationMeta], configs: Sequence[NativeConfig],
-                grid: np.ndarray, mask: np.ndarray) -> None:
+                grid: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write("app_id," + ",".join(c.config_id for c in configs) + "\n")
-        for i, app in enumerate(apps):
-            cells = (_fmt(grid[i, j], mask[i, j]) for j in range(len(configs)))
+        for app, row in zip(apps, grid.tolist()):
+            cells = (MISSING if math.isnan(v) else repr(v) for v in row)
             fh.write(str(app.app_id) + "," + ",".join(cells) + "\n")
 
 
-def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[int], np.ndarray]:
+    """App ids and values of one grid file; NaN at ``NA`` cells."""
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -316,7 +308,6 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
         )
     app_ids: list[int] = []
     values = np.full((len(lines) - 1, len(expected)), np.nan)
-    mask = np.zeros_like(values, dtype=bool)
     for r, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(expected) + 1:
@@ -336,8 +327,7 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
                 ) from None
             if not np.isfinite(values[r - 2, c]):
                 raise DataFormatError(f"{path}:{r}: column {expected[c]!r}: non-finite value")
-            mask[r - 2, c] = True
-    return app_ids, values, mask
+    return app_ids, values
 
 
 def save_training(matrix: TrainingMatrix, directory: str) -> str:
@@ -346,10 +336,8 @@ def save_training(matrix: TrainingMatrix, directory: str) -> str:
     os.makedirs(directory, exist_ok=True)
     platform_file = os.path.join(directory, "system.conf")
     save_system(matrix.system, platform_file)
-    _write_grid(os.path.join(directory, "power.csv"), matrix.apps, matrix.configs,
-                matrix.power, matrix.mask)
-    _write_grid(os.path.join(directory, "time.csv"), matrix.apps, matrix.configs,
-                matrix.time, matrix.mask)
+    _write_grid(os.path.join(directory, "power.csv"), matrix.apps, matrix.configs, matrix.power)
+    _write_grid(os.path.join(directory, "time.csv"), matrix.apps, matrix.configs, matrix.time)
     lines = [
         "[training]",
         "power = power.csv",
@@ -387,19 +375,19 @@ def load_training(manifest_path: str) -> TrainingMatrix:
 
     system = load_system(rel(sec["platforms"]))
     configs, unified, _ = unify_system(system)
-    app_ids, power, mask = _read_grid(rel(sec["power"]), configs)
-    t_ids, time, t_mask = _read_grid(rel(sec["time"]), configs)
+    app_ids, power = _read_grid(rel(sec["power"]), configs)
+    t_ids, time = _read_grid(rel(sec["time"]), configs)
     if app_ids != t_ids:
         raise DataFormatError(f"{manifest_path}: power/time grids disagree on app ids")
-    if not np.array_equal(mask, t_mask):
+    if not np.array_equal(np.isnan(power), np.isnan(time)):
         raise DataFormatError(f"{manifest_path}: power/time grids disagree on missing cells")
-    bad = np.argwhere(mask & (power < 0))
+    bad = np.argwhere(power < 0)
     if bad.size:
         i, j = bad[0]
         raise DataFormatError(
             f"{sec['power']}: negative power at app {app_ids[i]}, config {configs[j].config_id}"
         )
-    bad = np.argwhere(t_mask & (time <= 0))
+    bad = np.argwhere(time <= 0)
     if bad.size:
         i, j = bad[0]
         raise DataFormatError(
@@ -427,7 +415,6 @@ def load_training(manifest_path: str) -> TrainingMatrix:
             unified=unified,
             power=power,
             time=time,
-            mask=mask,
             system=system,
             static_augmented=augmented,
         )

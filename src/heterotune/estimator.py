@@ -7,8 +7,7 @@ configurations matrix generated by a latent-factor Gaussian:
 
 Offline rows (the training set) are fully observed; the target application
 contributes only its sampled cells.  Fitting proceeds in two stages, both
-per quantity (power in the linear domain, time in the log domain by
-default):
+per quantity (power in the linear domain, time in the log domain):
 
 1. a ridge-stabilized least-squares fit of the sampled cells on a full
    quadratic basis of the unified coordinates fills in a dense initial row;
@@ -32,28 +31,19 @@ import numpy as np
 from .dataset import SamplePlan, SampleSet, TrainingMatrix, mask_application
 from .energy import total_energy_row
 from .errors import InsufficientSamplesError, RankDeficiencyError
-from .platforms import PlatformSpec
+from .platforms import PlatformKind, PlatformSpec
 
 SIGMA2_FLOOR = 1e-12
-
-FEATURES_UNIFIED = "unified-quadratic"   # cores, frequency index, memory
-FEATURES_SINGLE = "single-quadratic"     # one parallelism knob (workgroup size)
 
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Knobs of the two-stage estimator.
-
-    ``min_samples`` must be at least the size of the regression basis:
-    10 for the three-predictor basis, 3 for the single-predictor one.
-    """
+    """Knobs of the two-stage estimator."""
 
     latent_dim: int = 5
     max_iters: int = 500
     tol: float = 1e-6
-    min_samples: int = 10
     ridge: float = 0.0
-    log_time: bool = True
 
     def __post_init__(self) -> None:
         if self.latent_dim < 1:
@@ -62,8 +52,6 @@ class EstimatorParams:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
         if self.ridge < 0:
             raise ValueError("ridge must be non-negative")
 
@@ -97,33 +85,32 @@ class PredictionResult:
     converged: bool = True
 
 
-def quadratic_features(predictors: Sequence[float]) -> np.ndarray:
-    """Full quadratic basis of a predictor vector.
+def quadratic_features(predictors: Sequence) -> np.ndarray:
+    """Full quadratic basis of a predictor vector, or of each row of a
+    predictor matrix.
 
     For (c, f, m) the basis is [1, c, f, m, c*f, c*m, f*m, c^2, f^2, m^2];
     for a single predictor w it degenerates to [1, w, w^2].
     """
     x = np.asarray(predictors, dtype=float)
-    parts = [np.ones(1), x]
-    cross = [x[i] * x[j] for i in range(x.size) for j in range(i + 1, x.size)]
-    if cross:
-        parts.append(np.array(cross))
-    parts.append(x**2)
-    return np.concatenate(parts)
+    i, j = np.triu_indices(x.shape[-1], k=1)
+    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x, x[..., i] * x[..., j], x**2], axis=-1)
 
 
-def feature_matrix(matrix: TrainingMatrix, mode: str = FEATURES_UNIFIED) -> np.ndarray:
-    """Stack the quadratic basis of every configuration of a matrix."""
-    if mode == FEATURES_UNIFIED:
-        rows = [
-            quadratic_features((u.equiv_cores, float(u.freq_index), u.equiv_mem))
-            for u in matrix.unified
-        ]
-    elif mode == FEATURES_SINGLE:
-        rows = [quadratic_features((float(c.cores),)) for c in matrix.configs]
+def feature_matrix(matrix: TrainingMatrix) -> np.ndarray:
+    """Stack the quadratic basis of every configuration of a matrix.
+
+    Configurations that all sit on one GPU platform vary only in workgroup
+    size, so they get [1, w, w^2]; any other set gets the 10-function basis
+    of the unified (cores, frequency index, memory) coordinates.  The basis
+    size is also the fewest samples a prediction can fit.
+    """
+    configs = matrix.configs
+    if len({c.platform for c in configs}) == 1 and configs[0].kind is PlatformKind.GPU:
+        predictors = [(float(c.cores),) for c in configs]
     else:
-        raise ValueError(f"unknown feature mode {mode!r}")
-    return np.asarray(rows)
+        predictors = [(u.equiv_cores, float(u.freq_index), u.equiv_mem) for u in matrix.unified]
+    return quadratic_features(predictors)
 
 
 def init_regression(
@@ -414,15 +401,10 @@ def _predict_from_rows(
     train_time: np.ndarray,
     samples: SampleSet,
     params: EstimatorParams,
-    feature_mode: str,
 ) -> PredictionResult:
-    if len(samples.config_indices) < params.min_samples:
-        raise InsufficientSamplesError(
-            f"got {len(samples.config_indices)} samples, need >= {params.min_samples}"
-        )
     if np.isnan(train_power).any() or np.isnan(train_time).any():
         raise ValueError("training rows must be fully observed")
-    feats = feature_matrix(matrix, feature_mode)
+    feats = feature_matrix(matrix)
     idx = samples.config_indices
 
     def _complete(rows, values, log_domain):
@@ -437,7 +419,7 @@ def _predict_from_rows(
             return complete_row(rows, idx, values, feats, fallback, log_domain=log_domain)
 
     p_state, power_row = _complete(train_power, samples.power, False)
-    t_state, time_row = _complete(train_time, samples.time, params.log_time)
+    t_state, time_row = _complete(train_time, samples.time, True)
     return predict_energy(
         power_row,
         time_row,
@@ -454,7 +436,6 @@ def predict_best_config(
     app_id: int,
     plan: SamplePlan,
     params: EstimatorParams | None = None,
-    feature_mode: str = FEATURES_UNIFIED,
 ) -> PredictionResult:
     """End-to-end holistic prediction for one application of the matrix.
 
@@ -464,20 +445,15 @@ def predict_best_config(
     """
     params = params or EstimatorParams()
     view, samples = mask_application(matrix, app_id, plan)
-    return _predict_from_rows(
-        matrix, view.power, view.time, samples, params, feature_mode
-    )
+    return _predict_from_rows(matrix, view.power, view.time, samples, params)
 
 
 def predict_new_app(
     matrix: TrainingMatrix,
     samples: SampleSet,
     params: EstimatorParams | None = None,
-    feature_mode: str = FEATURES_UNIFIED,
 ) -> PredictionResult:
     """Prediction for an application that is not part of the training
     matrix: every training row participates, no masking."""
     params = params or EstimatorParams()
-    return _predict_from_rows(
-        matrix, matrix.power, matrix.time, samples, params, feature_mode
-    )
+    return _predict_from_rows(matrix, matrix.power, matrix.time, samples, params)

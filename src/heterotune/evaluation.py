@@ -10,7 +10,7 @@ percent above the brute-force optimum, which is zero by construction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,13 +18,7 @@ import numpy as np
 from .dataset import TrainingMatrix, select_samples
 from .energy import total_energy_row
 from .errors import EstimatorError
-from .estimator import (
-    FEATURES_SINGLE,
-    FEATURES_UNIFIED,
-    EstimatorParams,
-    PredictionResult,
-    predict_best_config,
-)
+from .estimator import EstimatorParams, PredictionResult, predict_best_config
 from .platforms import PlatformKind
 
 HOLISTIC = "holistic"
@@ -43,7 +37,7 @@ DEFAULT_GPU_SAMPLES = 3
 def measured_energy_row(matrix: TrainingMatrix, app_id: int) -> np.ndarray:
     """Whole-system energy of one fully measured application row."""
     row = matrix.app_index(app_id)
-    if not matrix.mask[row].all():
+    if np.isnan(matrix.power[row]).any():
         raise ValueError(f"app {app_id} row has unobserved cells")
     return total_energy_row(
         matrix.power[row], matrix.time[row], matrix.system, matrix.static_augmented
@@ -67,24 +61,18 @@ def single_platform_baseline(
 ) -> tuple[int, PredictionResult]:
     """Run the estimator restricted to one platform's configurations.
 
-    GPUs expose too few configurations for the three-predictor basis, so
-    their regression falls back to the single parallelism predictor.
-    Returns the chosen configuration as an index into the full matrix.
+    A GPU's configurations vary only in workgroup size, so its regression
+    uses the single-predictor basis (see ``feature_matrix``).  Returns the
+    chosen configuration as an index into the full matrix.
     """
-    names = {spec.name: spec for spec in matrix.system}
-    if platform not in names:
+    if platform not in {spec.name for spec in matrix.system}:
         raise ValueError(f"platform {platform!r} not in system")
     cols = matrix.platform_config_indices(platform)
     if not cols:
         raise ValueError(f"no configurations for platform {platform!r}")
     sub = matrix.select_configs(cols)
-    kind = names[platform].kind
-    mode = FEATURES_SINGLE if kind is PlatformKind.GPU else FEATURES_UNIFIED
-    params = params or EstimatorParams()
-    n_feat = 3 if mode == FEATURES_SINGLE else 10
-    params = replace(params, min_samples=min(params.min_samples, n_feat))
     plan = select_samples(sub.n_configs, n_samples, seed, target_app=app_id)
-    result = predict_best_config(sub, app_id, plan, params, feature_mode=mode)
+    result = predict_best_config(sub, app_id, plan, params)
     return cols[result.chosen], result
 
 

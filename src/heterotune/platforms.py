@@ -153,9 +153,6 @@ class FrequencyIndex:
     def _lookup(self) -> dict[tuple[str, float], int]:
         return {(e.platform, e.freq): e.index for e in self.entries}
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def index_of(self, platform: str, freq: float) -> int:
         try:
             return self._lookup[(platform, freq)]

@@ -210,7 +210,6 @@ def generate_system(spec: SyntheticSpec) -> SyntheticSystem:
         system=spec.platforms,
         power=power,
         time=time,
-        mask=np.ones(truth_time.shape, dtype=bool),
     )
     return SyntheticSystem(matrix=matrix, truth_power=truth_power,
                            truth_time=truth_time, spec=spec)

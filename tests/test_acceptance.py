@@ -16,7 +16,6 @@ from heterotune.dataset import (
 )
 from heterotune.errors import InsufficientSamplesError
 from heterotune.estimator import (
-    FEATURES_UNIFIED,
     EstimatorParams,
     complete_row,
     feature_matrix,
@@ -102,7 +101,7 @@ def test_criterion_5_em_exact_recovery():
     dummy = build_training_matrix(
         DEFAULT_APPLICATIONS, DEFAULT_SYSTEM, np.ones((18, 393)), np.ones((18, 393))
     )
-    feats = feature_matrix(dummy, FEATURES_UNIFIED)
+    feats = feature_matrix(dummy)
     worst_rmse = 0.0
     monotone = True
     for trial in range(100):
@@ -241,7 +240,7 @@ def test_criterion_8_oracle_and_invariance_suite(ci_system):
     checks["determinism"] = r1.records == r2.records
 
     # minimum-sample rejection: 9 observations cannot fit 10 basis functions
-    feats = feature_matrix(m, FEATURES_UNIFIED)
+    feats = feature_matrix(m)
     try:
         init_regression(np.arange(9), np.ones(9), feats)
         checks["min-samples"] = False

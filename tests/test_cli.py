@@ -120,6 +120,40 @@ class TestSample:
         assert calls["n"] == 0
         assert not out.exists()
 
+    def test_backend_data_defines_the_system(self, training_dir, tmp_path):
+        # no --profile: the configurations come from the backing matrix
+        out = tmp_path / "s.csv"
+        rc = main([
+            "sample", "--backend-data", str(training_dir / "manifest.conf"),
+            "--cpu-cmd", "app:1", "--gpu-cmd", "app:1", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert all(ln.startswith("ci-") for ln in out.read_text().splitlines()[3:])
+
+    def test_flags_contradicting_backend_data_rejected(self, training_dir, tmp_path):
+        full_system = tmp_path / "full.conf"
+        save_system(PROFILES["full"].platforms, str(full_system))
+        out = tmp_path / "s.csv"
+        argv = ["sample", "--backend-data", str(training_dir / "manifest.conf"),
+                "--cpu-cmd", "app:1", "--gpu-cmd", "app:1", "--out", str(out)]
+        for extra in (["--profile", "full"], ["--system", str(full_system)], ["--noise", "0.1"]):
+            assert main(argv + extra) == EXIT_PARSE
+        assert not out.exists()
+
+    def test_missing_out_rejected_before_any_run(self, training_dir, monkeypatch):
+        calls = {"n": 0}
+        orig = SimulatedBackend.run
+
+        def counting(self, descriptor, config):
+            calls["n"] += 1
+            return orig(self, descriptor, config)
+
+        monkeypatch.setattr(SimulatedBackend, "run", counting)
+        assert main(["benchmark", "--profile", "ci"]) == EXIT_PARSE
+        assert main(["sample", "--backend-data", str(training_dir / "manifest.conf"),
+                     "--cpu-cmd", "app:1", "--gpu-cmd", "app:1"]) == EXIT_PARSE
+        assert calls["n"] == 0
+
     def test_same_seed_same_plan(self, training_dir, tmp_path):
         files = []
         for name in ("x.csv", "y.csv"):
@@ -307,32 +341,37 @@ class TestManifestAndParams:
         assert len(rows) - 1 == 16
 
     def test_flag_the_command_does_not_read_rejected(self, training_dir, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["predict", "--training", str(training_dir / "manifest.conf"),
-                  "--sample", str(tmp_path / "s.csv"), "--profile", "ci"])
-        assert exc.value.code == EXIT_PARSE
+        rc = main(["predict", "--training", str(training_dir / "manifest.conf"),
+                   "--sample", str(tmp_path / "s.csv"), "--profile", "ci"])
+        assert rc == EXIT_PARSE
 
     def test_manifest_key_naming_no_flag_rejected(self, training_dir, tmp_path):
         run_manifest = tmp_path / "run.conf"
         run_manifest.write_text("profile = ci\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["predict", "--training", str(training_dir / "manifest.conf"),
-                  "--sample", str(tmp_path / "s.csv"), "--manifest", str(run_manifest)])
-        assert exc.value.code == EXIT_PARSE
+        rc = main(["predict", "--training", str(training_dir / "manifest.conf"),
+                   "--sample", str(tmp_path / "s.csv"), "--manifest", str(run_manifest)])
+        assert rc == EXIT_PARSE
+
+    def test_help_exits_ok(self, capsys):
+        assert main(["predict", "--help"]) == EXIT_OK
+        assert "--training" in capsys.readouterr().out
 
     def test_params_file(self, tmp_path):
         p = tmp_path / "params.conf"
-        p.write_text("[estimator]\nlatent_dim = 3\nmax_iters = 100\nlog_time = false\n")
+        p.write_text("[estimator]\nlatent_dim = 3\nmax_iters = 100\n")
         params = load_params(str(p))
-        assert params == EstimatorParams(latent_dim=3, max_iters=100, log_time=False)
+        assert params == EstimatorParams(latent_dim=3, max_iters=100)
 
     def test_bad_params_key_rejected(self, tmp_path):
-        p = tmp_path / "params.conf"
-        p.write_text("[estimator]\nwhatever = 3\n")
+        # min_samples and log_time were estimator keys once; a file that
+        # still sets one is rejected rather than silently obeyed or dropped
         from heterotune.errors import DataFormatError
 
-        with pytest.raises(DataFormatError):
-            load_params(str(p))
+        p = tmp_path / "params.conf"
+        for line in ("whatever = 3", "min_samples = 3", "log_time = false"):
+            p.write_text(f"[estimator]\n{line}\n")
+            with pytest.raises(DataFormatError, match="unknown estimator key"):
+                load_params(str(p))
 
 
 class TestBackendErrors:

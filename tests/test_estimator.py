@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heterotune.dataset import DEFAULT_APPLICATIONS, build_training_matrix, select_samples
 from heterotune.errors import InsufficientSamplesError, RankDeficiencyError
 from heterotune.estimator import (
-    FEATURES_SINGLE,
     EstimatorParams,
     complete_row,
     em_fit,
@@ -16,7 +16,7 @@ from heterotune.estimator import (
     quadratic_features,
 )
 from heterotune.platforms import DEFAULT_SYSTEM, unify_system
-from heterotune.synthetic import SyntheticSpec, generate_system
+from heterotune.synthetic import CI_SYSTEM, SyntheticSpec, generate_system
 
 from conftest import tiny_system
 
@@ -282,11 +282,39 @@ class TestPipeline:
         assert 0 <= result.chosen < m.n_configs
 
     def test_single_predictor_mode(self, ci_system):
+        # one GPU platform's configurations get the [1, w, w^2] basis, so
+        # three samples are enough
         m = ci_system.matrix
         gpu_cols = m.platform_config_indices("ci-gpu")
         sub = m.select_configs(gpu_cols)
+        assert feature_matrix(m).shape == (m.n_configs, 10)
+        np.testing.assert_array_equal(
+            feature_matrix(sub), [quadratic_features((float(c.cores),)) for c in sub.configs]
+        )
         app = m.apps[0].app_id
         plan = select_samples(sub.n_configs, 3, seed=7, target_app=app)
-        params = EstimatorParams(min_samples=3)
-        result = predict_best_config(sub, app, plan, params, feature_mode=FEATURES_SINGLE)
+        result = predict_best_config(sub, app, plan)
         assert 0 <= result.chosen < len(gpu_cols)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        noise_sd=st.floats(0.0, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+        app_index=st.integers(0, 5),
+        plan_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_invariants_over_generated_systems(self, noise_sd, seed, app_index, plan_seed):
+        spec = SyntheticSpec(n_apps=6, platforms=CI_SYSTEM, rank=3, noise_sd=noise_sd, seed=seed)
+        m = generate_system(spec).matrix
+        app = m.apps[app_index].app_id
+        plan = select_samples(m.n_configs, 15, plan_seed, target_app=app)
+        r1 = predict_best_config(m, app, plan)
+        r2 = predict_best_config(m, app, plan)
+        assert np.isfinite(r1.energy).all() and (r1.energy > 0).all()
+        assert r1.chosen == int(np.argmin(r1.energy))
+        row, idx = m.app_index(app), list(plan.sample_configs)
+        np.testing.assert_array_equal(r1.power[idx], m.power[row, idx])
+        np.testing.assert_array_equal(r1.time[idx], m.time[row, idx])
+        assert r1.chosen == r2.chosen
+        for a, b in ((r1.power, r2.power), (r1.time, r2.time), (r1.energy, r2.energy)):
+            np.testing.assert_array_equal(a, b)
