@@ -15,7 +15,6 @@ from .dataset import (
     SamplePlan,
     SampleSet,
     TrainingMatrix,
-    augment_static,
     build_training_matrix,
     load_training,
     mask_application,

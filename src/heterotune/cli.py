@@ -69,7 +69,6 @@ def load_params(path: str | None) -> EstimatorParams:
         "latent_dim": int,
         "max_iters": int,
         "tol": float,
-        "ridge": float,
     }
     for key, value in sec.items():
         if key not in casts:
@@ -106,6 +105,9 @@ def _make_backend(args, apps=None) -> SimulatedBackend:
     if args.backend_data:
         if args.noise is not None:
             raise DataFormatError("--noise cannot take effect with --backend-data")
+        # the seed only generates a system; sample's seed also draws its plan
+        if args.seed is not None and args.command != "sample":
+            raise DataFormatError("--seed cannot take effect with --backend-data")
         matrix = load_training(args.backend_data)
         named = {}
         if args.profile:
@@ -127,7 +129,7 @@ def _make_backend(args, apps=None) -> SimulatedBackend:
         platforms=platforms,
         n_apps=n_apps,
         rank=min(profile.rank, n_apps, n_cfg),
-        seed=args.seed,
+        seed=args.seed or 0,
         noise_sd=args.noise if args.noise is not None else profile.noise_sd,
     )
     return SimulatedBackend.generate(spec)
@@ -167,7 +169,7 @@ def cmd_benchmark(args) -> int:
     matrix = dataset.build_training_matrix(apps, system, power, time)
     manifest = save_training(matrix, args.out)
     with open(manifest, "a") as fh:
-        fh.write(f"seed = {args.seed}\n")
+        fh.write(f"seed = {args.seed or 0}\n")
     print(f"benchmarked {n_apps * n_cfg - failures}/{n_apps * n_cfg} cells "
           f"({failures} failures) -> {manifest}")
     return EXIT_OK
@@ -213,12 +215,21 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
             raise DataFormatError(f"{path}: row {r}: expected 3 cells")
         if cells[0] not in col:
             raise DataFormatError(f"{path}: row {r}: unknown config {cells[0]!r}")
+        if col[cells[0]] in idx:
+            raise DataFormatError(f"{path}: row {r}: config {cells[0]!r} listed twice")
         try:
-            idx.append(col[cells[0]])
-            power.append(float(cells[1]))
-            time.append(float(cells[2]))
+            p, t = float(cells[1]), float(cells[2])
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {r}: {exc}") from exc
+        if not (np.isfinite(p) and np.isfinite(t)):
+            raise DataFormatError(f"{path}: row {r}: non-finite value")
+        if p < 0:
+            raise DataFormatError(f"{path}: row {r}: negative power {p!r}")
+        if t <= 0:
+            raise DataFormatError(f"{path}: row {r}: non-positive time {t!r}")
+        idx.append(col[cells[0]])
+        power.append(p)
+        time.append(t)
     try:
         app_id = int(meta.get("app_id", "0"))
         seed = int(meta.get("seed", "0"))
@@ -244,7 +255,8 @@ def cmd_sample(args) -> int:
         )
     desc = _descriptor(args, backend.matrix.system)
     configs = backend.matrix.configs
-    plan = select_samples(len(configs), args.samples, args.seed)
+    seed = args.seed or 0
+    plan = select_samples(len(configs), args.samples, seed)
     power, time = [], []
     app_id = 0
     for j in plan.sample_configs:
@@ -260,7 +272,7 @@ def cmd_sample(args) -> int:
         power=np.array(power),
         time=np.array(time),
     )
-    save_samples(args.out, app_id, args.seed, samples, configs)
+    save_samples(args.out, app_id, seed, samples, configs)
     print(f"sampled {len(plan.sample_configs)} configurations -> {args.out}")
     return EXIT_OK
 
@@ -273,6 +285,13 @@ def cmd_predict(args) -> int:
     params = load_params(args.params)
     known_ids = {a.app_id for a in matrix.apps}
     if samples.app_id in known_ids:
+        # The file's measurements replace the matrix's at the sampled cells;
+        # masking then drops the rest of the row.
+        row, idx = matrix.app_index(samples.app_id), list(samples.config_indices)
+        power, time = matrix.power.copy(), matrix.time.copy()
+        power[row, idx] = samples.power
+        time[row, idx] = samples.time
+        matrix = dataclasses.replace(matrix, power=power, time=time)
         plan = SamplePlan(samples.app_id, samples.config_indices, seed)
         result = predict_best_config(matrix, samples.app_id, plan, params)
     else:
@@ -329,7 +348,7 @@ def cmd_evaluate(args) -> int:
         matrix,
         approaches=approaches,
         trials=args.trials,
-        seed=args.seed,
+        seed=args.seed or 0,
         holistic_samples=args.samples,
         params=load_params(args.params),
     )
@@ -360,7 +379,7 @@ FLAGS = {
     "--samples": dict(type=int, default=15, help="sample count (default 15)"),
     "--trials": dict(type=int, default=1),
     "--approaches": dict(help="comma list, default all"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, default=None, help="random seed (default 0)"),
     "--params": dict(help="estimator parameter file"),
     "--out": dict(help="output file or directory"),
     "--manifest": dict(help="run manifest supplying this command's flags as key = value"),

@@ -1,4 +1,4 @@
-"""Training matrices: loading, validation, masking and static-energy views.
+"""Training matrices: loading, validation and masking.
 
 The on-disk layout is a small manifest naming one delimited-text grid per
 quantity (mean power, mean time) plus the platform file.
@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import static_power_mw
 from .errors import DataFormatError
 from .platforms import (
     NativeConfig,
@@ -121,9 +120,9 @@ class SampleSet:
 class TrainingMatrix:
     """Applications x configurations grid of mean power (mW) and mean time (s).
 
-    ``power`` and ``time`` hold NaN exactly at unmeasured cells.
-    ``static_augmented`` records whether the power grid already includes the
-    whole-system static draw.
+    ``power`` and ``time`` hold NaN exactly at unmeasured cells.  Power is
+    the active platform's dynamic draw; whole-system static energy is added
+    only by ``energy.total_energy_row``.
     """
 
     apps: tuple[ApplicationMeta, ...]
@@ -132,7 +131,6 @@ class TrainingMatrix:
     power: np.ndarray
     time: np.ndarray
     system: tuple[PlatformSpec, ...]
-    static_augmented: bool = False
 
     def __post_init__(self) -> None:
         n_apps, n_cfg = len(self.apps), len(self.configs)
@@ -145,15 +143,18 @@ class TrainingMatrix:
         ids = [a.app_id for a in self.apps]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate app_id in matrix")
-        if np.isinf(self.power).any() or np.isinf(self.time).any():
-            raise ValueError("observed cells must be finite")
-        m = self.mask
-        if not np.array_equal(m, ~np.isnan(self.time)):
-            raise ValueError("unobserved cells must be NaN in both grids")
-        if (self.power[m] < 0).any():
-            raise ValueError("negative power cell")
-        if (self.time[m] <= 0).any():
-            raise ValueError("non-positive time cell")
+        checks = (
+            (np.isinf(self.power) | np.isinf(self.time), "infinite value"),
+            (np.isnan(self.power) != np.isnan(self.time), "cell unmeasured in only one grid"),
+            (self.power < 0, "negative power"),
+            (self.time <= 0, "non-positive time"),
+        )
+        for bad, what in checks:
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"{what} at app {self.apps[i].app_id}, config {self.configs[j].config_id}"
+                )
 
     @property
     def mask(self) -> np.ndarray:
@@ -178,10 +179,6 @@ class TrainingMatrix:
                 return i
         raise KeyError(f"app_id {app_id} not in matrix")
 
-    def energy(self) -> np.ndarray:
-        """Per-cell mean energy (mJ); NaN at unobserved cells."""
-        return self.power * self.time
-
     def select_configs(self, indices: Sequence[int]) -> TrainingMatrix:
         """Column-subset view (new matrix) keeping config order of ``indices``."""
         idx = list(indices)
@@ -202,7 +199,6 @@ def build_training_matrix(
     system: Sequence[PlatformSpec],
     power: np.ndarray,
     time: np.ndarray,
-    static_augmented: bool = False,
 ) -> TrainingMatrix:
     """Assemble a matrix over the system's full enumerated config list;
     unmeasured cells are NaN in both grids."""
@@ -214,27 +210,7 @@ def build_training_matrix(
         power=np.array(power, dtype=float),
         time=np.array(time, dtype=float),
         system=tuple(system),
-        static_augmented=static_augmented,
     )
-
-
-def augment_static(matrix: TrainingMatrix, system: Sequence[PlatformSpec] | None = None) -> TrainingMatrix:
-    """Turn the dynamic-energy view into the whole-system total-energy view.
-
-    Every observed cell's energy grows by duration x (sum of all platforms'
-    static power); since power = energy / time, that is a constant shift of
-    the power grid.  Refuses to run twice.
-    """
-    if matrix.static_augmented:
-        raise ValueError("matrix is already static-augmented")
-    system = matrix.system if system is None else tuple(system)
-    known = {spec.name for spec in system}
-    for cfg in matrix.configs:
-        if cfg.platform not in known:
-            raise ValueError(f"config platform {cfg.platform!r} not in system")
-    shift = static_power_mw(system)
-    power = matrix.power + shift  # NaN cells stay NaN
-    return replace(matrix, power=power, static_augmented=True)
 
 
 def select_samples(n_configs: int, n: int, seed: int, target_app: int = 0) -> SamplePlan:
@@ -343,7 +319,6 @@ def save_training(matrix: TrainingMatrix, directory: str) -> str:
         "power = power.csv",
         "time = time.csv",
         "platforms = system.conf",
-        f"static_augmented = {'true' if matrix.static_augmented else 'false'}",
         "apps = apps.csv",
     ]
     save_applications(matrix.apps, os.path.join(directory, "apps.csv"))
@@ -379,20 +354,10 @@ def load_training(manifest_path: str) -> TrainingMatrix:
     t_ids, time = _read_grid(rel(sec["time"]), configs)
     if app_ids != t_ids:
         raise DataFormatError(f"{manifest_path}: power/time grids disagree on app ids")
-    if not np.array_equal(np.isnan(power), np.isnan(time)):
-        raise DataFormatError(f"{manifest_path}: power/time grids disagree on missing cells")
-    bad = np.argwhere(power < 0)
-    if bad.size:
-        i, j = bad[0]
-        raise DataFormatError(
-            f"{sec['power']}: negative power at app {app_ids[i]}, config {configs[j].config_id}"
-        )
-    bad = np.argwhere(time <= 0)
-    if bad.size:
-        i, j = bad[0]
-        raise DataFormatError(
-            f"{sec['time']}: non-positive time at app {app_ids[i]}, config {configs[j].config_id}"
-        )
+    # Older versions could fold the static draw into the power grid;
+    # total_energy_row would charge it a second time, so such grids are refused.
+    if sec.get("static_augmented", "false").strip().lower() != "false":
+        raise DataFormatError(f"{manifest_path}: a static-augmented power grid is not supported")
 
     if "apps" in sec:
         apps = load_applications(rel(sec["apps"]))
@@ -407,7 +372,6 @@ def load_training(manifest_path: str) -> TrainingMatrix:
             for i in app_ids
         )
 
-    augmented = sec.get("static_augmented", "false").strip().lower() == "true"
     try:
         return TrainingMatrix(
             apps=apps,
@@ -416,7 +380,6 @@ def load_training(manifest_path: str) -> TrainingMatrix:
             power=power,
             time=time,
             system=system,
-            static_augmented=augmented,
         )
     except ValueError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from exc

@@ -56,17 +56,14 @@ def total_energy_row(
     power_row: np.ndarray,
     time_row: np.ndarray,
     system: Sequence[PlatformSpec],
-    static_included: bool = False,
 ) -> np.ndarray:
     """Whole-system energy (mJ) per configuration.
 
-    ``time_row`` is the run duration (s) per configuration.  ``power_row``
-    is the active platform's dynamic power (mW), and the duration is charged
-    every platform's static draw on top; with ``static_included`` the power
-    already carries that draw (see ``dataset.augment_static``) and is only
-    multiplied by the duration.
+    ``power_row`` is the active platform's dynamic power (mW) and
+    ``time_row`` the run duration (s) per configuration; the duration is
+    charged every platform's static draw on top.  This is the only place
+    static energy enters a score.
     """
     power_row = np.asarray(power_row, dtype=float)
     time_row = np.asarray(time_row, dtype=float)
-    static = 0.0 if static_included else static_power_mw(system)
-    return time_row * (power_row + static)
+    return time_row * (power_row + static_power_mw(system))

@@ -23,7 +23,7 @@ after; sampled cells always pass through to the output unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ class EstimatorParams:
     latent_dim: int = 5
     max_iters: int = 500
     tol: float = 1e-6
-    ridge: float = 0.0
 
     def __post_init__(self) -> None:
         if self.latent_dim < 1:
@@ -52,8 +51,6 @@ class EstimatorParams:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
 
 
 @dataclass
@@ -117,17 +114,17 @@ def init_regression(
     observed_idx: Sequence[int],
     observed_values: Sequence[float],
     features: np.ndarray,
-    params: EstimatorParams | None = None,
+    ridge: float = 0.0,
 ) -> np.ndarray:
-    """Fill a row by least squares on the quadratic basis.
+    """Fill a row by least squares on the quadratic basis, with an optional
+    ridge penalty.
 
     Fits the observed cells, evaluates at every configuration, then puts the
     measured values back at the observed cells.  Raises
     InsufficientSamplesError when there are fewer observations than basis
     functions and RankDeficiencyError when the design matrix is singular and
-    no ridge is configured.
+    ``ridge`` is zero.
     """
-    params = params or EstimatorParams()
     idx = np.asarray(observed_idx, dtype=int)
     y = np.asarray(observed_values, dtype=float)
     n_feat = features.shape[1]
@@ -144,15 +141,13 @@ def init_regression(
     Xc = (X[:, 1:] - mu) / sd
     y_mean = y.mean()
     yc = y - y_mean
-    if params.ridge == 0.0:
+    if ridge == 0.0:
         design = np.hstack([np.ones((idx.size, 1)), Xc])
         if np.linalg.matrix_rank(design) < n_feat:
-            raise RankDeficiencyError(
-                "design matrix is rank-deficient; set a positive ridge to proceed"
-            )
+            raise RankDeficiencyError("design matrix is rank-deficient; needs a positive ridge")
         beta, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
     else:
-        a = np.vstack([Xc, np.sqrt(params.ridge) * np.eye(n_feat - 1)])
+        a = np.vstack([Xc, np.sqrt(ridge) * np.eye(n_feat - 1)])
         b = np.concatenate([yc, np.zeros(n_feat - 1)])
         beta, *_ = np.linalg.lstsq(a, b, rcond=None)
     all_c = (features[:, 1:] - mu) / sd
@@ -338,7 +333,9 @@ def complete_row(
     log_domain: bool = False,
 ) -> tuple[EstimatorState, np.ndarray]:
     """Regression-initialized EM completion of one row, optionally in the
-    log domain (used for execution times, which span decades)."""
+    log domain (used for execution times, which span decades).
+
+    A rank-deficient regression design is retried with a light ridge."""
     params = params or EstimatorParams()
     y = np.asarray(observed_values, dtype=float)
     rows = np.asarray(training_rows, dtype=float)
@@ -347,7 +344,14 @@ def complete_row(
             raise ValueError("log-domain completion requires positive values")
         rows = np.log(rows)
         y = np.log(y)
-    initial = init_regression(observed_idx, y, features, params)
+    try:
+        initial = init_regression(observed_idx, y, features)
+    except RankDeficiencyError:
+        # Common, not exceptional: a two-level predictor (e.g. memory
+        # controllers) makes its square exactly collinear whenever the
+        # draw misses the other platform, so fall back to a light ridge
+        # rather than aborting; EM refines past the init anyway.
+        initial = init_regression(observed_idx, y, features, ridge=1e-8)
     state, completed = em_fit(rows, observed_idx, y, initial, params)
     if log_domain:
         completed = np.exp(completed)
@@ -360,7 +364,6 @@ def predict_energy(
     time_row: np.ndarray,
     system: Sequence[PlatformSpec],
     observed_idx: Sequence[int] = (),
-    static_included: bool = False,
     min_observed_time: float | None = None,
     converged: bool = True,
 ) -> PredictionResult:
@@ -378,7 +381,7 @@ def predict_energy(
         fallback = (min_observed_time if min_observed_time is not None else 1.0) * 1e-3
         clamped = [int(i) for i in np.flatnonzero(bad)]
         time_row[bad] = fallback
-    energy = total_energy_row(power_row, time_row, system, static_included)
+    energy = total_energy_row(power_row, time_row, system)
     chosen = int(np.argmin(energy))
     obs = set(int(i) for i in observed_idx)
     provenance = tuple(
@@ -406,26 +409,13 @@ def _predict_from_rows(
         raise ValueError("training rows must be fully observed")
     feats = feature_matrix(matrix)
     idx = samples.config_indices
-
-    def _complete(rows, values, log_domain):
-        try:
-            return complete_row(rows, idx, values, feats, params, log_domain=log_domain)
-        except RankDeficiencyError:
-            # Common, not exceptional: a two-level predictor (e.g. memory
-            # controllers) makes its square exactly collinear whenever the
-            # draw misses the other platform, so fall back to a light ridge
-            # rather than aborting; EM refines past the init anyway.
-            fallback = replace(params, ridge=max(params.ridge, 1e-8))
-            return complete_row(rows, idx, values, feats, fallback, log_domain=log_domain)
-
-    p_state, power_row = _complete(train_power, samples.power, False)
-    t_state, time_row = _complete(train_time, samples.time, True)
+    p_state, power_row = complete_row(train_power, idx, samples.power, feats, params)
+    t_state, time_row = complete_row(train_time, idx, samples.time, feats, params, log_domain=True)
     return predict_energy(
         power_row,
         time_row,
         matrix.system,
         observed_idx=idx,
-        static_included=matrix.static_augmented,
         min_observed_time=float(np.min(train_time)),
         converged=p_state.converged and t_state.converged,
     )

@@ -39,9 +39,7 @@ def measured_energy_row(matrix: TrainingMatrix, app_id: int) -> np.ndarray:
     row = matrix.app_index(app_id)
     if np.isnan(matrix.power[row]).any():
         raise ValueError(f"app {app_id} row has unobserved cells")
-    return total_energy_row(
-        matrix.power[row], matrix.time[row], matrix.system, matrix.static_augmented
-    )
+    return total_energy_row(matrix.power[row], matrix.time[row], matrix.system)
 
 
 def brute_force_best(matrix: TrainingMatrix, app_id: int) -> tuple[int, float]:

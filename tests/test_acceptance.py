@@ -97,7 +97,7 @@ def test_criterion_4_frequency_interleaving():
 
 def test_criterion_5_em_exact_recovery():
     # 100 seeded leave-one-app-out trials on noiseless rank-3 matrices
-    params = EstimatorParams(latent_dim=3, ridge=1e-8)
+    params = EstimatorParams(latent_dim=3)
     dummy = build_training_matrix(
         DEFAULT_APPLICATIONS, DEFAULT_SYSTEM, np.ones((18, 393)), np.ones((18, 393))
     )

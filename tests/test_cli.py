@@ -210,6 +210,49 @@ class TestPredict:
                    "--sample", str(bad)])
         assert rc == EXIT_PARSE
 
+    def test_known_app_uses_the_files_measurements(self, training_dir, tmp_path):
+        # sampled cells come from the sample file, not from the matrix row
+        manifest = str(training_dir / "manifest.conf")
+        sample = tmp_path / "s.csv"
+        assert main(["sample", "--backend-data", manifest, "--cpu-cmd", "app:2",
+                     "--gpu-cmd", "app:2", "--seed", "4", "--out", str(sample)]) == EXIT_OK
+        lines = sample.read_text().splitlines()
+        measured = {}
+        for k, line in enumerate(lines[3:], start=3):
+            config_id, power, time = line.split(",")
+            measured[config_id] = (float(power), float(time) * 1.5)
+            lines[k] = f"{config_id},{power},{float(time) * 1.5!r}"
+        sample.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "pred"
+        assert main(["predict", "--training", manifest, "--sample", str(sample),
+                     "--out", str(out)]) == EXIT_OK
+        rows = [ln.split(",") for ln in (out / "estimates.csv").read_text().splitlines()[1:]]
+        sampled = {r[0]: (float(r[1]), float(r[2])) for r in rows if r[4] == "observed-sample"}
+        assert sampled == measured
+
+    @pytest.mark.parametrize("app_id, row, what", [
+        (2, "{cfg0},100.0,1.0", "listed twice"),
+        (99, "{cfg1},100.0,0.0", "non-positive time"),
+        (2, "{cfg1},-1.0,1.0", "negative power"),
+        (2, "{cfg1},inf,1.0", "non-finite"),
+        (99, "{cfg1},100.0,nan", "non-finite"),
+    ], ids=["duplicate", "zero-time-new-app", "negative-power", "inf-power", "nan-time-new-app"])
+    def test_bad_sample_values_exit_parse(self, training_dir, tmp_path, capsys,
+                                          app_id, row, what):
+        matrix = load_training(str(training_dir / "manifest.conf"))
+        cfg = [c.config_id for c in matrix.configs]
+        lines = ["# app_id = %d" % app_id, "# seed = 0", "config_id,power,time"]
+        lines += [f"{cfg[j]},{float(matrix.power[1, j])!r},{float(matrix.time[1, j])!r}"
+                  for j in range(0, 30, 2)]
+        lines.append(row.format(cfg0=cfg[0], cfg1=cfg[1]))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["predict", "--training", str(training_dir / "manifest.conf"),
+                   "--sample", str(bad)])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{bad}: row 16: " in err and what in err
+
     def test_too_few_samples_exits_estimator(self, training_dir, tmp_path):
         matrix = load_training(str(training_dir / "manifest.conf"))
         few = tmp_path / "few.csv"
@@ -263,6 +306,27 @@ class TestRun:
         ])
         assert rc == EXIT_OK
         assert seen["env"][WORKGROUP_ENV_VAR] == str(gpu_cfg.workgroup_size)
+
+    def test_seed_rejected_with_backend_data(self, training_dir, tmp_path, monkeypatch):
+        # with a backing matrix nothing is generated, so a seed cannot act
+        calls = {"n": 0}
+        orig = SimulatedBackend.run
+
+        def counting(self, descriptor, config):
+            calls["n"] += 1
+            return orig(self, descriptor, config)
+
+        monkeypatch.setattr(SimulatedBackend, "run", counting)
+        manifest = str(training_dir / "manifest.conf")
+        cfg = load_training(manifest).configs[0].config_id
+        run = ["run", "--backend-data", manifest, "--config", cfg,
+               "--cpu-cmd", "app:1", "--gpu-cmd", "app:1"]
+        bench = ["benchmark", "--backend-data", manifest, "--out", str(tmp_path / "b")]
+        for argv in (run, bench):
+            assert main(argv + ["--seed", "5"]) == EXIT_PARSE
+            assert calls["n"] == 0
+            assert main(argv) == EXIT_OK
+            calls["n"] = 0
 
     def test_cpu_config_does_not_set_workgroup_env(self):
         desc = ExecutableDescriptor(commands={"c": "app:1"})
@@ -363,12 +427,12 @@ class TestManifestAndParams:
         assert params == EstimatorParams(latent_dim=3, max_iters=100)
 
     def test_bad_params_key_rejected(self, tmp_path):
-        # min_samples and log_time were estimator keys once; a file that
-        # still sets one is rejected rather than silently obeyed or dropped
+        # min_samples, log_time and ridge were estimator keys once; a file
+        # that still sets one is rejected rather than silently obeyed or dropped
         from heterotune.errors import DataFormatError
 
         p = tmp_path / "params.conf"
-        for line in ("whatever = 3", "min_samples = 3", "log_time = false"):
+        for line in ("whatever = 3", "min_samples = 3", "log_time = false", "ridge = 1e-8"):
             p.write_text(f"[estimator]\n{line}\n")
             with pytest.raises(DataFormatError, match="unknown estimator key"):
                 load_params(str(p))

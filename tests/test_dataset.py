@@ -6,7 +6,6 @@ from heterotune.dataset import (
     DEFAULT_APPLICATIONS,
     ApplicationMeta,
     PerfLimit,
-    augment_static,
     build_training_matrix,
     load_applications,
     load_training,
@@ -58,7 +57,6 @@ class TestPersistence:
         assert loaded.apps == m.apps
         assert loaded.configs == m.configs
         assert loaded.system == m.system
-        assert loaded.static_augmented == m.static_augmented
 
     def test_round_trip_with_missing_cells_and_stds(self, tmp_path):
         # manifests written before stddev grids were dropped still list
@@ -76,15 +74,35 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.time[loaded.mask], m.time[m.mask])
 
     def test_negative_power_cell_error_names_cell(self, tmp_path):
-        m = tiny_matrix()
-        manifest = save_training(m, str(tmp_path / "t"))
-        power_file = tmp_path / "t" / "power.csv"
-        lines = power_file.read_text().splitlines()
-        header, first = lines[0], lines[1].split(",")
-        first[1] = "-5.0"
-        power_file.write_text("\n".join([header, ",".join(first)] + lines[2:]) + "\n")
-        with pytest.raises(DataFormatError, match="negative power at app 1"):
-            load_training(manifest)
+        # the matrix makes these checks, so every way of building one names
+        # the offending cell; a non-positive time is the second case
+        cases = (
+            ("power.csv", "-5.0", "negative power at app 1, config tiny-cpu:c1:f1.5:m1"),
+            ("time.csv", "0.0", "non-positive time at app 1, config tiny-cpu:c1:f1.5:m1"),
+        )
+        for k, (grid, value, message) in enumerate(cases):
+            manifest = save_training(tiny_matrix(), str(tmp_path / str(k)))
+            grid_file = tmp_path / str(k) / grid
+            lines = grid_file.read_text().splitlines()
+            header, first = lines[0], lines[1].split(",")
+            first[2] = value
+            grid_file.write_text("\n".join([header, ",".join(first)] + lines[2:]) + "\n")
+            with pytest.raises(DataFormatError, match=message):
+                load_training(manifest)
+
+    def test_static_augmented_manifest_rejected(self, tmp_path):
+        # a power grid that already carries the static draw would have it
+        # charged twice; every manifest written with the key says false
+        manifest = save_training(tiny_matrix(), str(tmp_path / "t"))
+        text = open(manifest).read()
+        for value, loads in (("false", True), ("true", False)):
+            with open(manifest, "w") as fh:
+                fh.write(text + f"static_augmented = {value}\n")
+            if loads:
+                assert load_training(manifest).n_apps == 2
+            else:
+                with pytest.raises(DataFormatError, match="static-augmented"):
+                    load_training(manifest)
 
     def test_nan_cell_rejected(self, tmp_path):
         m = tiny_matrix()
@@ -110,48 +128,6 @@ class TestPersistence:
         path = str(tmp_path / "apps.csv")
         save_applications(DEFAULT_APPLICATIONS, path)
         assert load_applications(path) == DEFAULT_APPLICATIONS
-
-
-class TestAugmentStatic:
-    def test_zero_statics_is_identity(self):
-        m = tiny_matrix(cpu_static=0.0, gpu_static=0.0)
-        out = augment_static(m)
-        np.testing.assert_array_equal(out.power, m.power)
-        np.testing.assert_array_equal(out.time, m.time)
-        assert out.static_augmented
-
-    def test_hand_computed_energy_view(self):
-        # one cell: dynamic 100 mJ over 1 s; statics 20 W + 30 W add 50000 mJ
-        system = tiny_system(cpu_static=20.0, gpu_static=30.0)
-        power = np.full((1, 3), 100.0)
-        time = np.ones((1, 3))
-        m = build_training_matrix(DEFAULT_APPLICATIONS[:1], system, power, time)
-        out = augment_static(m)
-        assert out.energy()[0, 0] == pytest.approx(100.0 + 50000.0)
-
-    def test_double_augment_rejected(self):
-        m = tiny_matrix(cpu_static=1.0)
-        out = augment_static(m)
-        with pytest.raises(ValueError, match="already"):
-            augment_static(out)
-
-    def test_unknown_platform_rejected(self):
-        m = tiny_matrix()
-        foreign = tiny_system()[0:1]  # drops the GPU the configs refer to
-        with pytest.raises(ValueError, match="not in system"):
-            augment_static(m, foreign)
-
-    def test_mask_preserved_and_energy_shift_uniform(self):
-        system = tiny_system(cpu_static=2.0, gpu_static=1.0)
-        power = np.array([[100.0, np.nan, 80.0], [90.0, 95.0, np.nan]])
-        time = np.array([[1.0, np.nan, 1.5], [0.5, 0.25, np.nan]])
-        m = build_training_matrix(DEFAULT_APPLICATIONS[:2], system, power, time)
-        out = augment_static(m)
-        np.testing.assert_array_equal(out.mask, m.mask)
-        gained = out.energy()[m.mask] - m.energy()[m.mask]
-        expected = m.time[m.mask] * 3000.0  # duration x 3 W in mW
-        np.testing.assert_allclose(gained, expected, rtol=1e-12)
-        assert (gained > 0).all()
 
 
 class TestSelectSamples:

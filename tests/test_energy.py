@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from heterotune.dataset import DEFAULT_APPLICATIONS, augment_static, build_training_matrix
 from heterotune.energy import (
     RunMeasurement,
     power_from,
@@ -115,20 +114,6 @@ class TestTotalEnergyRow:
     def test_static_power_sum(self):
         system = tiny_system(cpu_static=0.25, gpu_static=0.75)
         assert static_power_mw(system) == pytest.approx(1000.0)
-
-    @given(
-        power=st.lists(st.floats(1e-3, 1e5), min_size=3, max_size=3),
-        time=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
-        statics=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
-    )
-    def test_static_included_view_matches_dynamic_view(self, power, time, statics):
-        system = tiny_system(*statics)
-        m = build_training_matrix(DEFAULT_APPLICATIONS[:1], system, [power], [time])
-        aug = augment_static(m)
-        dynamic = total_energy_row(m.power[0], m.time[0], system)
-        included = total_energy_row(aug.power[0], aug.time[0], system, static_included=True)
-        np.testing.assert_allclose(included, dynamic, rtol=1e-12)
-        assert int(np.argmin(included)) == int(np.argmin(dynamic))
 
 
 class TestRunMeasurement:

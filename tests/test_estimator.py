@@ -78,7 +78,7 @@ class TestInitRegression:
     def test_constant_row_predicts_constant(self):
         feats = self._features()
         obs = np.arange(12)
-        fitted = init_regression(obs, np.full(12, 7.5), feats, EstimatorParams(ridge=1e-6))
+        fitted = init_regression(obs, np.full(12, 7.5), feats, ridge=1e-6)
         np.testing.assert_allclose(fitted, 7.5, rtol=1e-9)
 
     def test_nine_samples_with_three_predictors_rejected(self):
@@ -86,19 +86,30 @@ class TestInitRegression:
         with pytest.raises(InsufficientSamplesError, match="insufficient samples"):
             init_regression(np.arange(9), np.ones(9), feats)
 
-    def test_rank_deficiency_without_ridge_rejected(self):
-        feats = self._features()
+    def _deficient_obs(self, feats):
         # all samples share one memory-controller setting: the m column is
         # constant, hence collinear with the intercept
-        obs = np.array([j for j in range(len(feats)) if feats[j, 3] == feats[0, 3]][:10])
+        return np.array([j for j in range(len(feats)) if feats[j, 3] == feats[0, 3]][:10])
+
+    def test_rank_deficiency_without_ridge_rejected(self):
+        feats = self._features()
         with pytest.raises(RankDeficiencyError):
-            init_regression(obs, np.ones(10), feats, EstimatorParams(ridge=0.0))
+            init_regression(self._deficient_obs(feats), np.ones(10), feats, ridge=0.0)
 
     def test_ridge_pushes_through_deficiency(self):
         feats = self._features()
-        obs = np.array([j for j in range(len(feats)) if feats[j, 3] == feats[0, 3]][:10])
-        fitted = init_regression(obs, np.ones(10), feats, EstimatorParams(ridge=1e-6))
+        fitted = init_regression(self._deficient_obs(feats), np.ones(10), feats, ridge=1e-6)
         assert np.isfinite(fitted).all()
+
+    def test_complete_row_falls_back_to_ridge(self):
+        # the same rank-deficient draw completes instead of raising
+        feats = self._features()
+        obs = self._deficient_obs(feats)
+        train = rank_k_matrix(6, len(feats), 2, seed=4) + 10.0
+        state, completed = complete_row(train, obs, train[0, obs] * 1.1, feats)
+        assert completed.shape == (len(feats),)
+        assert np.isfinite(completed).all()
+        np.testing.assert_array_equal(completed[obs], train[0, obs] * 1.1)
 
 
 class TestEmFit:
