@@ -168,8 +168,10 @@ def cmd_benchmark(args) -> int:
             power[i, j] = power_from(meas.mean_energy, meas.mean_time)
     matrix = dataset.build_training_matrix(apps, system, power, time)
     manifest = save_training(matrix, args.out)
-    with open(manifest, "a") as fh:
-        fh.write(f"seed = {args.seed or 0}\n")
+    if not args.backend_data:
+        # the seed the system was generated from
+        with open(manifest, "a") as fh:
+            fh.write(f"seed = {args.seed or 0}\n")
     print(f"benchmarked {n_apps * n_cfg - failures}/{n_apps * n_cfg} cells "
           f"({failures} failures) -> {manifest}")
     return EXIT_OK
@@ -277,11 +279,25 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _require_measured(matrix: TrainingMatrix, manifest: str, skip_app: int | None = None) -> None:
+    """Reject an unmeasured training cell outside ``skip_app``'s row, which
+    the estimator masks out."""
+    rows = [i for i, a in enumerate(matrix.apps) if a.app_id != skip_app]
+    unmeasured = np.isnan(matrix.power[rows])
+    if unmeasured.any():
+        i, j = np.argwhere(unmeasured)[0]
+        raise DataFormatError(
+            f"{manifest}: unmeasured cell at app {matrix.apps[rows[i]].app_id}, "
+            f"config {matrix.configs[j].config_id}"
+        )
+
+
 def cmd_predict(args) -> int:
     """Estimate all configurations from training + samples and print the
     most energy-efficient one.  Never touches a measurement backend."""
     matrix = load_training(args.training)
     samples, seed = load_samples(args.sample, matrix)
+    _require_measured(matrix, args.training, skip_app=samples.app_id)
     params = load_params(args.params)
     known_ids = {a.app_id for a in matrix.apps}
     if samples.app_id in known_ids:
@@ -343,6 +359,7 @@ def cmd_run(args) -> int:
 def cmd_evaluate(args) -> int:
     """Compare approaches against the brute-force oracle on a full matrix."""
     matrix = load_training(args.training)
+    _require_measured(matrix, args.training)
     approaches = tuple(args.approaches.split(",")) if args.approaches else APPROACHES
     report = evaluate(
         matrix,

@@ -264,6 +264,21 @@ def _write_grid(path: str, apps: Sequence[ApplicationMeta], configs: Sequence[Na
             fh.write(str(app.app_id) + "," + ",".join(cells) + "\n")
 
 
+def _bad_cell(where: str, cells: Sequence[str], columns: Sequence[str]) -> DataFormatError:
+    """The error naming the first cell of a row that is neither ``NA`` nor a
+    finite number."""
+    for column, cell in zip(columns, cells):
+        if cell == MISSING:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            return DataFormatError(f"{where}: column {column!r}: bad value {cell!r}")
+        if not math.isfinite(value):
+            return DataFormatError(f"{where}: column {column!r}: non-finite value")
+    raise AssertionError("row has no bad cell")
+
+
 def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[int], np.ndarray]:
     """App ids and values of one grid file; NaN at ``NA`` cells."""
     try:
@@ -283,7 +298,7 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
             f"(got {len(header) - 1} columns, expected {len(expected)})"
         )
     app_ids: list[int] = []
-    values = np.full((len(lines) - 1, len(expected)), np.nan)
+    values = np.empty((len(lines) - 1, len(expected)))
     for r, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(expected) + 1:
@@ -292,17 +307,13 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
             app_ids.append(int(cells[0]))
         except ValueError:
             raise DataFormatError(f"{path}:{r}: bad app_id {cells[0]!r}") from None
-        for c, cell in enumerate(cells[1:]):
-            if cell == MISSING:
-                continue
-            try:
-                values[r - 2, c] = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{r}: column {expected[c]!r}: bad value {cell!r}"
-                ) from None
-            if not np.isfinite(values[r - 2, c]):
-                raise DataFormatError(f"{path}:{r}: column {expected[c]!r}: non-finite value")
+        row = values[r - 2]
+        try:
+            row[:] = [math.nan if cell == MISSING else float(cell) for cell in cells[1:]]
+        except ValueError:
+            row[:] = math.inf   # an unparseable token; _bad_cell names it
+        if np.isfinite(row).sum() + cells.count(MISSING) != len(expected):
+            raise _bad_cell(f"{path}:{r}", cells[1:], expected)
     return app_ids, values
 
 

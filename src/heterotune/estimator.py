@@ -34,6 +34,7 @@ from .errors import InsufficientSamplesError, RankDeficiencyError
 from .platforms import PlatformKind, PlatformSpec
 
 SIGMA2_FLOOR = 1e-12
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -156,29 +157,27 @@ def init_regression(
     return row
 
 
-def _loglik(
-    dense: np.ndarray,
-    y_obs: np.ndarray,
-    obs: np.ndarray,
+def _block_loglik(
+    rows: np.ndarray,
+    rows_w: np.ndarray,
     W: np.ndarray,
-    mu: np.ndarray,
+    lam: np.ndarray,
+    V: np.ndarray,
     s2: float,
 ) -> float:
-    """Observed-data log-likelihood, evaluated through an orthonormal basis
-    of the loadings so the result stays stable as sigma^2 collapses."""
-    total = 0.0
-    for Wb, rows in ((W, dense - mu), (W[obs], (y_obs - mu[obs])[None, :])):
-        if rows.shape[0] == 0 or rows.shape[1] == 0:
-            continue
-        d = rows.shape[1]
-        u, sv, _ = np.linalg.svd(Wb, full_matrices=False)
-        lam = sv**2
-        proj = rows @ u                       # (n, K)
-        perp = rows - proj @ u.T              # exact complement, no cancellation
-        quad = (proj**2 / (lam + s2)).sum(axis=1) + (perp**2).sum(axis=1) / s2
-        logdet = np.log(lam + s2).sum() + (d - lam.size) * np.log(s2)
-        total += -0.5 * (rows.shape[0] * (d * np.log(2.0 * np.pi) + logdet) + quad.sum())
-    return float(total)
+    """Gaussian log-likelihood of ``rows`` under covariance W W^T + s2 I.
+
+    ``rows_w`` is ``rows @ W`` and (lam, V) are the nonzero eigenpairs of
+    W^T W, so ``W V lam^-1/2`` is an orthonormal basis of the loadings' span.
+    The residual off that basis is formed explicitly, not as |r|^2 - |r u|^2,
+    which cancels catastrophically as sigma^2 collapses."""
+    n, d = rows.shape
+    scale = V / np.sqrt(lam)
+    proj = rows_w @ scale                      # (n, k) coordinates in the basis
+    perp = rows - proj @ (W @ scale).T
+    quad = (proj**2 / (lam + s2)).sum() + (perp**2).sum() / s2
+    logdet = np.log(lam + s2).sum() + (d - lam.size) * np.log(s2)
+    return -0.5 * (n * (d * _LOG_2PI + logdet) + quad)
 
 
 def em_fit(
@@ -239,34 +238,50 @@ def em_fit(
     K = max(1, int(np.count_nonzero(supported)))
     W = vt[:K].T * np.sqrt(np.maximum(lam[:K] - s2, SIGMA2_FLOOR))
 
-    miss = np.setdiff1d(np.arange(D), obs)
-    eye_k = np.eye(K)
+    n_miss = D - np.unique(obs).size
+    k_obs = min(K, obs.size)       # W_o^T W_o has no more nonzero eigenvalues
+    ys_sum = Ys.sum(axis=0)
     floored = s2 <= SIGMA2_FLOOR
 
-    def e_step(W, mu, s2):
-        M = W.T @ W + s2 * eye_k
-        Minv = np.linalg.inv(M)
+    def statistics(W, mu, s2):
+        """Observed-data log-likelihood and E-step posteriors at (W, mu, s2).
+
+        The stop test at these parameters and the next iteration's E-step
+        share them.  Both come from the K x K eigendecompositions of W^T W
+        and W_o^T W_o, so no SVD or inverse is needed."""
         Dc = Ys - mu
-        m_dense = Dc @ W @ Minv                      # (n_train, K)
-        sz_dense = s2 * Minv
+        Dc_w = Dc @ W
+        lam, V = np.linalg.eigh(W.T @ W)
         Wo = W[obs]
-        Mo_inv = np.linalg.inv(Wo.T @ Wo + s2 * eye_k)
-        m_t = Mo_inv @ Wo.T @ (y_obs - mu[obs]) if obs.size else np.zeros(K)
-        sz_t = s2 * Mo_inv if obs.size else eye_k.copy()
+        r_o = y_obs - mu[obs]
+        r_o_w = r_o @ Wo
+        lam_o, V_o = np.linalg.eigh(Wo.T @ Wo)
+        top = slice(K - k_obs, K)
+        ll = _block_loglik(Dc, Dc_w, W, lam, V, s2) + _block_loglik(
+            r_o[None, :], r_o_w[None, :], Wo, lam_o[top], V_o[:, top], s2
+        )
+        Minv = (V / (lam + s2)) @ V.T
+        Mo_inv = (V_o / (lam_o + s2)) @ V_o.T
+        m_dense = Dc_w @ Minv                        # (n_train, K)
+        m_t = Mo_inv @ r_o_w
+        sz_t = s2 * Mo_inv
+        spread = n_train * s2 * Minv + sz_t          # summed latent covariances
         e_y = W @ m_t + mu
         e_y[obs] = y_obs
-        cov_yz_miss = W[miss] @ sz_t                 # (|U|, K)
-        var_y_miss = (cov_yz_miss * W[miss]).sum(axis=1) + s2
-        return m_dense, sz_dense, m_t, sz_t, e_y, cov_yz_miss, var_y_miss
+        cov_yz = W @ sz_t                            # (D, K), zero at sampled cells
+        cov_yz[obs] = 0.0
+        var_y_miss = (cov_yz * W).sum() + n_miss * s2
+        return float(ll), (m_dense, m_t, spread, e_y, cov_yz, var_y_miss)
 
-    ll_hist = [_loglik(Ys, y_obs, obs, W, mu, s2)]
+    ll, post = statistics(W, mu, s2)
+    ll_hist = [ll]
     converged = False
     it = 0
     for it in range(1, params.max_iters + 1):
-        m_dense, sz_dense, m_t, sz_t, e_y, cov_yz_miss, var_y_miss = e_step(W, mu, s2)
+        m_dense, m_t, spread, e_y, cov_yz, var_y_miss = post
 
         sum_m = m_dense.sum(axis=0) + m_t
-        A = n_train * sz_dense + m_dense.T @ m_dense + sz_t + np.outer(m_t, m_t)
+        A = spread + m_dense.T @ m_dense + m_t[:, None] * m_t
 
         # Joint M-step over (mu, W) via the intercept-augmented latent
         # vector [1, z]; decoupled conditional updates of mean and loadings
@@ -277,35 +292,32 @@ def em_fit(
         A_aug[1:, 0] = sum_m
         A_aug[1:, 1:] = A
         B_aug = np.empty((D, K + 1))
-        B_aug[:, 0] = Ys.sum(axis=0) + e_y
-        B_aug[:, 1:] = Ys.T @ m_dense + np.outer(e_y, m_t)
-        B_aug[miss, 1:] += cov_yz_miss
-        sol = np.linalg.solve(A_aug, B_aug.T).T
+        B_aug[:, 0] = ys_sum + e_y
+        B_aug[:, 1:] = Ys.T @ m_dense + e_y[:, None] * m_t + cov_yz
+        sol = B_aug @ np.linalg.inv(A_aug)
         mu_new, W_new = sol[:, 0], sol[:, 1:]
 
         # CM step for the isotropic noise variance.  The uniform treatment
         # below is exact for known cells; missing cells additionally carry
         # their own posterior variance and their covariance with z.
         R = Ys - mu_new - m_dense @ W_new.T
-        total = (R**2).sum() + n_train * ((W_new @ sz_dense) * W_new).sum()
         r_t = e_y - mu_new - W_new @ m_t
-        total += (r_t**2).sum() + ((W_new @ sz_t) * W_new).sum()
-        if miss.size:
-            total += var_y_miss.sum() - 2.0 * (W_new[miss] * cov_yz_miss).sum()
+        total = (R**2).sum() + (r_t**2).sum() + var_y_miss
+        total += (W_new * (W_new @ spread - 2.0 * cov_yz)).sum()
         s2_new = total / (N * D)
         if s2_new <= SIGMA2_FLOOR:
             s2_new = SIGMA2_FLOOR
             floored = True
 
         W, mu, s2 = W_new, mu_new, float(s2_new)
-        ll = _loglik(Ys, y_obs, obs, W, mu, s2)
+        ll, post = statistics(W, mu, s2)
         ll_hist.append(ll)
         if abs(ll - ll_hist[-2]) / max(abs(ll_hist[-2]), 1.0) < params.tol:
             converged = True
             break
 
-    # final E-step under converged parameters gives the completion
-    m_dense, _, m_t, _, e_y, _, _ = e_step(W, mu, s2)
+    # the posteriors under the final parameters give the completion
+    m_dense, m_t = post[:2]
     completed = (W @ m_t + mu) * col_scale + col_mean
     completed[obs] = y_obs_raw
 

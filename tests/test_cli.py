@@ -1,4 +1,6 @@
+import configparser
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -32,6 +34,26 @@ def training_dir(tmp_path_factory):
     rc = main(["benchmark", "--profile", "ci", "--seed", "3", "--out", str(out)])
     assert rc == EXIT_OK
     return out
+
+
+def with_unmeasured_cells(training_dir, out, cells):
+    """A copy of a training set with the (app_id, column) cells set to NA in
+    both grids, as a failed backend run leaves them; returns its manifest."""
+    shutil.copytree(training_dir, out)
+    for grid in ("power.csv", "time.csv"):
+        path = out / grid
+        lines = [ln.split(",") for ln in path.read_text().splitlines()]
+        for app_id, j in cells:
+            row = next(r for r in lines[1:] if r[0] == str(app_id))
+            row[j + 1] = "NA"
+        path.write_text("\n".join(",".join(r) for r in lines) + "\n")
+    return str(out / "manifest.conf")
+
+
+def manifest_keys(path):
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    return set(parser["training"])
 
 
 class TestBenchmark:
@@ -69,6 +91,13 @@ class TestBenchmark:
             outs.append(out)
         for fname in ("power.csv", "time.csv", "system.conf", "manifest.conf"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_seed_recorded_only_for_a_generated_system(self, training_dir, tmp_path):
+        assert "seed" in manifest_keys(training_dir / "manifest.conf")
+        out = tmp_path / "copy"
+        assert main(["benchmark", "--backend-data", str(training_dir / "manifest.conf"),
+                     "--out", str(out)]) == EXIT_OK
+        assert "seed" not in manifest_keys(out / "manifest.conf")
 
     def test_backend_failures_leave_missing_cells(self, tmp_path, monkeypatch):
         flaky_cfg = {"count": 0}
@@ -253,6 +282,24 @@ class TestPredict:
         err = capsys.readouterr().err
         assert f"{bad}: row 16: " in err and what in err
 
+    def test_unmeasured_training_cell_exits_parse(self, training_dir, tmp_path, capsys):
+        # the first unmeasured cell the estimator would read is named; the
+        # known app's own row is masked out, so a gap there does not count
+        sample = tmp_path / "s.csv"
+        assert main(["sample", "--backend-data", str(training_dir / "manifest.conf"),
+                     "--cpu-cmd", "app:2", "--gpu-cmd", "app:2", "--seed", "4",
+                     "--out", str(sample)]) == EXIT_OK
+        matrix = load_training(str(training_dir / "manifest.conf"))
+        sampled = {ln.split(",")[0] for ln in sample.read_text().splitlines()[3:]}
+        j = next(j for j, c in enumerate(matrix.configs) if c.config_id not in sampled)
+        manifest = with_unmeasured_cells(training_dir, tmp_path / "gap", [(3, j), (2, j)])
+        rc = main(["predict", "--training", manifest, "--sample", str(sample)])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{manifest}: unmeasured cell at app 3, config {matrix.configs[j].config_id}" in err
+        own_row = with_unmeasured_cells(training_dir, tmp_path / "own", [(2, j)])
+        assert main(["predict", "--training", own_row, "--sample", str(sample)]) == EXIT_OK
+
     def test_too_few_samples_exits_estimator(self, training_dir, tmp_path):
         matrix = load_training(str(training_dir / "manifest.conf"))
         few = tmp_path / "few.csv"
@@ -368,6 +415,13 @@ class TestEvaluateCommand:
         good.write_text("[estimator]\nlatent_dim = 3\n")
         assert main(argv + [str(good)]) == EXIT_OK
         assert seen["params"] == EstimatorParams(latent_dim=3)
+
+    def test_unmeasured_training_cell_exits_parse(self, training_dir, tmp_path, capsys):
+        matrix = load_training(str(training_dir / "manifest.conf"))
+        manifest = with_unmeasured_cells(training_dir, tmp_path / "gap", [(5, 7), (4, 9)])
+        assert main(["evaluate", "--training", manifest]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{manifest}: unmeasured cell at app 4, config {matrix.configs[9].config_id}" in err
 
     def test_malformed_training_exits_parse(self, tmp_path):
         bad = tmp_path / "manifest.conf"

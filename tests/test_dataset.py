@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -113,6 +115,50 @@ class TestPersistence:
         power_file.write_text(text.replace(first_value, "nan", 1))
         with pytest.raises(DataFormatError, match="non-finite"):
             load_training(manifest)
+
+    @staticmethod
+    def _edit_cell(directory, grid, row, column, token):
+        path = directory / grid
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[column + 1] = token
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("token, what", [
+        ("inf", "non-finite value"),
+        ("-inf", "non-finite value"),
+        ("1.2.3", "bad value '1.2.3'"),
+    ])
+    def test_bad_grid_token_rejected(self, tmp_path, token, what):
+        m = tiny_matrix()
+        manifest = save_training(m, str(tmp_path / "t"))
+        self._edit_cell(tmp_path / "t", "power.csv", 2, 1, token)
+        message = f"power.csv:3: column {m.configs[1].config_id!r}: {what}"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_training(manifest)
+
+    def test_short_grid_row_rejected(self, tmp_path):
+        manifest = save_training(tiny_matrix(), str(tmp_path / "t"))
+        time_file = tmp_path / "t" / "time.csv"
+        lines = time_file.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0]
+        time_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="time.csv:2: expected 4 cells, got 3"):
+            load_training(manifest)
+
+    def test_na_cell_loads_as_nan(self, tmp_path):
+        m = tiny_matrix()
+        manifest = save_training(m, str(tmp_path / "t"))
+        for grid in ("power.csv", "time.csv"):
+            self._edit_cell(tmp_path / "t", grid, 1, 2, "NA")
+        loaded = load_training(manifest)
+        unmeasured = np.zeros((2, 3), dtype=bool)
+        unmeasured[0, 2] = True
+        np.testing.assert_array_equal(np.isnan(loaded.power), unmeasured)
+        np.testing.assert_array_equal(np.isnan(loaded.time), unmeasured)
+        np.testing.assert_array_equal(loaded.power[~unmeasured], m.power[~unmeasured])
+        np.testing.assert_array_equal(loaded.time[~unmeasured], m.time[~unmeasured])
 
     def test_column_mismatch_rejected(self, tmp_path):
         m = tiny_matrix()

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heterotune.dataset import DEFAULT_APPLICATIONS, build_training_matrix, select_samples
+from heterotune.dataset import (
+    DEFAULT_APPLICATIONS,
+    build_training_matrix,
+    mask_application,
+    select_samples,
+)
 from heterotune.errors import InsufficientSamplesError, RankDeficiencyError
 from heterotune.estimator import (
     EstimatorParams,
@@ -16,7 +21,7 @@ from heterotune.estimator import (
     quadratic_features,
 )
 from heterotune.platforms import DEFAULT_SYSTEM, unify_system
-from heterotune.synthetic import CI_SYSTEM, SyntheticSpec, generate_system
+from heterotune.synthetic import CI_SYSTEM, PROFILES, SyntheticSpec, generate_system
 
 from conftest import tiny_system
 
@@ -112,7 +117,56 @@ class TestInitRegression:
         np.testing.assert_array_equal(completed[obs], train[0, obs] * 1.1)
 
 
+def direct_loglik(state, training_rows, obs, observed_values):
+    """Observed-data Gaussian log-likelihood at a fit's (W, mu, sigma^2),
+    from the dense covariance C = W W^T + sigma^2 I in z-scored columns."""
+    W, mu = state.loadings, state.mean
+    C = W @ W.T + state.noise_var * np.eye(mu.size)
+    rows = (training_rows - state.col_mean) / state.col_scale - mu
+    y = (observed_values - state.col_mean[obs]) / state.col_scale[obs] - mu[obs]
+    total = 0.0
+    for r, c in ((rows, C), (y[None, :], C[np.ix_(obs, obs)])):
+        _, logdet = np.linalg.slogdet(c)
+        quad = (r * np.linalg.solve(c, r.T).T).sum()
+        total -= 0.5 * (r.shape[0] * (r.shape[1] * np.log(2 * np.pi) + logdet) + quad)
+    return total
+
+
 class TestEmFit:
+    def test_loglik_matches_direct_evaluation(self):
+        # a noisy ci-size fit (K=3: at K=5 over 5 rows sigma^2 collapses), and
+        # a GPU-only fit with fewer samples (3) than latent dimensions (5),
+        # where W_o^T W_o is singular
+        Y = rank_k_matrix(6, 40, 3, seed=2, noise_sd=0.1)
+        obs = np.sort(np.random.default_rng(3).choice(40, 15, replace=False))
+        full = generate_system(PROFILES["full"]).matrix
+        gpu = full.select_configs(full.platform_config_indices("quadro-k620")).power
+        gpu_obs = np.array([1, 4, 7])
+        cases = (
+            (Y[:-1], obs, Y[-1][obs], EstimatorParams(latent_dim=3), 3),
+            (gpu[1:], gpu_obs, gpu[0][gpu_obs], EstimatorParams(), 5),
+        )
+        for rows, idx, values, params, k in cases:
+            init = np.tile(values.mean(), rows.shape[1])
+            state, _ = em_fit(rows, idx, values, init, params)
+            assert state.n_iters > 1 and not state.sigma2_floored
+            assert state.loadings.shape[1] == k
+            assert np.isfinite(state.ll_history).all()
+            assert state.ll_history[-1] == pytest.approx(
+                direct_loglik(state, rows, idx, values), rel=1e-9
+            )
+
+    def test_floored_loglik_finite_and_non_decreasing(self, ci_noiseless):
+        # noiseless log times floor sigma^2, where a dense C is near-singular
+        m = ci_noiseless.matrix
+        app = m.apps[0].app_id
+        view, samples = mask_application(m, app, select_samples(m.n_configs, 15, 2, app))
+        state, _ = complete_row(view.time, samples.config_indices, samples.time,
+                                feature_matrix(m), log_domain=True)
+        assert state.sigma2_floored and state.n_iters > 1
+        assert np.isfinite(state.ll_history).all()
+        assert (np.diff(state.ll_history) >= 0).all()
+
     def test_exact_low_rank_recovery(self):
         Y = rank_k_matrix(18, 393, 3, seed=5)
         rng = np.random.default_rng(6)
