@@ -8,12 +8,12 @@ saving 3/18 = 17% of sampling runs.
 """
 
 from heterotune import evaluate, generate_system
-from heterotune.synthetic import PROFILES
+from heterotune.synthetic import PROFILES, RUNS_PER_POINT
 
 system = generate_system(PROFILES["ci"])
 print(f"synthetic system: {system.matrix.n_apps} applications x "
       f"{system.matrix.n_configs} configurations, "
-      f"noise {system.spec.noise_sd * 100:.0f}% over {system.spec.runs_per_point} runs\n")
+      f"noise {system.spec.noise_sd * 100:.0f}% over {RUNS_PER_POINT} runs\n")
 
 report = evaluate(system.matrix, trials=5, seed=1)
 print(report.summary_text())

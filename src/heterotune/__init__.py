@@ -31,7 +31,6 @@ from .errors import (
     DataFormatError,
     EstimatorError,
     InsufficientSamplesError,
-    RankDeficiencyError,
 )
 from .estimator import (
     EstimatorParams,

@@ -250,13 +250,12 @@ def cmd_sample(args) -> int:
     """Measure the target executable on randomly chosen configurations."""
     _require_out(args)
     backend = _make_backend(args)
-    minimum = feature_matrix(backend.matrix).shape[1]
-    if args.samples < minimum:
-        raise DataFormatError(
-            f"--samples {args.samples} below the estimator minimum {minimum}"
-        )
-    desc = _descriptor(args, backend.matrix.system)
     configs = backend.matrix.configs
+    minimum = feature_matrix(backend.matrix).shape[1]
+    if not minimum <= args.samples <= len(configs):
+        raise DataFormatError(f"--samples {args.samples} must lie between the estimator "
+                              f"minimum {minimum} and the {len(configs)} configurations")
+    desc = _descriptor(args, backend.matrix.system)
     seed = args.seed or 0
     plan = select_samples(len(configs), args.samples, seed)
     power, time = [], []
@@ -360,10 +359,12 @@ def cmd_evaluate(args) -> int:
     """Compare approaches against the brute-force oracle on a full matrix."""
     matrix = load_training(args.training)
     _require_measured(matrix, args.training)
-    approaches = tuple(args.approaches.split(",")) if args.approaches else APPROACHES
+    if args.samples > matrix.n_configs:
+        raise DataFormatError(
+            f"--samples {args.samples} exceeds the {matrix.n_configs} configurations")
     report = evaluate(
         matrix,
-        approaches=approaches,
+        approaches=args.approaches or APPROACHES,
         trials=args.trials,
         seed=args.seed or 0,
         holistic_samples=args.samples,
@@ -376,6 +377,28 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _checked(cast, ok, rule: str):
+    """A ``type=`` converter that also rejects values outside ``rule``;
+    argparse turns either failure into exit 2 with a message."""
+    def convert(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+    convert.__name__ = cast.__name__   # argparse's "invalid <type> value"
+    return convert
+
+
+def _approach_list(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    if not set(names) <= set(APPROACHES) or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a list of distinct names from {','.join(APPROACHES)}")
+    return names
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "a positive integer")
+
 # Every flag of the CLI; each command below lists the ones it reads.
 FLAGS = {
     "--profile": dict(choices=sorted(PROFILES),
@@ -385,18 +408,20 @@ FLAGS = {
     "--backend": dict(choices=["simulated"], default="simulated"),
     "--backend-data": dict(help="training manifest backing the simulated backend; "
                                 "it defines the system"),
-    "--noise": dict(type=float, default=None,
-                    help="relative per-run noise of the generated system"),
+    "--noise": dict(type=_checked(float, lambda v: np.isfinite(v) and v >= 0, "finite and >= 0"),
+                    default=None, help="relative per-run noise of the generated system"),
     "--cpu-cmd": dict(help="CPU executable (simulated: 'app:<id>')"),
     "--gpu-cmd": dict(help="GPU executable (simulated: 'app:<id>')"),
     "--training": dict(required=True, help="training manifest"),
     "--sample": dict(required=True, help="sample file from 'sample'"),
     "--config": dict(required=True, help="configuration id"),
-    "--predicted-energy": dict(type=float, default=None),
-    "--samples": dict(type=int, default=15, help="sample count (default 15)"),
-    "--trials": dict(type=int, default=1),
-    "--approaches": dict(help="comma list, default all"),
-    "--seed": dict(type=int, default=None, help="random seed (default 0)"),
+    "--predicted-energy": dict(type=_checked(float, lambda v: np.isfinite(v) and v > 0,
+                                             "finite and > 0"), default=None),
+    "--samples": dict(type=_POSITIVE_INT, default=15, help="sample count (default 15)"),
+    "--trials": dict(type=_POSITIVE_INT, default=1),
+    "--approaches": dict(type=_approach_list, help="comma list, default all"),
+    "--seed": dict(type=_checked(int, lambda v: v >= 0, "a non-negative integer"),
+                   default=None, help="random seed (default 0)"),
     "--params": dict(help="estimator parameter file"),
     "--out": dict(help="output file or directory"),
     "--manifest": dict(help="run manifest supplying this command's flags as key = value"),

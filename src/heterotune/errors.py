@@ -18,9 +18,5 @@ class InsufficientSamplesError(EstimatorError):
     """Fewer observed cells than the regression basis requires."""
 
 
-class RankDeficiencyError(EstimatorError):
-    """Unregularized regression on a rank-deficient design matrix."""
-
-
 class BackendError(RuntimeError):
     """Measurement backend could not produce a result."""

@@ -9,7 +9,7 @@ Offline rows (the training set) are fully observed; the target application
 contributes only its sampled cells.  Fitting proceeds in two stages, both
 per quantity (power in the linear domain, time in the log domain):
 
-1. a ridge-stabilized least-squares fit of the sampled cells on a full
+1. a minimum-norm least-squares fit of the sampled cells on a full
    quadratic basis of the unified coordinates fills in a dense initial row;
 2. expectation-maximization refines W, mu and sigma^2 over the training
    rows plus the target row, treating the target's unsampled cells as
@@ -30,7 +30,7 @@ import numpy as np
 
 from .dataset import SamplePlan, SampleSet, TrainingMatrix, mask_application
 from .energy import total_energy_row
-from .errors import InsufficientSamplesError, RankDeficiencyError
+from .errors import InsufficientSamplesError
 from .platforms import PlatformKind, PlatformSpec
 
 SIGMA2_FLOOR = 1e-12
@@ -59,11 +59,8 @@ class EstimatorState:
     """Fitted factor-model parameters, in the z-scored column space."""
 
     loadings: np.ndarray          # (n_configs, K)
-    latent: np.ndarray            # (n_rows, K); last row is the target app
     mean: np.ndarray              # (n_configs,)
     noise_var: float
-    col_mean: np.ndarray
-    col_scale: np.ndarray
     ll_history: np.ndarray
     n_iters: int
     converged: bool
@@ -115,16 +112,14 @@ def init_regression(
     observed_idx: Sequence[int],
     observed_values: Sequence[float],
     features: np.ndarray,
-    ridge: float = 0.0,
 ) -> np.ndarray:
-    """Fill a row by least squares on the quadratic basis, with an optional
-    ridge penalty.
+    """Fill a row by least squares on the quadratic basis.
 
     Fits the observed cells, evaluates at every configuration, then puts the
-    measured values back at the observed cells.  Raises
-    InsufficientSamplesError when there are fewer observations than basis
-    functions and RankDeficiencyError when the design matrix is singular and
-    ``ridge`` is zero.
+    measured values back at the observed cells.  A rank-deficient design
+    (e.g. every sample on one memory setting) gets the minimum-norm
+    solution.  Raises InsufficientSamplesError when there are fewer
+    observations than basis functions.
     """
     idx = np.asarray(observed_idx, dtype=int)
     y = np.asarray(observed_values, dtype=float)
@@ -134,25 +129,16 @@ def init_regression(
             f"insufficient samples: regression basis has {n_feat} functions, got {idx.size}"
         )
     X = features[idx]
-    # Center/scale the non-constant columns so the ridge penalty is
-    # scale-free; the intercept is carried by the mean of y.
+    # Center/scale the non-constant columns so that the minimum-norm fill of
+    # a rank-deficient design does not depend on the coordinates' units; the
+    # intercept is carried by the mean of y.
     mu = X[:, 1:].mean(axis=0)
     sd = X[:, 1:].std(axis=0)
     sd = np.where(sd > 1e-12, sd, 1.0)
     Xc = (X[:, 1:] - mu) / sd
     y_mean = y.mean()
-    yc = y - y_mean
-    if ridge == 0.0:
-        design = np.hstack([np.ones((idx.size, 1)), Xc])
-        if np.linalg.matrix_rank(design) < n_feat:
-            raise RankDeficiencyError("design matrix is rank-deficient; needs a positive ridge")
-        beta, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
-    else:
-        a = np.vstack([Xc, np.sqrt(ridge) * np.eye(n_feat - 1)])
-        b = np.concatenate([yc, np.zeros(n_feat - 1)])
-        beta, *_ = np.linalg.lstsq(a, b, rcond=None)
-    all_c = (features[:, 1:] - mu) / sd
-    row = y_mean + all_c @ beta
+    beta, *_ = np.linalg.lstsq(Xc, y - y_mean, rcond=None)
+    row = y_mean + ((features[:, 1:] - mu) / sd) @ beta
     row[idx] = y
     return row
 
@@ -316,18 +302,15 @@ def em_fit(
             converged = True
             break
 
-    # the posteriors under the final parameters give the completion
-    m_dense, m_t = post[:2]
+    # the posterior under the final parameters gives the completion
+    m_t = post[1]
     completed = (W @ m_t + mu) * col_scale + col_mean
     completed[obs] = y_obs_raw
 
     state = EstimatorState(
         loadings=W,
-        latent=np.vstack([m_dense, m_t]),
         mean=mu,
         noise_var=s2,
-        col_mean=col_mean,
-        col_scale=col_scale,
         ll_history=np.asarray(ll_hist),
         n_iters=it,
         converged=converged,
@@ -345,9 +328,7 @@ def complete_row(
     log_domain: bool = False,
 ) -> tuple[EstimatorState, np.ndarray]:
     """Regression-initialized EM completion of one row, optionally in the
-    log domain (used for execution times, which span decades).
-
-    A rank-deficient regression design is retried with a light ridge."""
+    log domain (used for execution times, which span decades)."""
     params = params or EstimatorParams()
     y = np.asarray(observed_values, dtype=float)
     rows = np.asarray(training_rows, dtype=float)
@@ -356,14 +337,7 @@ def complete_row(
             raise ValueError("log-domain completion requires positive values")
         rows = np.log(rows)
         y = np.log(y)
-    try:
-        initial = init_regression(observed_idx, y, features)
-    except RankDeficiencyError:
-        # Common, not exceptional: a two-level predictor (e.g. memory
-        # controllers) makes its square exactly collinear whenever the
-        # draw misses the other platform, so fall back to a light ridge
-        # rather than aborting; EM refines past the init anyway.
-        initial = init_regression(observed_idx, y, features, ridge=1e-8)
+    initial = init_regression(observed_idx, y, features)
     state, completed = em_fit(rows, observed_idx, y, initial, params)
     if log_domain:
         completed = np.exp(completed)

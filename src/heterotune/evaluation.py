@@ -161,6 +161,10 @@ def evaluate(
     unknown = set(approaches) - set(APPROACHES)
     if unknown:
         raise ValueError(f"unknown approaches: {sorted(unknown)}")
+    if len(set(approaches)) < len(approaches):
+        raise ValueError(f"an approach is listed twice in {list(approaches)}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     cpu_name = next(s.name for s in matrix.system if s.kind is PlatformKind.CPU)
     gpu_names = [s.name for s in matrix.system if s.kind is PlatformKind.GPU]
 

@@ -10,7 +10,7 @@ produces the platform crossovers the estimator has to detect without
 claiming fidelity to any real machine.
 
 Measurement noise follows the multi-run protocol: each cell is emitted as
-the mean of ``runs_per_point`` relative-noise draws; the noiseless truth is
+the mean of ``RUNS_PER_POINT`` relative-noise draws; the noiseless truth is
 retained for scoring.
 """
 
@@ -33,6 +33,14 @@ from .platforms import (
     unify_system,
 )
 
+RUNS_PER_POINT = 5
+CORE_SCALING = (0.55, 0.95)        # exponent range of time in equivalent cores
+FREQ_SENSITIVITY = (0.5, 1.3)      # exponent range of time in relative frequency
+MEM_SCALING = (0.5, 1.0)           # exponent range of time in equivalent memory
+TIME_SCALE = (0.1, 10.0)           # per-app time multiplier range (log-uniform)
+POWER_SCALE = (4000.0, 30000.0)    # per-app power multiplier range (log-uniform)
+CONFIG_JITTER = 0.08               # log-sd of the per-configuration fixed effects
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -42,14 +50,7 @@ class SyntheticSpec:
     platforms: tuple[PlatformSpec, ...] = DEFAULT_SYSTEM
     rank: int = 4
     noise_sd: float = 0.0
-    runs_per_point: int = 5
-    core_scaling: tuple[float, float] = (0.55, 0.95)
-    freq_sensitivity: tuple[float, float] = (0.5, 1.3)
-    mem_scaling: tuple[float, float] = (0.5, 1.0)
     affinity_mix: float = 0.5
-    time_scale: tuple[float, float] = (0.1, 10.0)
-    power_scale: tuple[float, float] = (4000.0, 30000.0)
-    config_jitter: float = 0.08
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -57,8 +58,6 @@ class SyntheticSpec:
             raise ValueError("n_apps must be >= 2")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be non-negative")
-        if self.runs_per_point < 1:
-            raise ValueError("runs_per_point must be >= 1")
         if not 0.0 <= self.affinity_mix <= 1.0:
             raise ValueError("affinity_mix must be in [0, 1]")
 
@@ -93,13 +92,13 @@ def _time_curves(spec: SyntheticSpec, c, f_rel, m, gpu, rng) -> list[np.ndarray]
     while len(curves) < spec.rank:
         k = len(curves)
         if k == 0 or k >= 4:
-            gamma = rng.uniform(*spec.core_scaling)
-            beta = rng.uniform(*spec.freq_sensitivity)
+            gamma = rng.uniform(*CORE_SCALING)
+            beta = rng.uniform(*FREQ_SENSITIVITY)
             curves.append(_mean_one(1.0 / (c**gamma * f_rel**beta)))
         elif k == 1:
             curves.append(np.ones_like(c))
         elif k == 2:
-            delta = rng.uniform(*spec.mem_scaling)
+            delta = rng.uniform(*MEM_SCALING)
             curves.append(_mean_one((m_ref / m) ** delta))
         else:  # k == 3: per-platform offset
             curves.append(gpu.astype(float))
@@ -179,14 +178,13 @@ def generate_system(spec: SyntheticSpec) -> SyntheticSystem:
     # voltage steps or socket boundaries).  A diagonal column scaling keeps
     # the matrices exactly rank-`rank` while breaking near-ties between
     # neighboring configurations.
-    if spec.config_jitter > 0:
-        t_curves = t_curves * np.exp(spec.config_jitter * rng.standard_normal(n_cfg))
-        p_curves = p_curves * np.exp(spec.config_jitter * rng.standard_normal(n_cfg))
+    t_curves = t_curves * np.exp(CONFIG_JITTER * rng.standard_normal(n_cfg))
+    p_curves = p_curves * np.exp(CONFIG_JITTER * rng.standard_normal(n_cfg))
 
     truth_time = np.empty((spec.n_apps, n_cfg))
     truth_power = np.empty((spec.n_apps, n_cfg))
-    lo_t, hi_t = np.log(spec.time_scale[0]), np.log(spec.time_scale[1])
-    lo_p, hi_p = np.log(spec.power_scale[0]), np.log(spec.power_scale[1])
+    lo_t, hi_t = np.log(TIME_SCALE[0]), np.log(TIME_SCALE[1])
+    lo_p, hi_p = np.log(POWER_SCALE[0]), np.log(POWER_SCALE[1])
     for a in range(spec.n_apps):
         gpu_leaning = rng.random() < spec.affinity_mix
         t0 = np.exp(rng.uniform(lo_t, hi_t))
@@ -197,7 +195,7 @@ def generate_system(spec: SyntheticSpec) -> SyntheticSystem:
     if spec.noise_sd == 0.0:
         power, time = truth_power.copy(), truth_time.copy()
     else:
-        shape = (spec.runs_per_point,) + truth_time.shape
+        shape = (RUNS_PER_POINT,) + truth_time.shape
         t_draws = truth_time * (1.0 + spec.noise_sd * rng.standard_normal(shape))
         p_draws = truth_power * (1.0 + spec.noise_sd * rng.standard_normal(shape))
         t_draws = np.maximum(t_draws, truth_time * 1e-3)

@@ -492,6 +492,37 @@ class TestManifestAndParams:
                 load_params(str(p))
 
 
+OUT_OF_RANGE = [
+    ("evaluate", ["--trials", "0"]),
+    ("evaluate", ["--trials", "-1"]),
+    ("evaluate", ["--approaches", "holistic,magic"]),
+    ("evaluate", ["--approaches", "holistic,holistic"]),
+    ("evaluate", ["--samples", "500"]),
+    ("sample", ["--samples", "500"]),
+    ("run", ["--predicted-energy", "0"]),
+    ("run", ["--predicted-energy", "-5"]),
+    ("run", ["--noise", "-1"]),
+    ("benchmark", ["--seed", "-1"]),
+    ("sample", ["--seed", "-3"]),
+]
+
+
+@pytest.mark.parametrize("command,extra", OUT_OF_RANGE,
+                         ids=[" ".join([c] + e) for c, e in OUT_OF_RANGE])
+def test_out_of_range_value_exits_parse(training_dir, tmp_path, capsys, command, extra):
+    manifest = str(training_dir / "manifest.conf")
+    cmds = ["--cpu-cmd", "app:1", "--gpu-cmd", "app:1"]
+    base = {
+        "evaluate": ["--training", manifest],
+        "sample": ["--backend-data", manifest, "--out", str(tmp_path / "s.csv")] + cmds,
+        "run": ["--profile", "ci", "--config", "ci-cpu:c1:f1.2:m1"] + cmds,
+        "benchmark": ["--profile", "ci", "--out", str(tmp_path / "b")],
+    }[command]
+    assert main([command] + base + extra) == EXIT_PARSE
+    assert "error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 class TestBackendErrors:
     def test_bad_app_selector_exits_backend(self, training_dir, tmp_path):
         rc = main([

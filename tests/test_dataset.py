@@ -96,7 +96,8 @@ class TestPersistence:
         # a power grid that already carries the static draw would have it
         # charged twice; every manifest written with the key says false
         manifest = save_training(tiny_matrix(), str(tmp_path / "t"))
-        text = open(manifest).read()
+        with open(manifest) as fh:
+            text = fh.read()
         for value, loads in (("false", True), ("true", False)):
             with open(manifest, "w") as fh:
                 fh.write(text + f"static_augmented = {value}\n")

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from heterotune.dataset import (
     mask_application,
     select_samples,
 )
-from heterotune.errors import InsufficientSamplesError, RankDeficiencyError
+from heterotune.errors import InsufficientSamplesError
 from heterotune.estimator import (
     EstimatorParams,
     complete_row,
@@ -24,6 +26,12 @@ from heterotune.platforms import DEFAULT_SYSTEM, unify_system
 from heterotune.synthetic import CI_SYSTEM, PROFILES, SyntheticSpec, generate_system
 
 from conftest import tiny_system
+
+
+@functools.lru_cache(maxsize=None)
+def _system_and_features(profile):
+    m = generate_system(PROFILES[profile]).matrix
+    return m, feature_matrix(m)
 
 
 def rank_k_matrix(n_rows, n_cols, k, seed, noise_sd=0.0):
@@ -83,7 +91,7 @@ class TestInitRegression:
     def test_constant_row_predicts_constant(self):
         feats = self._features()
         obs = np.arange(12)
-        fitted = init_regression(obs, np.full(12, 7.5), feats, ridge=1e-6)
+        fitted = init_regression(obs, np.full(12, 7.5), feats)
         np.testing.assert_allclose(fitted, 7.5, rtol=1e-9)
 
     def test_nine_samples_with_three_predictors_rejected(self):
@@ -93,37 +101,65 @@ class TestInitRegression:
 
     def _deficient_obs(self, feats):
         # all samples share one memory-controller setting: the m column is
-        # constant, hence collinear with the intercept
-        return np.array([j for j in range(len(feats)) if feats[j, 3] == feats[0, 3]][:10])
+        # constant, hence collinear with the intercept, and c*m, f*m repeat
+        # c, f.  Spreading them over that setting's configurations keeps
+        # three or more levels of cores and frequency.
+        same = np.flatnonzero(feats[:, 3] == feats[0, 3])
+        return same[:: len(same) // 10][:10]
 
-    def test_rank_deficiency_without_ridge_rejected(self):
-        feats = self._features()
-        with pytest.raises(RankDeficiencyError):
-            init_regression(self._deficient_obs(feats), np.ones(10), feats, ridge=0.0)
-
-    def test_ridge_pushes_through_deficiency(self):
-        feats = self._features()
-        fitted = init_regression(self._deficient_obs(feats), np.ones(10), feats, ridge=1e-6)
-        assert np.isfinite(fitted).all()
-
-    def test_complete_row_falls_back_to_ridge(self):
-        # the same rank-deficient draw completes instead of raising
+    def test_deficient_design_recovers_quadratic_without_memory_terms(self):
         feats = self._features()
         obs = self._deficient_obs(feats)
-        train = rank_k_matrix(6, len(feats), 2, seed=4) + 10.0
-        state, completed = complete_row(train, obs, train[0, obs] * 1.1, feats)
-        assert completed.shape == (len(feats),)
-        assert np.isfinite(completed).all()
-        np.testing.assert_array_equal(completed[obs], train[0, obs] * 1.1)
+        assert np.linalg.matrix_rank(feats[obs]) < feats.shape[1]
+        beta = np.random.default_rng(2).uniform(-2, 2, size=10)
+        beta[[3, 5, 6, 9]] = 0.0           # m, c*m, f*m, m^2
+        row = feats @ beta
+        fitted = init_regression(obs, row[obs], feats)
+        same = feats[:, 3] == feats[0, 3]
+        err = np.abs(fitted - row)[same] / np.maximum(np.abs(row[same]), 1e-12)
+        assert err.max() < 1e-8
+
+    def test_deficient_fill_ignores_basis_column_units(self):
+        # the minimum-norm split between the collinear c and c*m columns
+        # decides the fill at the other memory settings; z-scoring the
+        # columns makes that split independent of their units
+        feats = self._features()
+        obs = self._deficient_obs(feats)
+        values = np.random.default_rng(3).uniform(1.0, 5.0, size=obs.size)
+        fitted = init_regression(obs, values, feats)
+        for col, factor in ((5, 1e3), (1, 1e-2), (6, 7.0)):
+            rescaled = feats.copy()
+            rescaled[:, col] *= factor
+            np.testing.assert_allclose(init_regression(obs, values, rescaled), fitted, rtol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(profile=st.sampled_from(sorted(PROFILES)), app_index=st.integers(0, 5),
+           quantity=st.sampled_from(["power", "time"]), extra=st.integers(0, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fill_finite_and_passes_samples_through(self, profile, app_index, quantity,
+                                                    extra, seed):
+        m, feats = _system_and_features(profile)
+        n = min(feats.shape[1] + extra, m.n_configs)
+        obs = np.sort(np.random.default_rng(seed).choice(m.n_configs, n, replace=False))
+        values = getattr(m, quantity)[app_index, obs]
+        if quantity == "time":
+            values = np.log(values)
+        fitted = init_regression(obs, values, feats)
+        assert np.isfinite(fitted).all()
+        np.testing.assert_array_equal(fitted[obs], values)
 
 
 def direct_loglik(state, training_rows, obs, observed_values):
     """Observed-data Gaussian log-likelihood at a fit's (W, mu, sigma^2),
-    from the dense covariance C = W W^T + sigma^2 I in z-scored columns."""
+    from the dense covariance C = W W^T + sigma^2 I in columns z-scored
+    with the training rows' statistics, as em_fit scores them."""
     W, mu = state.loadings, state.mean
     C = W @ W.T + state.noise_var * np.eye(mu.size)
-    rows = (training_rows - state.col_mean) / state.col_scale - mu
-    y = (observed_values - state.col_mean[obs]) / state.col_scale[obs] - mu[obs]
+    col_mean = training_rows.mean(axis=0)
+    col_scale = training_rows.std(axis=0)
+    col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
+    rows = (training_rows - col_mean) / col_scale - mu
+    y = (observed_values - col_mean[obs]) / col_scale[obs] - mu[obs]
     total = 0.0
     for r, c in ((rows, C), (y[None, :], C[np.ix_(obs, obs)])):
         _, logdet = np.linalg.slogdet(c)

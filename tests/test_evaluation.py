@@ -163,3 +163,12 @@ class TestEvaluate:
     def test_unknown_approach_rejected(self, ci_system):
         with pytest.raises(ValueError, match="unknown approaches"):
             evaluate(ci_system.matrix, approaches=("magic",))
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(approaches=("holistic", "holistic")), "listed twice"),
+        (dict(trials=0), "trials must be >= 1"),
+        (dict(trials=-1), "trials must be >= 1"),
+    ])
+    def test_out_of_range_argument_rejected(self, ci_system, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate(ci_system.matrix, **kwargs)
