@@ -3,15 +3,15 @@
 
 A CPU knob is (cores, frequency, memory controllers); a GPU knob is a
 workgroup size.  To train one model over both platforms, every native
-setting is mapped into CPU-equivalent coordinates via peak-rate ratios.
+setting is mapped into CPU-equivalent coordinates via peak-rate ratios;
+``unify_system`` returns them as one (cores, frequency index, memory) row
+per configuration.
 """
 
 from heterotune import (
     DEFAULT_CPU,
     DEFAULT_GPU,
     DEFAULT_SYSTEM,
-    build_frequency_index,
-    enumerate_configs,
     equiv_cores,
     equiv_mem,
     per_core_flops,
@@ -30,13 +30,16 @@ print(f"=> one GPU core is worth {equiv_cores(DEFAULT_GPU, DEFAULT_CPU, 1):.3f} 
 print(f"=> one GPU memory controller is worth "
       f"{equiv_mem(DEFAULT_GPU, DEFAULT_CPU, 1):.3f} CPU controllers")
 
+configs, unified = unify_system(DEFAULT_SYSTEM)
+
 print("\n== merged frequency index ==")
-fidx = build_frequency_index(DEFAULT_SYSTEM)
-for entry in fidx.entries:
-    print(f"index {entry.index}: {entry.freq} GHz ({entry.platform})")
+# every (platform, frequency) pair has one index; read it off any of its configurations
+platform_freq = {int(freq_index): cfg for cfg, (_, freq_index, _) in zip(configs, unified)}
+for index in sorted(platform_freq):
+    cfg = platform_freq[index]
+    print(f"index {index}: {cfg.freq} GHz ({cfg.platform})")
 
 print("\n== configuration census ==")
-configs = enumerate_configs(DEFAULT_SYSTEM)
 by_platform = {}
 for cfg in configs:
     by_platform[cfg.platform] = by_platform.get(cfg.platform, 0) + 1
@@ -45,8 +48,7 @@ for name, count in by_platform.items():
 print(f"total: {len(configs)}")
 
 print("\n== a few unified coordinates ==")
-_, unified, _ = unify_system(DEFAULT_SYSTEM)
-for u in (unified[0], unified[200], unified[384], unified[392]):
-    o = u.origin
-    print(f"{o.config_id:<34} -> cores={u.equiv_cores:7.3f} "
-          f"freq_index={u.freq_index} mem={u.equiv_mem:.3f}")
+for i in (0, 200, 384, 392):
+    cores, freq_index, mem = unified[i]
+    print(f"{configs[i].config_id:<34} -> cores={cores:7.3f} "
+          f"freq_index={int(freq_index)} mem={mem:.3f}")

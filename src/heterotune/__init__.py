@@ -60,20 +60,15 @@ from .platforms import (
     DEFAULT_CPU,
     DEFAULT_GPU,
     DEFAULT_SYSTEM,
-    FrequencyIndex,
     NativeConfig,
     PlatformKind,
     PlatformSpec,
-    UnifiedConfig,
-    build_frequency_index,
     enumerate_configs,
     equiv_cores,
     equiv_mem,
     load_system,
     per_core_flops,
-    reference_platform,
     save_system,
-    unify,
     unify_system,
 )
 from .synthetic import (

@@ -258,15 +258,18 @@ def cmd_sample(args) -> int:
     desc = _descriptor(args, backend.matrix.system)
     seed = args.seed or 0
     plan = select_samples(len(configs), args.samples, seed)
-    power, time = [], []
-    app_id = 0
+    power, time, app_ids = [], [], set()
     for j in plan.sample_configs:
         cfg = configs[j]
         run_desc = dataclasses.replace(desc, env=build_environment(desc, cfg))
         meas = backend.run(run_desc, cfg)
-        app_id = meas.app_id
+        app_ids.add(meas.app_id)
         power.append(power_from(meas.mean_energy, meas.mean_time))
         time.append(meas.mean_time)
+    if len(app_ids) > 1:
+        raise DataFormatError(f"the sampled runs measured applications {sorted(app_ids)}; "
+                              "a sample file holds one application")
+    (app_id,) = app_ids
     samples = SampleSet(
         app_id=app_id,
         config_indices=plan.sample_configs,
@@ -359,17 +362,18 @@ def cmd_evaluate(args) -> int:
     """Compare approaches against the brute-force oracle on a full matrix."""
     matrix = load_training(args.training)
     _require_measured(matrix, args.training)
-    if args.samples > matrix.n_configs:
-        raise DataFormatError(
-            f"--samples {args.samples} exceeds the {matrix.n_configs} configurations")
-    report = evaluate(
-        matrix,
-        approaches=args.approaches or APPROACHES,
-        trials=args.trials,
-        seed=args.seed or 0,
-        holistic_samples=args.samples,
-        params=load_params(args.params),
-    )
+    params = load_params(args.params)
+    try:
+        report = evaluate(
+            matrix,
+            approaches=args.approaches or APPROACHES,
+            trials=args.trials,
+            seed=args.seed or 0,
+            holistic_samples=args.samples,
+            params=params,
+        )
+    except ValueError as exc:   # a sample count an approach cannot draw
+        raise DataFormatError(str(exc)) from exc
     print(report.summary_text())
     if args.out:
         report.write(args.out)

@@ -22,7 +22,7 @@ from .errors import DataFormatError
 from .platforms import (
     NativeConfig,
     PlatformSpec,
-    UnifiedConfig,
+    enumerate_configs,
     load_system,
     save_system,
     unify_system,
@@ -122,12 +122,14 @@ class TrainingMatrix:
 
     ``power`` and ``time`` hold NaN exactly at unmeasured cells.  Power is
     the active platform's dynamic draw; whole-system static energy is added
-    only by ``energy.total_energy_row``.
+    only by ``energy.total_energy_row``.  ``unified`` holds each
+    configuration's (equivalent cores, frequency index, equivalent memory)
+    row from ``platforms.unify_system``.
     """
 
     apps: tuple[ApplicationMeta, ...]
     configs: tuple[NativeConfig, ...]
-    unified: tuple[UnifiedConfig, ...]
+    unified: np.ndarray
     power: np.ndarray
     time: np.ndarray
     system: tuple[PlatformSpec, ...]
@@ -138,8 +140,8 @@ class TrainingMatrix:
         for name in ("power", "time"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} grid shape {getattr(self, name).shape} != {shape}")
-        if len(self.unified) != n_cfg:
-            raise ValueError("unified coordinates must align with configs")
+        if self.unified.shape != (n_cfg, 3):
+            raise ValueError(f"unified coordinates shape {self.unified.shape} != {(n_cfg, 3)}")
         ids = [a.app_id for a in self.apps]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate app_id in matrix")
@@ -185,7 +187,7 @@ class TrainingMatrix:
         return replace(
             self,
             configs=tuple(self.configs[i] for i in idx),
-            unified=tuple(self.unified[i] for i in idx),
+            unified=self.unified[idx],
             power=self.power[:, idx].copy(),
             time=self.time[:, idx].copy(),
         )
@@ -202,7 +204,7 @@ def build_training_matrix(
 ) -> TrainingMatrix:
     """Assemble a matrix over the system's full enumerated config list;
     unmeasured cells are NaN in both grids."""
-    configs, unified, _ = unify_system(system)
+    configs, unified = unify_system(system)
     return TrainingMatrix(
         apps=tuple(apps),
         configs=configs,
@@ -360,7 +362,7 @@ def load_training(manifest_path: str) -> TrainingMatrix:
     rel = lambda p: os.path.join(base, p)
 
     system = load_system(rel(sec["platforms"]))
-    configs, unified, _ = unify_system(system)
+    configs = enumerate_configs(system)
     app_ids, power = _read_grid(rel(sec["power"]), configs)
     t_ids, time = _read_grid(rel(sec["time"]), configs)
     if app_ids != t_ids:
@@ -384,14 +386,7 @@ def load_training(manifest_path: str) -> TrainingMatrix:
         )
 
     try:
-        return TrainingMatrix(
-            apps=apps,
-            configs=configs,
-            unified=unified,
-            power=power,
-            time=time,
-            system=system,
-        )
+        return build_training_matrix(apps, system, power, time)
     except ValueError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from exc
 

@@ -102,10 +102,8 @@ def feature_matrix(matrix: TrainingMatrix) -> np.ndarray:
     """
     configs = matrix.configs
     if len({c.platform for c in configs}) == 1 and configs[0].kind is PlatformKind.GPU:
-        predictors = [(float(c.cores),) for c in configs]
-    else:
-        predictors = [(u.equiv_cores, float(u.freq_index), u.equiv_mem) for u in matrix.unified]
-    return quadratic_features(predictors)
+        return quadratic_features([(float(c.cores),) for c in configs])
+    return quadratic_features(matrix.unified)
 
 
 def init_regression(

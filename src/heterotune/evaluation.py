@@ -17,8 +17,7 @@ import numpy as np
 
 from .dataset import TrainingMatrix, select_samples
 from .energy import total_energy_row
-from .errors import EstimatorError
-from .estimator import EstimatorParams, PredictionResult, predict_best_config
+from .estimator import EstimatorParams, PredictionResult, feature_matrix, predict_best_config
 from .platforms import PlatformKind
 
 HOLISTIC = "holistic"
@@ -30,8 +29,8 @@ APPROACHES = (HOLISTIC, CPU_ONLY, GPU_ONLY, BRUTE_FORCE)
 _APPROACH_CODE = {name: i for i, name in enumerate(APPROACHES)}
 
 DEFAULT_HOLISTIC_SAMPLES = 15
-DEFAULT_CPU_SAMPLES = 15
-DEFAULT_GPU_SAMPLES = 3
+CPU_SAMPLES = 15   # sampling runs of the CPU-only baseline
+GPU_SAMPLES = 3    # sampling runs of the GPU-only baseline
 
 
 def measured_energy_row(matrix: TrainingMatrix, app_id: int) -> np.ndarray:
@@ -150,12 +149,16 @@ def evaluate(
     trials: int = 1,
     seed: int = 0,
     holistic_samples: int = DEFAULT_HOLISTIC_SAMPLES,
-    cpu_samples: int = DEFAULT_CPU_SAMPLES,
-    gpu_samples: int = DEFAULT_GPU_SAMPLES,
     params: EstimatorParams | None = None,
 ) -> EvaluationReport:
     """Leave-one-application-out comparison of approaches over many seeded
-    trials; deterministic given (matrix, seed, trials)."""
+    trials; deterministic given (matrix, seed, trials).
+
+    Before any prediction, raises ValueError when an approach cannot draw its
+    samples: ``gpu-only`` on a system without a GPU, or a count outside the
+    range from the basis size of the configurations it draws from (the
+    fewest samples a fit takes) to their number.
+    """
     if not matrix.fully_observed:
         raise ValueError("evaluation needs a fully observed matrix")
     unknown = set(approaches) - set(APPROACHES)
@@ -167,36 +170,46 @@ def evaluate(
         raise ValueError("trials must be >= 1")
     cpu_name = next(s.name for s in matrix.system if s.kind is PlatformKind.CPU)
     gpu_names = [s.name for s in matrix.system if s.kind is PlatformKind.GPU]
+    sample_counts = {
+        HOLISTIC: holistic_samples,
+        CPU_ONLY: CPU_SAMPLES,
+        GPU_ONLY: GPU_SAMPLES,
+        BRUTE_FORCE: 0,
+    }
+    if GPU_ONLY in approaches and not gpu_names:
+        raise ValueError(f"{GPU_ONLY} needs a GPU platform in the system")
+    platform = {CPU_ONLY: cpu_name, GPU_ONLY: gpu_names[0] if gpu_names else None}
+    for approach in [a for a in approaches if a != BRUTE_FORCE]:
+        n = sample_counts[approach]
+        pool = matrix
+        if approach in platform:
+            pool = matrix.select_configs(matrix.platform_config_indices(platform[approach]))
+        minimum = feature_matrix(pool).shape[1]
+        if not minimum <= n <= pool.n_configs:
+            raise ValueError(f"{approach}: {n} samples must lie between the estimator minimum "
+                             f"{minimum} and the {pool.n_configs} configurations it draws from")
 
+    energy_rows = [measured_energy_row(matrix, app.app_id) for app in matrix.apps]
     records: list[TrialRecord] = []
     for trial in range(trials):
         for a_idx, app in enumerate(matrix.apps):
-            opt_idx, opt_energy = brute_force_best(matrix, app.app_id)
-            energies = measured_energy_row(matrix, app.app_id)
+            energies = energy_rows[a_idx]
+            opt_idx = int(np.argmin(energies))   # the brute-force pick
+            opt_energy = float(energies[opt_idx])
             for approach in approaches:
                 sub_seed = np.random.SeedSequence(
                     [seed, trial, a_idx, _APPROACH_CODE[approach]]
                 ).generate_state(1)[0]
+                n = sample_counts[approach]
                 if approach == BRUTE_FORCE:
-                    chosen, n = opt_idx, 0
+                    chosen = opt_idx
                 elif approach == HOLISTIC:
-                    plan = select_samples(
-                        matrix.n_configs, holistic_samples, int(sub_seed), app.app_id
-                    )
+                    plan = select_samples(matrix.n_configs, n, int(sub_seed), app.app_id)
                     chosen = predict_best_config(matrix, app.app_id, plan, params).chosen
-                    n = holistic_samples
-                elif approach == CPU_ONLY:
+                else:
                     chosen, _ = single_platform_baseline(
-                        matrix, app.app_id, cpu_name, cpu_samples, int(sub_seed), params
+                        matrix, app.app_id, platform[approach], n, int(sub_seed), params
                     )
-                    n = cpu_samples
-                else:  # GPU_ONLY
-                    if not gpu_names:
-                        raise EstimatorError("system has no GPU platform")
-                    chosen, _ = single_platform_baseline(
-                        matrix, app.app_id, gpu_names[0], gpu_samples, int(sub_seed), params
-                    )
-                    n = gpu_samples
                 e = float(energies[chosen])
                 records.append(
                     TrialRecord(
@@ -219,13 +232,7 @@ def evaluate(
             "median": float(np.median(gaps)),
             "p90": float(np.percentile(gaps, 90)),
         }
-    sample_counts = {
-        HOLISTIC: holistic_samples,
-        CPU_ONLY: cpu_samples,
-        GPU_ONLY: gpu_samples,
-        BRUTE_FORCE: 0,
-    }
-    saving = gpu_samples / (cpu_samples + gpu_samples)
+    saving = GPU_SAMPLES / (CPU_SAMPLES + GPU_SAMPLES)
     return EvaluationReport(
         records=tuple(records),
         aggregates=aggregates,

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import configparser
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataFormatError
 
@@ -53,16 +55,6 @@ class NativeConfig:
     def config_id(self) -> str:
         knob = "w" if self.kind is PlatformKind.GPU else "c"
         return f"{self.platform}:{knob}{self.cores}:f{self.freq!r}:m{self.mem}"
-
-
-@dataclass(frozen=True)
-class UnifiedConfig:
-    """A native configuration expressed in CPU-equivalent coordinates."""
-
-    equiv_cores: float
-    freq_index: int
-    equiv_mem: float
-    origin: NativeConfig
 
 
 @dataclass(frozen=True)
@@ -121,44 +113,6 @@ class PlatformSpec:
             for w, f in itertools.product(self.workgroup_sizes, self.frequencies)
         )
 
-    def validate_config(self, cfg: NativeConfig) -> None:
-        if cfg.platform != self.name:
-            raise ValueError(f"config {cfg.config_id} does not belong to {self.name}")
-        if self.kind is PlatformKind.CPU:
-            if not 1 <= cfg.cores <= self.total_cores:
-                raise ValueError(f"{cfg.config_id}: cores out of [1, {self.total_cores}]")
-            if not 1 <= cfg.mem <= self.mem_controllers:
-                raise ValueError(f"{cfg.config_id}: mem out of [1, {self.mem_controllers}]")
-        else:
-            if cfg.workgroup_size not in self.workgroup_sizes:
-                raise ValueError(f"{cfg.config_id}: undeclared workgroup size")
-        if cfg.freq not in self.frequencies:
-            raise ValueError(f"{cfg.config_id}: undeclared frequency {cfg.freq}")
-
-
-@dataclass(frozen=True)
-class FrequencyEntry:
-    freq: float
-    platform: str
-    index: int
-
-
-@dataclass(frozen=True)
-class FrequencyIndex:
-    """Merged ascending frequency table over all platforms of a system."""
-
-    entries: tuple[FrequencyEntry, ...]
-
-    @cached_property
-    def _lookup(self) -> dict[tuple[str, float], int]:
-        return {(e.platform, e.freq): e.index for e in self.entries}
-
-    def index_of(self, platform: str, freq: float) -> int:
-        try:
-            return self._lookup[(platform, freq)]
-        except KeyError:
-            raise KeyError(f"frequency {freq} of {platform} not in index") from None
-
 
 def per_core_flops(spec: PlatformSpec) -> float:
     """Average peak GFlops of one processing element."""
@@ -179,62 +133,9 @@ def equiv_mem(src: PlatformSpec, ref: PlatformSpec, n_src_mem: float) -> float:
     return src_bw / ref_bw * n_src_mem
 
 
-def build_frequency_index(platforms: Sequence[PlatformSpec]) -> FrequencyIndex:
-    """Merge all platform frequencies into one ascending, contiguously
-    indexed table.  Ties are broken by platform declaration order."""
-    if not platforms:
-        raise ValueError("no platforms given")
-    pairs = [
-        (f, order, spec.name)
-        for order, spec in enumerate(platforms)
-        for f in spec.frequencies
-    ]
-    pairs.sort(key=lambda t: (t[0], t[1]))
-    entries = tuple(
-        FrequencyEntry(freq=f, platform=name, index=i)
-        for i, (f, _, name) in enumerate(pairs)
-    )
-    return FrequencyIndex(entries)
-
-
-def reference_platform(system: Sequence[PlatformSpec]) -> PlatformSpec:
-    """The CPU that defines the unified coordinate system (first CPU declared)."""
-    for spec in system:
-        if spec.kind is PlatformKind.CPU:
-            return spec
-    raise ValueError("system has no CPU platform to serve as reference")
-
-
 # A single GPU core is worth well under one CPU core on any system this
 # model targets; 0.5 keeps the parallelism coordinate away from zero.
 MIN_EQUIV_CORES = 0.5
-
-
-def unify(
-    cfg: NativeConfig,
-    src: PlatformSpec,
-    ref: PlatformSpec,
-    fidx: FrequencyIndex,
-) -> UnifiedConfig:
-    """Map a native configuration into unified coordinates.
-
-    Reference-platform configurations keep their integer core and controller
-    counts exactly.  GPU workgroup sizes scale linearly through the per-core
-    compute ratio (clamped below at ``MIN_EQUIV_CORES``); a GPU always
-    engages all of its memory controllers, scaled through the bandwidth
-    ratio.
-    """
-    src.validate_config(cfg)
-    cores = equiv_cores(src, ref, cfg.cores)
-    mem = equiv_mem(src, ref, cfg.mem)
-    if src.kind is PlatformKind.GPU:
-        cores = max(cores, MIN_EQUIV_CORES)
-    return UnifiedConfig(
-        equiv_cores=cores,
-        freq_index=fidx.index_of(cfg.platform, cfg.freq),
-        equiv_mem=mem,
-        origin=cfg,
-    )
 
 
 def enumerate_configs(system: Sequence[PlatformSpec]) -> tuple[NativeConfig, ...]:
@@ -245,19 +146,33 @@ def enumerate_configs(system: Sequence[PlatformSpec]) -> tuple[NativeConfig, ...
     )
 
 
-def unify_system(
-    system: Sequence[PlatformSpec],
-) -> tuple[tuple[NativeConfig, ...], tuple[UnifiedConfig, ...], FrequencyIndex]:
-    """Enumerate and unify every configuration of a system in one pass."""
-    fidx = build_frequency_index(system)
-    ref = reference_platform(system)
-    by_name = {spec.name: spec for spec in system}
-    configs = enumerate_configs(system)
-    unified = tuple(
-        unify(cfg, by_name[cfg.platform], ref, fidx)
-        for cfg in configs
-    )
-    return configs, unified, fidx
+def unify_system(system: Sequence[PlatformSpec]) -> tuple[tuple[NativeConfig, ...], np.ndarray]:
+    """Enumerate every configuration of a system and map it into unified
+    coordinates.
+
+    Returns the configurations in ``enumerate_configs`` order and an
+    ``(n_configs, 3)`` array of (equivalent cores, frequency index,
+    equivalent memory) relative to the first CPU declared, whose
+    configurations keep their integer core and controller counts exactly.
+    GPU workgroup sizes scale through the per-core compute ratio, clamped
+    below at ``MIN_EQUIV_CORES``; a GPU always engages all of its memory
+    controllers, scaled through the bandwidth ratio.  The frequencies of all
+    platforms share one ascending, contiguous index, with ties broken by
+    declaration order.
+    """
+    ref = next((spec for spec in system if spec.kind is PlatformKind.CPU), None)
+    if ref is None:
+        raise ValueError("system has no CPU platform to serve as reference")
+    merged = sorted((f, order) for order, spec in enumerate(system) for f in spec.frequencies)
+    freq_index = {key: i for i, key in enumerate(merged)}
+    rows = []
+    for order, spec in enumerate(system):
+        for cfg in spec.native_settings:
+            cores = equiv_cores(spec, ref, cfg.cores)
+            if spec.kind is PlatformKind.GPU:
+                cores = max(cores, MIN_EQUIV_CORES)
+            rows.append((cores, freq_index[cfg.freq, order], equiv_mem(spec, ref, cfg.mem)))
+    return enumerate_configs(system), np.array(rows, dtype=float)
 
 
 # Default heterogeneous system: a 24-core Xeon E5-2650L v3 next to a Quadro

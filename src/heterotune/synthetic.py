@@ -148,7 +148,7 @@ def _power_weights(rank: int, rng) -> np.ndarray:
 
 def generate_system(spec: SyntheticSpec) -> SyntheticSystem:
     """Build a fully observed matrix with exactly rank-``rank`` structure."""
-    configs, unified, _ = unify_system(spec.platforms)
+    configs, unified = unify_system(spec.platforms)
     n_cfg = len(configs)
     if not 1 <= spec.rank <= min(spec.n_apps, n_cfg):
         raise ValueError(
@@ -156,8 +156,7 @@ def generate_system(spec: SyntheticSpec) -> SyntheticSystem:
         )
     rng = np.random.default_rng(spec.seed)
 
-    c = np.array([u.equiv_cores for u in unified])
-    m = np.array([u.equiv_mem for u in unified])
+    c, m = unified[:, 0], unified[:, 2]
     f = np.array([cfg.freq for cfg in configs])
     gpu = np.array([cfg.kind is PlatformKind.GPU for cfg in configs])
     f_rel = f / f.max()

@@ -37,10 +37,10 @@ from heterotune.platforms import (
     DEFAULT_SYSTEM,
     PlatformKind,
     PlatformSpec,
-    build_frequency_index,
     enumerate_configs,
     equiv_cores,
     equiv_mem,
+    unify_system,
 )
 from heterotune.synthetic import SyntheticSpec, generate_system
 
@@ -85,11 +85,12 @@ def test_criterion_3_sample_saving_arithmetic(ci_system):
 
 
 def test_criterion_4_frequency_interleaving():
-    fidx = build_frequency_index(DEFAULT_SYSTEM)
-    gpu_at_6 = fidx.index_of("quadro-k620", 1.73) == 6
+    configs, unified = unify_system(DEFAULT_SYSTEM)
+    index = {(cfg.platform, cfg.freq): int(u[1]) for cfg, u in zip(configs, unified)}
+    gpu_at_6 = index["quadro-k620", 1.73] == 6
     cpu_tail = (
-        fidx.index_of("xeon-e5-2650lv3", 1.8) == 7
-        and fidx.index_of("xeon-e5-2650lv3", 1.81) == 8
+        index["xeon-e5-2650lv3", 1.8] == 7
+        and index["xeon-e5-2650lv3", 1.81] == 8
     )
     _report(4, "1.73 GHz at index 6; 1.8 and 1.81 GHz at indexes 7 and 8",
             gpu_at_6 and cpu_tail)

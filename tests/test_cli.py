@@ -56,28 +56,35 @@ def manifest_keys(path):
     return set(parser["training"])
 
 
+def benchmark_small_system(tmp_path):
+    """Benchmark 2 apps on a 2-CPU + 3-GPU-configuration system; returns
+    main's exit code and the output directory."""
+    from conftest import tiny_system
+    from heterotune.dataset import DEFAULT_APPLICATIONS, save_applications
+    from heterotune.platforms import PlatformSpec
+
+    cpu, _ = tiny_system()
+    gpu = PlatformSpec(
+        name="tiny-gpu", kind=PlatformKind.GPU, total_cores=2, peak_gflops=4.8,
+        peak_bandwidth=17.0, mem_controllers=1, frequencies=(1.2,),
+        static_power=0.01, workgroup_sizes=(1, 2, 4),
+    )
+    sys_file = tmp_path / "system.conf"
+    save_system((cpu, gpu), str(sys_file))
+    apps_file = tmp_path / "apps.csv"
+    save_applications(DEFAULT_APPLICATIONS[:2], str(apps_file))
+    out = tmp_path / "out"
+    rc = main([
+        "benchmark", "--system", str(sys_file), "--apps", str(apps_file),
+        "--seed", "1", "--out", str(out), "--profile", "ci",
+    ])
+    return rc, out
+
+
 class TestBenchmark:
     def test_small_custom_system(self, tmp_path):
         # 2 apps x (2 CPU + 3 GPU) = 10 cells
-        from conftest import tiny_system
-        from heterotune.dataset import DEFAULT_APPLICATIONS, save_applications
-        from heterotune.platforms import PlatformSpec
-
-        cpu, _ = tiny_system()
-        gpu = PlatformSpec(
-            name="tiny-gpu", kind=PlatformKind.GPU, total_cores=2, peak_gflops=4.8,
-            peak_bandwidth=17.0, mem_controllers=1, frequencies=(1.2,),
-            static_power=0.01, workgroup_sizes=(1, 2, 4),
-        )
-        sys_file = tmp_path / "system.conf"
-        save_system((cpu, gpu), str(sys_file))
-        apps_file = tmp_path / "apps.csv"
-        save_applications(DEFAULT_APPLICATIONS[:2], str(apps_file))
-        out = tmp_path / "out"
-        rc = main([
-            "benchmark", "--system", str(sys_file), "--apps", str(apps_file),
-            "--seed", "1", "--out", str(out), "--profile", "ci",
-        ])
+        rc, out = benchmark_small_system(tmp_path)
         assert rc == EXIT_OK
         m = load_training(str(out / "manifest.conf"))
         assert (m.n_apps, m.n_configs) == (2, 5)
@@ -182,6 +189,17 @@ class TestSample:
         assert main(["sample", "--backend-data", str(training_dir / "manifest.conf"),
                      "--cpu-cmd", "app:1", "--gpu-cmd", "app:1"]) == EXIT_PARSE
         assert calls["n"] == 0
+
+    def test_mixed_applications_rejected(self, training_dir, tmp_path, capsys):
+        # CPU configurations run app 1 and GPU ones app 2: no file may claim either
+        out = tmp_path / "s.csv"
+        rc = main([
+            "sample", "--backend-data", str(training_dir / "manifest.conf"),
+            "--cpu-cmd", "app:1", "--gpu-cmd", "app:2", "--out", str(out),
+        ])
+        assert rc == EXIT_PARSE
+        assert "applications [1, 2]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_seed_same_plan(self, training_dir, tmp_path):
         files = []
@@ -423,6 +441,19 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"{manifest}: unmeasured cell at app 4, config {matrix.configs[9].config_id}" in err
 
+    def test_baseline_the_system_cannot_sample_exits_parse(self, tmp_path, capsys):
+        # the CPU-only baseline draws 15 samples; this CPU has 2 configurations
+        rc, out = benchmark_small_system(tmp_path)
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        argv = ["evaluate", "--training", str(out / "manifest.conf"), "--approaches"]
+        assert main(argv + ["cpu-only"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "cpu-only: 15 samples must lie between the estimator minimum 10 and " \
+               "the 2 configurations" in err
+        assert "Traceback" not in err
+        assert main(argv + ["gpu-only,brute-force"]) == EXIT_OK
+
     def test_malformed_training_exits_parse(self, tmp_path):
         bad = tmp_path / "manifest.conf"
         bad.write_text("[training]\npower = nowhere.csv\ntime = nowhere.csv\nplatforms = nope.conf\n")
@@ -498,6 +529,7 @@ OUT_OF_RANGE = [
     ("evaluate", ["--approaches", "holistic,magic"]),
     ("evaluate", ["--approaches", "holistic,holistic"]),
     ("evaluate", ["--samples", "500"]),
+    ("evaluate", ["--samples", "5"]),
     ("sample", ["--samples", "500"]),
     ("run", ["--predicted-energy", "0"]),
     ("run", ["--predicted-energy", "-5"]),

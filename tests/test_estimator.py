@@ -67,10 +67,8 @@ class TestQuadraticFeatures:
 
 class TestInitRegression:
     def _features(self):
-        configs, unified, _ = unify_system(DEFAULT_SYSTEM)
-        return np.asarray(
-            [quadratic_features((u.equiv_cores, float(u.freq_index), u.equiv_mem)) for u in unified]
-        )
+        _, unified = unify_system(DEFAULT_SYSTEM)
+        return np.asarray([quadratic_features(u) for u in unified])
 
     def test_plant_and_recover_exact_quadratic(self):
         feats = self._features()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heterotune import evaluation
 from heterotune.dataset import DEFAULT_APPLICATIONS, build_training_matrix, select_samples
 from heterotune.energy import static_power_mw
 from heterotune.evaluation import (
@@ -168,7 +169,39 @@ class TestEvaluate:
         (dict(approaches=("holistic", "holistic")), "listed twice"),
         (dict(trials=0), "trials must be >= 1"),
         (dict(trials=-1), "trials must be >= 1"),
+        (dict(holistic_samples=9), "holistic: 9 samples must lie between the estimator minimum 10"),
+        (dict(holistic_samples=41), "holistic: 41 samples .* the 40 configurations"),
+        # the budget is checked before the cpu-only baseline's first prediction
+        (dict(approaches=(CPU_ONLY, HOLISTIC), holistic_samples=5), "holistic: 5 samples"),
     ])
-    def test_out_of_range_argument_rejected(self, ci_system, kwargs, message):
+    def test_out_of_range_argument_rejected(self, ci_system, monkeypatch, kwargs, message):
+        def no_prediction(*args, **kwargs):
+            raise AssertionError("a prediction ran before the arguments were checked")
+
+        monkeypatch.setattr(evaluation, "predict_best_config", no_prediction)
+        monkeypatch.setattr(evaluation, "single_platform_baseline", no_prediction)
         with pytest.raises(ValueError, match=message):
             evaluate(ci_system.matrix, **kwargs)
+
+    def test_gpu_only_without_a_gpu_rejected(self):
+        cpu_only = generate_system(SyntheticSpec(n_apps=4, platforms=CI_SYSTEM[:1], rank=2))
+        with pytest.raises(ValueError, match="gpu-only needs a GPU platform"):
+            evaluate(cpu_only.matrix, approaches=(HOLISTIC, GPU_ONLY))
+        # the other approaches still run there
+        report = evaluate(cpu_only.matrix, approaches=(CPU_ONLY, BRUTE_FORCE))
+        assert {r.approach for r in report.records} == {CPU_ONLY, BRUTE_FORCE}
+
+    def test_baseline_larger_than_its_platform_rejected(self):
+        # 2 CPU configurations cannot take the CPU-only baseline's 15 samples
+        power = np.array([[10.0, 5.0, 20.0], [8.0, 9.0, 7.0]])
+        m = small_matrix(power, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="cpu-only: 15 samples .* the 2 configurations"):
+            evaluate(m, approaches=(CPU_ONLY,))
+        assert len(evaluate(m, approaches=(BRUTE_FORCE,)).records) == 2
+
+    def test_oracle_pick_is_the_first_minimum(self):
+        # tied energies: brute force and every gap use the lowest index
+        m = small_matrix(np.array([[5.0, 10.0, 5.0]]), np.ones((1, 3)))
+        (record,) = evaluate(m, approaches=(BRUTE_FORCE,)).records
+        assert (record.chosen, record.gap_pct) == (0, 0.0)
+        assert brute_force_best(m, 1)[0] == record.chosen

@@ -9,15 +9,13 @@ from heterotune.platforms import (
     NativeConfig,
     PlatformKind,
     PlatformSpec,
-    build_frequency_index,
+    MIN_EQUIV_CORES,
     enumerate_configs,
     equiv_cores,
     equiv_mem,
     load_system,
     per_core_flops,
-    reference_platform,
     save_system,
-    unify,
     unify_system,
 )
 
@@ -87,73 +85,132 @@ class TestEquivalence:
         assert back == pytest.approx(n, rel=1e-9)
 
 
+def freq_index(system):
+    """{(platform, frequency): index} read off ``unify_system``'s array,
+    checking that every configuration of a pair carries the same index."""
+    configs, unified = unify_system(system)
+    index = {}
+    for cfg, (_, f_idx, _) in zip(configs, unified):
+        assert index.setdefault((cfg.platform, cfg.freq), f_idx) == f_idx
+    return index
+
+
+def unified_row(system, cfg):
+    configs, unified = unify_system(system)
+    return tuple(unified[configs.index(cfg)])
+
+
 class TestFrequencyIndex:
     def test_reference_interleaving(self):
-        fidx = build_frequency_index(DEFAULT_SYSTEM)
-        assert fidx.index_of("quadro-k620", 1.73) == 6
-        assert fidx.index_of("xeon-e5-2650lv3", 1.8) == 7
-        assert fidx.index_of("xeon-e5-2650lv3", 1.81) == 8
-        assert [fidx.index_of("xeon-e5-2650lv3", f) for f in (1.2, 1.3, 1.4, 1.5, 1.6, 1.7)] == [0, 1, 2, 3, 4, 5]
+        index = freq_index(DEFAULT_SYSTEM)
+        assert index["quadro-k620", 1.73] == 6
+        assert index["xeon-e5-2650lv3", 1.8] == 7
+        assert index["xeon-e5-2650lv3", 1.81] == 8
+        assert [index["xeon-e5-2650lv3", f] for f in (1.2, 1.3, 1.4, 1.5, 1.6, 1.7)] == [0, 1, 2, 3, 4, 5]
 
     def test_single_platform_contiguous(self):
-        fidx = build_frequency_index([DEFAULT_CPU])
-        assert [e.index for e in fidx.entries] == list(range(8))
+        assert sorted(freq_index([DEFAULT_CPU]).values()) == list(range(8))
 
     def test_sort_oracle(self):
         cpu = make_spec("c", PlatformKind.CPU, 2, 2.0, 10.0, 1, (1.0, 2.0))
         gpu = make_spec("g", PlatformKind.GPU, 2, 2.0, 10.0, 1, (1.5,), (1,))
-        fidx = build_frequency_index([cpu, gpu])
-        assert fidx.index_of("c", 1.0) == 0
-        assert fidx.index_of("g", 1.5) == 1
-        assert fidx.index_of("c", 2.0) == 2
+        index = freq_index([cpu, gpu])
+        assert index["c", 1.0] == 0
+        assert index["g", 1.5] == 1
+        assert index["c", 2.0] == 2
         # oracle: the merged table is the plain sort of all input frequencies
         merged = sorted([1.0, 2.0, 1.5])
-        assert [e.freq for e in fidx.entries] == merged
+        assert [f for (_, f), _ in sorted(index.items(), key=lambda kv: kv[1])] == merged
 
     def test_permutation_property(self):
-        fidx = build_frequency_index(DEFAULT_SYSTEM)
-        freqs = [e.freq for e in fidx.entries]
+        index = freq_index(DEFAULT_SYSTEM)
+        freqs = [f for (_, f), _ in sorted(index.items(), key=lambda kv: kv[1])]
         assert freqs == sorted(freqs)
         assert sorted(freqs) == sorted(DEFAULT_CPU.frequencies + DEFAULT_GPU.frequencies)
-        assert [e.index for e in fidx.entries] == list(range(len(freqs)))
+        assert sorted(index.values()) == list(range(len(freqs)))
 
     def test_tie_break_reference_first(self):
         cpu = make_spec("c", PlatformKind.CPU, 2, 2.0, 10.0, 1, (1.5,))
         gpu = make_spec("g", PlatformKind.GPU, 2, 2.0, 10.0, 1, (1.5,), (1,))
-        fidx = build_frequency_index([cpu, gpu])
-        assert fidx.index_of("c", 1.5) == 0
-        assert fidx.index_of("g", 1.5) == 1
+        index = freq_index([cpu, gpu])
+        assert index["c", 1.5] == 0
+        assert index["g", 1.5] == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_frequency_index([])
+            unify_system([])
 
 
 class TestUnify:
-    def setup_method(self):
-        self.fidx = build_frequency_index(DEFAULT_SYSTEM)
-
     def test_reference_platform_identity(self):
         cfg = NativeConfig("xeon-e5-2650lv3", PlatformKind.CPU, 12, 1.2, 2)
-        u = unify(cfg, DEFAULT_CPU, DEFAULT_CPU, self.fidx)
-        assert (u.equiv_cores, u.freq_index, u.equiv_mem) == (12.0, 0, 2.0)
+        assert unified_row(DEFAULT_SYSTEM, cfg) == (12.0, 0, 2.0)
 
     def test_single_gpu_core_clamps_to_half(self):
         cfg = NativeConfig("quadro-k620", PlatformKind.GPU, 1, 1.73, 2)
-        u = unify(cfg, DEFAULT_GPU, DEFAULT_CPU, self.fidx)
-        assert u.equiv_cores == 0.5
-        assert u.freq_index == 6
-        assert u.equiv_mem == pytest.approx(2 * 28.8 / 68)
+        cores, f_idx, mem = unified_row(DEFAULT_SYSTEM, cfg)
+        assert cores == 0.5
+        assert f_idx == 6
+        assert mem == pytest.approx(2 * 28.8 / 68)
 
     def test_workgroup_two(self):
         cfg = NativeConfig("quadro-k620", PlatformKind.GPU, 2, 1.73, 2)
-        u = unify(cfg, DEFAULT_GPU, DEFAULT_CPU, self.fidx)
-        assert u.equiv_cores == pytest.approx(2 * equiv_cores(DEFAULT_GPU, DEFAULT_CPU, 1))
+        cores, _, _ = unified_row(DEFAULT_SYSTEM, cfg)
+        assert cores == pytest.approx(2 * equiv_cores(DEFAULT_GPU, DEFAULT_CPU, 1))
 
-    def test_unknown_frequency_rejected(self):
-        cfg = NativeConfig("quadro-k620", PlatformKind.GPU, 2, 1.5, 2)
-        with pytest.raises(ValueError):
-            unify(cfg, DEFAULT_GPU, DEFAULT_CPU, self.fidx)
+
+FREQ_POOL = (1.0, 1.2, 1.5, 1.73, 1.8, 2.0)
+
+
+@st.composite
+def platform_specs(draw, name, kind):
+    freqs = draw(st.lists(st.sampled_from(FREQ_POOL), min_size=1, max_size=4, unique=True))
+    workgroups = ()
+    if kind is PlatformKind.GPU:
+        workgroups = tuple(draw(st.lists(st.integers(1, 256), min_size=1, max_size=4, unique=True)))
+    return make_spec(
+        name, kind,
+        draw(st.integers(1, 6 if kind is PlatformKind.CPU else 512)),
+        draw(st.floats(0.5, 1000.0)),
+        draw(st.floats(0.5, 200.0)),
+        draw(st.integers(1, 3)),
+        tuple(sorted(freqs)),
+        workgroups,
+    )
+
+
+@st.composite
+def cpu_gpu_systems(draw):
+    kinds = draw(st.permutations(
+        [PlatformKind.CPU] * draw(st.integers(1, 2)) + [PlatformKind.GPU] * draw(st.integers(1, 2))
+    ))
+    return tuple(draw(platform_specs(f"p{i}", kind)) for i, kind in enumerate(kinds))
+
+
+class TestUnifySystemProperties:
+    @given(cpu_gpu_systems())
+    def test_rows_match_the_paper_formulas(self, system):
+        configs, unified = unify_system(system)
+        assert configs == enumerate_configs(system)
+        assert unified.shape == (len(configs), 3)
+        ref = next(spec for spec in system if spec.kind is PlatformKind.CPU)
+        # every declared (frequency, platform order) pair, ties broken by order
+        pairs = [(f, order) for order, spec in enumerate(system) for f in spec.frequencies]
+        row = 0
+        for order, spec in enumerate(system):
+            for cfg in spec.native_settings:
+                cores = equiv_cores(spec, ref, cfg.cores)
+                if spec.kind is PlatformKind.GPU:
+                    cores = max(cores, MIN_EQUIV_CORES)
+                rank = sum(1 for pair in pairs if pair < (cfg.freq, order))
+                assert tuple(unified[row]) == (cores, rank, equiv_mem(spec, ref, cfg.mem))
+                row += 1
+        assert row == len(configs)
+
+        on_ref = [i for i, cfg in enumerate(configs) if cfg.platform == ref.name]
+        np.testing.assert_array_equal(unified[on_ref, 0], [configs[i].cores for i in on_ref])
+        np.testing.assert_array_equal(unified[on_ref, 2], [configs[i].mem for i in on_ref])
+        assert sorted(set(unified[:, 1])) == list(range(len(pairs)))
 
 
 class TestEnumerate:
@@ -174,9 +231,10 @@ class TestEnumerate:
         assert len(set(cfgs)) == len(cfgs)
 
     def test_unify_system_alignment(self):
-        configs, unified, fidx = unify_system(DEFAULT_SYSTEM)
-        assert len(configs) == len(unified) == 393
-        assert all(u.origin == c for u, c in zip(unified, configs))
+        configs, unified = unify_system(DEFAULT_SYSTEM)
+        assert configs == enumerate_configs(DEFAULT_SYSTEM)
+        assert len(configs) == 393
+        assert unified.shape == (393, 3) and unified.dtype == np.float64
 
 
 class TestSpecValidation:
@@ -188,15 +246,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             make_spec("x", PlatformKind.GPU, 2, 2.0, 10.0, 1, (1.0,))
 
-    def test_out_of_range_native_config_rejected(self):
-        cfg = NativeConfig("xeon-e5-2650lv3", PlatformKind.CPU, 25, 1.2, 2)
-        with pytest.raises(ValueError):
-            DEFAULT_CPU.validate_config(cfg)
-
     def test_reference_platform_is_first_cpu(self):
-        assert reference_platform(DEFAULT_SYSTEM) is DEFAULT_CPU
-        with pytest.raises(ValueError):
-            reference_platform([DEFAULT_GPU])
+        # a second CPU declared before the reference one would shift every
+        # coordinate; the first CPU's own configurations keep integer counts
+        second = make_spec("second", PlatformKind.CPU, 4, 40.0, 10.0, 1, (1.0,))
+        configs, unified = unify_system((DEFAULT_GPU, DEFAULT_CPU, second))
+        ref = [i for i, c in enumerate(configs) if c.platform == DEFAULT_CPU.name]
+        np.testing.assert_array_equal(unified[ref, 0], [configs[i].cores for i in ref])
+        np.testing.assert_array_equal(unified[ref, 2], [configs[i].mem for i in ref])
+        with pytest.raises(ValueError, match="no CPU"):
+            unify_system([DEFAULT_GPU])
 
 
 def test_system_file_round_trip(tmp_path):
