@@ -4,7 +4,6 @@ CPU/GPU systems from sparse sample runs plus an offline training matrix."""
 from .backends import (
     WORKGROUP_ENV_VAR,
     ExecutableDescriptor,
-    MeasurementBackend,
     SimulatedBackend,
     build_environment,
 )

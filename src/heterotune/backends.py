@@ -1,10 +1,10 @@
 """Measurement backends.
 
 A backend turns (executable descriptor, native configuration) into one
-RunMeasurement.  Only the simulated backend ships with the package; wiring
-a real energy meter (hardware counters plus frequency/affinity actuation)
-means implementing the same two-method surface and registering it in the
-CLI's backend table.
+RunMeasurement.  Only the simulated backend ships with the package; a real
+energy meter (hardware counters plus frequency/affinity actuation) would
+implement ``run(descriptor, config) -> RunMeasurement`` as
+``SimulatedBackend`` does and be built in ``cli._make_backend``.
 
 GPU parallelism is communicated to executables through the
 ``HETEROTUNE_WORKGROUP_SIZE`` environment variable.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from .dataset import TrainingMatrix
 from .energy import RunMeasurement
@@ -51,12 +50,6 @@ def build_environment(
     if config.kind is PlatformKind.GPU:
         env[WORKGROUP_ENV_VAR] = str(config.workgroup_size)
     return env
-
-
-class MeasurementBackend(Protocol):
-    def run(self, descriptor: ExecutableDescriptor, config: NativeConfig) -> RunMeasurement:
-        """Execute once at the given configuration and measure it."""
-        ...
 
 
 class SimulatedBackend:

@@ -2,10 +2,12 @@
 evaluation harness.
 
 Prediction is entirely offline; only benchmark, sample and run touch a
-measurement backend, and the only backend shipped is the simulated one
-(``--backend simulated``), which answers from a synthetic system or a
+measurement backend, built by ``_make_backend``.  The only backend shipped
+is the simulated one, which answers from a synthetic system or a
 previously benchmarked matrix (``--backend-data``).  A backing matrix
-defines the system the command runs on.
+defines the system the command runs on.  A real energy meter would
+implement ``run(descriptor, config) -> RunMeasurement`` as
+``backends.SimulatedBackend`` does and be built there instead.
 
 Exit codes: 0 success, 2 input/parse failure, 3 estimator failure,
 4 backend failure.  Each command takes only the flags it reads.  A
@@ -17,7 +19,6 @@ key that names no flag of the command is rejected.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import os
 import sys
@@ -35,11 +36,11 @@ from .dataset import (
     save_training,
     select_samples,
 )
-from .energy import power_from
 from .errors import BackendError, DataFormatError, EstimatorError
 from .estimator import EstimatorParams, feature_matrix, predict_best_config, predict_new_app
 from .evaluation import APPROACHES, evaluate
 from .platforms import PlatformKind, load_system
+from .readers import read_lines, read_sections
 from .synthetic import PROFILES
 
 EXIT_OK = 0
@@ -52,25 +53,13 @@ def load_params(path: str | None) -> EstimatorParams:
     """Estimator parameters from an ``[estimator]`` key/value file."""
     if path is None:
         return EstimatorParams()
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read params file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    if "estimator" not in parser:
+    sections = read_sections(path, "params file")
+    if "estimator" not in sections:
         raise DataFormatError(f"{path}: missing [estimator] section")
-    sec = parser["estimator"]
+    # each key is a field of EstimatorParams, cast to the type of its default
+    casts = {f.name: type(f.default) for f in dataclasses.fields(EstimatorParams)}
     kwargs = {}
-    casts = {
-        "latent_dim": int,
-        "max_iters": int,
-        "tol": float,
-    }
-    for key, value in sec.items():
+    for key, value in sections["estimator"].items():
         if key not in casts:
             raise DataFormatError(f"{path}: unknown estimator key {key!r}")
         try:
@@ -83,16 +72,16 @@ def load_params(path: str | None) -> EstimatorParams:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def _descriptor(args, system) -> ExecutableDescriptor:
+def _descriptor(args, configs) -> ExecutableDescriptor:
+    """The executable to run at ``configs``; a configuration whose platform
+    kind has no ``--cpu-cmd``/``--gpu-cmd`` is rejected before any run."""
     commands = {}
-    for spec in system:
-        if spec.kind is PlatformKind.CPU and args.cpu_cmd:
-            commands[spec.name] = args.cpu_cmd
-        elif spec.kind is PlatformKind.GPU and args.gpu_cmd:
-            commands[spec.name] = args.gpu_cmd
-    if not commands:
-        raise DataFormatError("no executable given (--cpu-cmd / --gpu-cmd)")
-    return ExecutableDescriptor(commands=commands, env={})
+    for cfg in configs:
+        command = getattr(args, f"{cfg.kind.value}_cmd")
+        if not command:
+            raise DataFormatError(f"configuration {cfg.config_id} needs --{cfg.kind.value}-cmd")
+        commands[cfg.platform] = command
+    return ExecutableDescriptor(commands=commands)
 
 
 def _make_backend(args, apps=None) -> SimulatedBackend:
@@ -100,8 +89,6 @@ def _make_backend(args, apps=None) -> SimulatedBackend:
     training set, whose system the command then runs on; otherwise from a
     system generated from ``--profile`` or ``--system``, ``--seed`` and
     ``--noise``, with one application per entry of ``apps`` if given."""
-    if args.backend != "simulated":
-        raise BackendError(f"unknown backend {args.backend!r}")
     if args.backend_data:
         if args.noise is not None:
             raise DataFormatError("--noise cannot take effect with --backend-data")
@@ -150,6 +137,11 @@ def cmd_benchmark(args) -> int:
     system, configs = backend.matrix.system, backend.matrix.configs
     if apps is None:
         apps = backend.matrix.apps
+    known = {a.app_id for a in backend.matrix.apps}
+    unknown = [a.app_id for a in apps if a.app_id not in known]
+    if unknown:
+        raise DataFormatError(f"--apps {args.apps}: the simulated backend has no "
+                              f"application with id {unknown}")
     n_apps, n_cfg = len(apps), len(configs)
     power = np.full((n_apps, n_cfg), np.nan)
     time = np.full((n_apps, n_cfg), np.nan)
@@ -165,7 +157,7 @@ def cmd_benchmark(args) -> int:
                 failures += 1
                 continue
             time[i, j] = meas.mean_time
-            power[i, j] = power_from(meas.mean_energy, meas.mean_time)
+            power[i, j] = meas.mean_power
     matrix = dataset.build_training_matrix(apps, system, power, time)
     manifest = save_training(matrix, args.out)
     if not args.backend_data:
@@ -191,14 +183,8 @@ def save_samples(path: str, app_id: int, seed: int, samples: SampleSet,
 def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
     """Read a sample file back; returns the sample set and its seed."""
     meta = {}
-    rows = []
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise DataFormatError(f"cannot read sample file {path}: {exc}") from exc
     body = []
-    for ln in lines:
+    for ln in read_lines(path, "sample file"):
         if ln.startswith("#"):
             try:
                 key, value = ln[1:].split("=", 1)
@@ -255,16 +241,16 @@ def cmd_sample(args) -> int:
     if not minimum <= args.samples <= len(configs):
         raise DataFormatError(f"--samples {args.samples} must lie between the estimator "
                               f"minimum {minimum} and the {len(configs)} configurations")
-    desc = _descriptor(args, backend.matrix.system)
     seed = args.seed or 0
     plan = select_samples(len(configs), args.samples, seed)
+    desc = _descriptor(args, [configs[j] for j in plan.sample_configs])
     power, time, app_ids = [], [], set()
     for j in plan.sample_configs:
         cfg = configs[j]
         run_desc = dataclasses.replace(desc, env=build_environment(desc, cfg))
         meas = backend.run(run_desc, cfg)
         app_ids.add(meas.app_id)
-        power.append(power_from(meas.mean_energy, meas.mean_time))
+        power.append(meas.mean_power)
         time.append(meas.mean_time)
     if len(app_ids) > 1:
         raise DataFormatError(f"the sampled runs measured applications {sorted(app_ids)}; "
@@ -344,7 +330,7 @@ def cmd_run(args) -> int:
     if args.config not in configs:
         raise DataFormatError(f"unknown configuration {args.config!r}")
     cfg = configs[args.config]
-    desc = _descriptor(args, backend.matrix.system)
+    desc = _descriptor(args, [cfg])
     run_desc = dataclasses.replace(desc, env=build_environment(desc, cfg))
     meas = backend.run(run_desc, cfg)
     print(f"config: {cfg.config_id}")
@@ -366,13 +352,13 @@ def cmd_evaluate(args) -> int:
     try:
         report = evaluate(
             matrix,
-            approaches=args.approaches or APPROACHES,
+            approaches=args.approaches.split(","),
             trials=args.trials,
             seed=args.seed or 0,
             holistic_samples=args.samples,
             params=params,
         )
-    except ValueError as exc:   # a sample count an approach cannot draw
+    except ValueError as exc:   # a bad approach list, or a sample count it cannot draw
         raise DataFormatError(str(exc)) from exc
     print(report.summary_text())
     if args.out:
@@ -393,14 +379,6 @@ def _checked(cast, ok, rule: str):
     return convert
 
 
-def _approach_list(text: str) -> tuple[str, ...]:
-    names = tuple(text.split(","))
-    if not set(names) <= set(APPROACHES) or len(set(names)) < len(names):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a list of distinct names from {','.join(APPROACHES)}")
-    return names
-
-
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "a positive integer")
 
 # Every flag of the CLI; each command below lists the ones it reads.
@@ -409,7 +387,6 @@ FLAGS = {
                       help="synthetic system profile (default full)"),
     "--system": dict(help="platform descriptor file"),
     "--apps": dict(help="application catalog file"),
-    "--backend": dict(choices=["simulated"], default="simulated"),
     "--backend-data": dict(help="training manifest backing the simulated backend; "
                                 "it defines the system"),
     "--noise": dict(type=_checked(float, lambda v: np.isfinite(v) and v >= 0, "finite and >= 0"),
@@ -423,7 +400,8 @@ FLAGS = {
                                              "finite and > 0"), default=None),
     "--samples": dict(type=_POSITIVE_INT, default=15, help="sample count (default 15)"),
     "--trials": dict(type=_POSITIVE_INT, default=1),
-    "--approaches": dict(type=_approach_list, help="comma list, default all"),
+    "--approaches": dict(default=",".join(APPROACHES),
+                         help="comma list of distinct names (default all)"),
     "--seed": dict(type=_checked(int, lambda v: v >= 0, "a non-negative integer"),
                    default=None, help="random seed (default 0)"),
     "--params": dict(help="estimator parameter file"),
@@ -431,7 +409,7 @@ FLAGS = {
     "--manifest": dict(help="run manifest supplying this command's flags as key = value"),
 }
 
-_BACKEND_FLAGS = ("--profile", "--system", "--backend", "--backend-data", "--noise")
+_BACKEND_FLAGS = ("--profile", "--system", "--backend-data", "--noise")
 
 COMMANDS = {
     "benchmark": (cmd_benchmark, "measure all apps on all configurations",
@@ -474,16 +452,8 @@ def _splice_manifest(argv: list[str]) -> list[str]:
     path = pre.parse_known_args(argv[1:])[0].manifest
     if path is None:
         return argv
-    cfg = configparser.ConfigParser()
-    cfg.optionxform = str
-    try:
-        with open(path) as fh:
-            cfg.read_string("[run]\n" + fh.read())
-    except OSError as exc:
-        raise DataFormatError(f"cannot read manifest {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    tokens = [f"--{key.strip().replace('_', '-')}={value}" for key, value in cfg["run"].items()]
+    keys = read_sections(path, "manifest", implied="run")["run"]
+    tokens = [f"--{key.strip().replace('_', '-')}={value}" for key, value in keys.items()]
     return argv[:1] + tokens + argv[1:]
 
 

@@ -9,7 +9,6 @@ parses as a sparser matrix.  Formats are documented in docs/data-formats.md.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from dataclasses import dataclass, replace
@@ -27,6 +26,7 @@ from .platforms import (
     save_system,
     unify_system,
 )
+from .readers import read_lines, read_sections
 
 MISSING = "NA"
 
@@ -283,11 +283,7 @@ def _bad_cell(where: str, cells: Sequence[str], columns: Sequence[str]) -> DataF
 
 def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[int], np.ndarray]:
     """App ids and values of one grid file; NaN at ``NA`` cells."""
-    try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise DataFormatError(f"cannot read grid {path}: {exc}") from exc
+    lines = read_lines(path, "grid")
     if not lines:
         raise DataFormatError(f"{path}: empty grid file")
     header = lines[0].split(",")
@@ -343,18 +339,10 @@ def save_training(matrix: TrainingMatrix, directory: str) -> str:
 
 def load_training(manifest_path: str) -> TrainingMatrix:
     """Load and validate a matrix from its manifest."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    try:
-        with open(manifest_path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise DataFormatError(f"{manifest_path}: {exc}") from exc
-    if "training" not in parser:
+    sections = read_sections(manifest_path, "manifest")
+    if "training" not in sections:
         raise DataFormatError(f"{manifest_path}: missing [training] section")
-    sec = parser["training"]
+    sec = sections["training"]
     for key in ("power", "time", "platforms"):
         if key not in sec:
             raise DataFormatError(f"{manifest_path}: missing key {key!r}")
@@ -399,11 +387,7 @@ def save_applications(apps: Sequence[ApplicationMeta], path: str) -> None:
 
 
 def load_applications(path: str) -> tuple[ApplicationMeta, ...]:
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise DataFormatError(f"cannot read apps file {path}: {exc}") from exc
+    lines = read_lines(path, "apps file")
     if not lines or lines[0] != "app_id,benchmark,input,dwarf,perf_limit":
         raise DataFormatError(f"{path}: bad or missing header")
     apps = []

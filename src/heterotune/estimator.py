@@ -382,29 +382,6 @@ def predict_energy(
     )
 
 
-def _predict_from_rows(
-    matrix: TrainingMatrix,
-    train_power: np.ndarray,
-    train_time: np.ndarray,
-    samples: SampleSet,
-    params: EstimatorParams,
-) -> PredictionResult:
-    if np.isnan(train_power).any() or np.isnan(train_time).any():
-        raise ValueError("training rows must be fully observed")
-    feats = feature_matrix(matrix)
-    idx = samples.config_indices
-    p_state, power_row = complete_row(train_power, idx, samples.power, feats, params)
-    t_state, time_row = complete_row(train_time, idx, samples.time, feats, params, log_domain=True)
-    return predict_energy(
-        power_row,
-        time_row,
-        matrix.system,
-        observed_idx=idx,
-        min_observed_time=float(np.min(train_time)),
-        converged=p_state.converged and t_state.converged,
-    )
-
-
 def predict_best_config(
     matrix: TrainingMatrix,
     app_id: int,
@@ -413,13 +390,12 @@ def predict_best_config(
 ) -> PredictionResult:
     """End-to-end holistic prediction for one application of the matrix.
 
-    Leave-one-application-out masking, regression-initialized EM completion
-    of the power and time rows, then whole-system energy minimization over
-    every configuration of every platform.
+    Leave-one-application-out masking, then ``predict_new_app`` on the
+    masked view; masking keeps every configuration, so the features and the
+    scored system are the matrix's own.
     """
-    params = params or EstimatorParams()
     view, samples = mask_application(matrix, app_id, plan)
-    return _predict_from_rows(matrix, view.power, view.time, samples, params)
+    return predict_new_app(view, samples, params)
 
 
 def predict_new_app(
@@ -427,7 +403,24 @@ def predict_new_app(
     samples: SampleSet,
     params: EstimatorParams | None = None,
 ) -> PredictionResult:
-    """Prediction for an application that is not part of the training
-    matrix: every training row participates, no masking."""
+    """Prediction for an application whose row is not in ``matrix``.
+
+    Every training row participates: regression-initialized EM completion
+    of the power and time rows, then whole-system energy minimization over
+    every configuration of every platform.
+    """
     params = params or EstimatorParams()
-    return _predict_from_rows(matrix, matrix.power, matrix.time, samples, params)
+    if np.isnan(matrix.power).any() or np.isnan(matrix.time).any():
+        raise ValueError("training rows must be fully observed")
+    feats = feature_matrix(matrix)
+    idx = samples.config_indices
+    p_state, power_row = complete_row(matrix.power, idx, samples.power, feats, params)
+    t_state, time_row = complete_row(matrix.time, idx, samples.time, feats, params, log_domain=True)
+    return predict_energy(
+        power_row,
+        time_row,
+        matrix.system,
+        observed_idx=idx,
+        min_observed_time=float(np.min(matrix.time)),
+        converged=p_state.converged and t_state.converged,
+    )

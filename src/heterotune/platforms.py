@@ -15,7 +15,6 @@ All types are immutable; all operations are pure.
 
 from __future__ import annotations
 
-import configparser
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataFormatError
+from .readers import read_sections
 
 
 class PlatformKind(Enum):
@@ -62,8 +62,8 @@ class PlatformSpec:
     """Hardware descriptor for one platform of a heterogeneous system.
 
     ``frequencies`` must be strictly increasing (GHz).  ``static_power`` is
-    the idle draw in watts.  GPUs additionally declare the workgroup sizes
-    that applications may be launched with.
+    the idle draw in watts.  GPUs, and only GPUs, declare the workgroup
+    sizes that applications may be launched with.
     """
 
     name: str
@@ -94,6 +94,8 @@ class PlatformSpec:
                 raise ValueError(f"{self.name}: GPU needs workgroup_sizes")
             if any(w < 1 for w in self.workgroup_sizes):
                 raise ValueError(f"{self.name}: workgroup sizes must be >= 1")
+        elif self.workgroup_sizes:
+            raise ValueError(f"{self.name}: only a GPU takes workgroup_sizes")
 
     @cached_property
     def native_settings(self) -> tuple[NativeConfig, ...]:
@@ -212,33 +214,27 @@ _REQUIRED_FIELDS = (
     "frequencies",
     "static_power",
 )
+_FIELDS = _REQUIRED_FIELDS + ("workgroup_sizes",)
 
 
 def load_system(path: str) -> tuple[PlatformSpec, ...]:
     """Read platform descriptors from a ``[platform <name>]`` key/value file.
 
     Field names are documented in docs/data-formats.md and must match
-    exactly.  Raises DataFormatError with the offending section/field.
+    exactly; a missing or unknown field is rejected.  Raises DataFormatError
+    with the offending section/field.
     """
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keep keys case-sensitive
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read platform file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-
     specs: list[PlatformSpec] = []
-    for section in parser.sections():
+    for section, opts in read_sections(path, "platform file").items():
         if not section.startswith("platform "):
             raise DataFormatError(f"{path}: unexpected section [{section}]")
         name = section[len("platform "):].strip()
-        opts = parser[section]
         for fieldname in _REQUIRED_FIELDS:
             if fieldname not in opts:
                 raise DataFormatError(f"{path}: [{section}] missing field {fieldname!r}")
+        for fieldname in opts:
+            if fieldname not in _FIELDS:
+                raise DataFormatError(f"{path}: [{section}] unknown field {fieldname!r}")
         try:
             kind = PlatformKind(opts["kind"].strip().lower())
             freqs = tuple(float(x) for x in opts["frequencies"].split(","))
@@ -256,7 +252,7 @@ def load_system(path: str) -> tuple[PlatformSpec, ...]:
                 static_power=float(opts["static_power"]),
                 workgroup_sizes=workgroups,
             )
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise DataFormatError(f"{path}: [{section}]: {exc}") from exc
         specs.append(spec)
     if not specs:

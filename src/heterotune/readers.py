@@ -1,0 +1,38 @@
+"""The two text syntaxes the package reads: ``key = value`` files and
+line-oriented files.  Each reader turns a file it cannot read or parse into
+a DataFormatError naming the file."""
+
+from __future__ import annotations
+
+import configparser
+
+from .errors import DataFormatError
+
+
+def read_sections(path: str, what: str, implied: str | None = None) -> dict[str, dict[str, str]]:
+    """Sections of a case-sensitive ``key = value`` file, in file order.
+
+    With ``implied``, the file's leading keys belong to a section of that
+    name without a header line.  ``what`` names the file in errors.
+    """
+    parser = configparser.ConfigParser()
+    parser.optionxform = str   # keys are case-sensitive
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        parser.read_string(f"[{implied}]\n{text}" if implied else text, source=path)
+        return {name: dict(parser[name]) for name in parser.sections()}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def read_lines(path: str, what: str) -> list[str]:
+    """A line-oriented file's non-blank lines, stripped of surrounding
+    whitespace; ``what`` names the file in errors."""
+    try:
+        with open(path) as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc

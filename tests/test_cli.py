@@ -50,6 +50,19 @@ def with_unmeasured_cells(training_dir, out, cells):
     return str(out / "manifest.conf")
 
 
+def count_runs(monkeypatch):
+    """Count SimulatedBackend runs from here on; returns the counter."""
+    calls = {"n": 0}
+    orig = SimulatedBackend.run
+
+    def counting(self, descriptor, config):
+        calls["n"] += 1
+        return orig(self, descriptor, config)
+
+    monkeypatch.setattr(SimulatedBackend, "run", counting)
+    return calls
+
+
 def manifest_keys(path):
     parser = configparser.ConfigParser()
     parser.read(path)
@@ -127,6 +140,36 @@ class TestBenchmark:
         assert m.mask[:, other].all()
 
 
+    @pytest.mark.parametrize("backing, ids, unknown", [
+        (False, (5, 9), "[5, 9]"),
+        (True, (5, 9), "[9]"),
+    ], ids=["generated", "backing-matrix"])
+    def test_catalog_ids_the_backend_lacks_rejected(self, training_dir, tmp_path, monkeypatch,
+                                                    capsys, backing, ids, unknown):
+        # the generated ci system has apps 1..n, the backing matrix apps 1..6:
+        # a catalog id outside them would leave an all-NA row
+        from heterotune.dataset import ApplicationMeta, PerfLimit, save_applications
+
+        apps_file = tmp_path / "apps.csv"
+        save_applications([ApplicationMeta(i, "b", "in", "spectral", PerfLimit.MIXED)
+                           for i in ids], str(apps_file))
+        source = (["--backend-data", str(training_dir / "manifest.conf")] if backing
+                  else ["--profile", "ci"])
+        calls = count_runs(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["benchmark", *source, "--apps", str(apps_file),
+                     "--out", str(out)]) == EXIT_PARSE
+        assert f"no application with id {unknown}" in capsys.readouterr().err
+        assert calls["n"] == 0
+        assert not out.exists()
+        save_applications([ApplicationMeta(i, "b", "in", "spectral", PerfLimit.MIXED)
+                           for i in (5, 6)], str(apps_file))
+        if backing:   # the backing matrix's own ids are measured
+            assert main(["benchmark", *source, "--apps", str(apps_file),
+                         "--out", str(out)]) == EXIT_OK
+            assert load_training(str(out / "manifest.conf")).fully_observed
+
+
 class TestSample:
     def test_default_sample_count_is_fifteen(self, training_dir, tmp_path):
         out = tmp_path / "s.csv"
@@ -139,14 +182,7 @@ class TestSample:
         assert len(rows) - 1 == 15  # header + 15 samples
 
     def test_insufficient_n_rejected_before_any_run(self, training_dir, tmp_path, monkeypatch):
-        calls = {"n": 0}
-        orig = SimulatedBackend.run
-
-        def counting(self, descriptor, config):
-            calls["n"] += 1
-            return orig(self, descriptor, config)
-
-        monkeypatch.setattr(SimulatedBackend, "run", counting)
+        calls = count_runs(monkeypatch)
         out = tmp_path / "s.csv"
         rc = main([
             "sample", "--profile", "ci", "--backend-data", str(training_dir / "manifest.conf"),
@@ -177,14 +213,7 @@ class TestSample:
         assert not out.exists()
 
     def test_missing_out_rejected_before_any_run(self, training_dir, monkeypatch):
-        calls = {"n": 0}
-        orig = SimulatedBackend.run
-
-        def counting(self, descriptor, config):
-            calls["n"] += 1
-            return orig(self, descriptor, config)
-
-        monkeypatch.setattr(SimulatedBackend, "run", counting)
+        calls = count_runs(monkeypatch)
         assert main(["benchmark", "--profile", "ci"]) == EXIT_PARSE
         assert main(["sample", "--backend-data", str(training_dir / "manifest.conf"),
                      "--cpu-cmd", "app:1", "--gpu-cmd", "app:1"]) == EXIT_PARSE
@@ -200,6 +229,26 @@ class TestSample:
         assert rc == EXIT_PARSE
         assert "applications [1, 2]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4, 5])
+    def test_missing_platform_command_rejected_before_any_run(self, training_dir, tmp_path,
+                                                              monkeypatch, capsys, seed):
+        # each of these seeds draws GPU configurations into the plan
+        calls = count_runs(monkeypatch)
+        out = tmp_path / "s.csv"
+        rc = main(["sample", "--backend-data", str(training_dir / "manifest.conf"),
+                   "--cpu-cmd", "app:1", "--seed", str(seed), "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert "needs --gpu-cmd" in capsys.readouterr().err
+        assert calls["n"] == 0
+        assert not out.exists()
+
+    def test_plan_on_one_platform_needs_only_its_command(self, training_dir, tmp_path):
+        # seed 3 draws no GPU configuration
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--backend-data", str(training_dir / "manifest.conf"),
+                     "--cpu-cmd", "app:1", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        assert all(ln.startswith("ci-cpu:") for ln in out.read_text().splitlines()[3:])
 
     def test_same_seed_same_plan(self, training_dir, tmp_path):
         files = []
@@ -374,14 +423,7 @@ class TestRun:
 
     def test_seed_rejected_with_backend_data(self, training_dir, tmp_path, monkeypatch):
         # with a backing matrix nothing is generated, so a seed cannot act
-        calls = {"n": 0}
-        orig = SimulatedBackend.run
-
-        def counting(self, descriptor, config):
-            calls["n"] += 1
-            return orig(self, descriptor, config)
-
-        monkeypatch.setattr(SimulatedBackend, "run", counting)
+        calls = count_runs(monkeypatch)
         manifest = str(training_dir / "manifest.conf")
         cfg = load_training(manifest).configs[0].config_id
         run = ["run", "--backend-data", manifest, "--config", cfg,
@@ -392,6 +434,19 @@ class TestRun:
             assert calls["n"] == 0
             assert main(argv) == EXIT_OK
             calls["n"] = 0
+
+    @pytest.mark.parametrize("config, given, missing", [
+        ("ci-gpu:w8:f1.73:m2", "--cpu-cmd", "--gpu-cmd"),
+        ("ci-cpu:c1:f1.2:m1", "--gpu-cmd", "--cpu-cmd"),
+    ], ids=["gpu-config", "cpu-config"])
+    def test_missing_platform_command_rejected_before_the_run(self, training_dir, monkeypatch,
+                                                              capsys, config, given, missing):
+        calls = count_runs(monkeypatch)
+        rc = main(["run", "--backend-data", str(training_dir / "manifest.conf"),
+                   "--config", config, given, "app:1"])
+        assert rc == EXIT_PARSE
+        assert f"configuration {config} needs {missing}" in capsys.readouterr().err
+        assert calls["n"] == 0
 
     def test_cpu_config_does_not_set_workgroup_env(self):
         desc = ExecutableDescriptor(commands={"c": "app:1"})
@@ -507,9 +562,10 @@ class TestManifestAndParams:
 
     def test_params_file(self, tmp_path):
         p = tmp_path / "params.conf"
-        p.write_text("[estimator]\nlatent_dim = 3\nmax_iters = 100\n")
+        p.write_text("[estimator]\nlatent_dim = 3\nmax_iters = 100\ntol = 1e-4\n")
         params = load_params(str(p))
-        assert params == EstimatorParams(latent_dim=3, max_iters=100)
+        assert params == EstimatorParams(latent_dim=3, max_iters=100, tol=1e-4)
+        assert isinstance(params.max_iters, int) and isinstance(params.tol, float)
 
     def test_bad_params_key_rejected(self, tmp_path):
         # min_samples, log_time and ridge were estimator keys once; a file

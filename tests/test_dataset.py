@@ -171,6 +171,19 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match="config columns"):
             load_training(manifest)
 
+    def test_crlf_and_padded_grid_loads_like_its_lf_twin(self, tmp_path):
+        # lines are stripped like those of every other line-oriented file
+        m = tiny_matrix()
+        manifest = save_training(m, str(tmp_path / "t"))
+        for grid in ("power.csv", "time.csv"):
+            path = tmp_path / "t" / grid
+            lines = path.read_text().splitlines()
+            path.write_bytes("".join(f" {ln}\t \r\n" for ln in lines).encode())
+        loaded = load_training(manifest)
+        np.testing.assert_array_equal(loaded.power, m.power)
+        np.testing.assert_array_equal(loaded.time, m.time)
+        assert loaded.apps == m.apps
+
     def test_apps_file_round_trip(self, tmp_path):
         path = str(tmp_path / "apps.csv")
         save_applications(DEFAULT_APPLICATIONS, path)

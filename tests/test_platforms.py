@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from heterotune.errors import DataFormatError
 from heterotune.platforms import (
     DEFAULT_CPU,
     DEFAULT_GPU,
@@ -263,3 +264,30 @@ def test_system_file_round_trip(tmp_path):
     save_system(DEFAULT_SYSTEM, path)
     loaded = load_system(path)
     assert loaded == DEFAULT_SYSTEM
+
+
+class TestSystemFileKeys:
+    @pytest.fixture
+    def system_file(self, tmp_path):
+        path = tmp_path / "system.conf"
+        save_system(DEFAULT_SYSTEM, str(path))
+        return path
+
+    def test_unknown_field_rejected(self, system_file):
+        # a field no descriptor reads would otherwise load and be dropped
+        text = system_file.read_text()
+        system_file.write_text(text.replace("kind = gpu\n", "kind = gpu\nidle_power = 99\n"))
+        with pytest.raises(DataFormatError,
+                           match=r"\[platform quadro-k620\] unknown field 'idle_power'"):
+            load_system(str(system_file))
+
+    def test_cpu_workgroup_sizes_rejected(self, system_file):
+        # a CPU's settings never read workgroup sizes, though save_system
+        # would write them back
+        text = system_file.read_text()
+        system_file.write_text(text.replace("kind = cpu\n", "kind = cpu\nworkgroup_sizes = 2, 4\n"))
+        message = r"\[platform xeon-e5-2650lv3\]: .*only a GPU takes workgroup_sizes"
+        with pytest.raises(DataFormatError, match=message):
+            load_system(str(system_file))
+        with pytest.raises(ValueError, match="only a GPU"):
+            make_spec("x", PlatformKind.CPU, 2, 2.0, 10.0, 1, (1.0,), workgroups=(2,))
