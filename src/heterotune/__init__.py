@@ -43,6 +43,7 @@ from .estimator import (
     predict_energy,
     predict_new_app,
     quadratic_features,
+    select_latent_dim,
 )
 from .evaluation import (
     APPROACHES,

@@ -17,13 +17,16 @@ per quantity (power in the linear domain, time in the log domain):
    E-step conditions the target's latent vector on its sampled cells only,
    so exact low-rank structure is recovered exactly.
 
-Columns are z-scored with training-view statistics before EM and restored
-after; sampled cells always pass through to the output unchanged.
+On the prediction path the rank K of each quantity's fit is chosen from
+the training rows by held-out-row completion error (``select_latent_dim``),
+with ``latent_dim`` as its upper bound.  Columns are z-scored with
+training-view statistics before EM and restored after; sampled cells always
+pass through to the output unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +42,13 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Knobs of the two-stage estimator."""
+    """Knobs of the two-stage estimator.
+
+    ``latent_dim`` is the rank K that ``em_fit`` and ``complete_row`` fit
+    at.  On the prediction path (``predict_new_app``) it is an upper bound:
+    each quantity is fitted at the rank ``select_latent_dim`` picks from
+    the training rows, which is at most ``latent_dim``.
+    """
 
     latent_dim: int = 5
     max_iters: int = 500
@@ -141,6 +150,91 @@ def init_regression(
     return row
 
 
+def _zscore(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns scaled to zero mean and unit variance; a constant column keeps
+    scale 1.  Returns (scaled rows, column means, column scales)."""
+    col_mean = rows.mean(axis=0)
+    col_scale = rows.std(axis=0)
+    col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
+    return (rows - col_mean) / col_scale, col_mean, col_scale
+
+
+def held_out_errors(Ys: np.ndarray, observed_idx: Sequence[int], k_max: int) -> np.ndarray:
+    """Held-out-row completion error of the PPCA model at each rank.
+
+    Entry (i, K-1) is the squared error at the cells outside ``observed_idx``
+    when row i of ``Ys`` is completed from its cells at ``observed_idx``
+    under the maximum-likelihood rank-K PPCA fit of the other rows: top
+    eigenpairs (lam, V) of their covariance, sigma^2 the mean discarded
+    eigenvalue, loadings V (lam - sigma^2)^1/2, and the posterior mean of
+    the latent vector given the observed cells.
+
+    Every held-out fit lives in the row space of the centred rows, so all
+    of it runs in one orthonormal basis of that space: the scatter of the
+    other rows is the full scatter minus n/(n-1) times row i's share, one
+    batched (n-1)-square eigendecomposition gives every fit, and one batched
+    K x K solve every completion.  Residuals are formed as vectors
+    in that basis and squared under the Gram matrix of the unsampled cells
+    alone: expanding them into Gram entries of the rows, or taking the
+    unsampled part as the whole minus the sampled part, cancels
+    catastrophically when the rows are exactly low-rank or nearly every
+    cell is sampled.
+    """
+    n, D = Ys.shape
+    obs = np.zeros(D, dtype=bool)
+    obs[np.asarray(observed_idx, dtype=int)] = True
+    shrink = n / (n - 1)
+    centred = Ys - Ys.mean(axis=0)
+    # The centred rows sum to zero, so all but one of them span their space
+    basis, _ = np.linalg.qr(centred[:-1].T)                 # (D, r), orthonormal
+    P = centred @ basis                                     # centred rows = P basis^T
+    # Held out row i: the others' scatter about their own mean, and row i
+    # minus that mean (shrink * P[i]), in that basis
+    scatter = P.T @ P - shrink * P[:, :, None] * P[:, None, :]
+    nu, Q = np.linalg.eigh(scatter)
+    lam = nu[:, :-k_max - 1:-1] / (n - 1)                   # top k_max, descending
+    Q = Q[:, :, :-k_max - 1:-1]
+    total = np.trace(scatter, axis1=1, axis2=2) / (n - 1)
+    ranks = np.arange(1, k_max + 1)
+    s2 = (total[:, None] - np.cumsum(lam, axis=1)) / (D - ranks)
+    s2 = np.maximum(s2.T, SIGMA2_FLOOR)                     # (rank, n)
+    # Rank K is solved as rank k_max with loading columns K.. zero: the
+    # loadings are basis @ B with B = Q (lam - s2)^1/2
+    scale = np.sqrt(np.maximum(lam - s2[:, :, None], 0.0))
+    B = Q * (scale * (ranks[None, :] <= ranks[:, None])[:, None, :])[:, :, None, :]
+    Bt = np.swapaxes(B, -1, -2)
+    gram_o = basis[obs].T @ basis[obs]
+    M = Bt @ gram_o @ B + s2[:, :, None, None] * np.eye(k_max)
+    z = np.linalg.solve(M, shrink * (Bt @ (P @ gram_o)[:, :, None]))
+    resid = (shrink * P[:, :, None] - B @ z)[..., 0]            # whole row, in the basis
+    gram_u = basis[~obs].T @ basis[~obs]
+    return ((resid @ gram_u) * resid).sum(axis=-1).T
+
+
+def select_latent_dim(rows: np.ndarray, observed_idx: Sequence[int], k_max: int) -> int:
+    """Latent rank for completing a row sampled at ``observed_idx`` from
+    fully observed ``rows``.
+
+    Each row is held out in turn and completed from its cells at
+    ``observed_idx`` by the PPCA fit of the others (``held_out_errors``);
+    the rank is the smallest K whose summed error is within one standard
+    error (the held-out rows' standard deviation times sqrt(n_rows)) of the
+    minimum.  Columns are z-scored as in ``em_fit``.  ``k_max`` is an upper
+    bound, further capped at n_rows - 2 (the rank a held-out fit of
+    n_rows - 1 centred rows supports) and n_configs - 1.
+    """
+    Ys, _, _ = _zscore(np.asarray(rows, dtype=float))
+    n, D = Ys.shape
+    k_max = min(k_max, n - 2, D - 1)
+    if k_max < 2:
+        return 1
+    errors = held_out_errors(Ys, observed_idx, k_max)
+    summed = errors.sum(axis=0)
+    best = int(np.argmin(summed))
+    se = errors[:, best].std(ddof=1) * np.sqrt(n)
+    return int(np.argmax(summed <= summed[best] + se)) + 1
+
+
 def _block_loglik(
     rows: np.ndarray,
     rows_w: np.ndarray,
@@ -190,10 +284,7 @@ def em_fit(
     N = n_train + 1
 
     # z-score columns with training-view statistics
-    col_mean = Yt.mean(axis=0)
-    col_scale = Yt.std(axis=0)
-    col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
-    Ys = (Yt - col_mean) / col_scale
+    Ys, col_mean, col_scale = _zscore(Yt)
     y_obs = (y_obs_raw - col_mean[obs]) / col_scale[obs]
     init_s = (np.asarray(initial_row, dtype=float) - col_mean) / col_scale
 
@@ -406,16 +497,24 @@ def predict_new_app(
     """Prediction for an application whose row is not in ``matrix``.
 
     Every training row participates: regression-initialized EM completion
-    of the power and time rows, then whole-system energy minimization over
-    every configuration of every platform.
+    of the power and time rows, each at the latent rank that
+    ``select_latent_dim`` picks for it (at most ``params.latent_dim``), then
+    whole-system energy minimization over every configuration of every
+    platform.
     """
     params = params or EstimatorParams()
     if np.isnan(matrix.power).any() or np.isnan(matrix.time).any():
         raise ValueError("training rows must be fully observed")
     feats = feature_matrix(matrix)
     idx = samples.config_indices
-    p_state, power_row = complete_row(matrix.power, idx, samples.power, feats, params)
-    t_state, time_row = complete_row(matrix.time, idx, samples.time, feats, params, log_domain=True)
+    k_power = select_latent_dim(matrix.power, idx, params.latent_dim)
+    k_time = select_latent_dim(np.log(matrix.time), idx, params.latent_dim)
+    p_state, power_row = complete_row(
+        matrix.power, idx, samples.power, feats, replace(params, latent_dim=k_power)
+    )
+    t_state, time_row = complete_row(
+        matrix.time, idx, samples.time, feats, replace(params, latent_dim=k_time), log_domain=True
+    )
     return predict_energy(
         power_row,
         time_row,

@@ -1,8 +1,4 @@
-"""The narrative demos run to completion.
-
-``demo_approach_comparison.py`` is left out: it runs a full evaluation and
-takes about 30 s.
-"""
+"""The narrative demos run to completion."""
 
 import os
 import subprocess
@@ -14,6 +10,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("demo", [
+    "demo_approach_comparison.py",
     "demo_energy_accounting.py",
     "demo_row_completion.py",
     "demo_unified_coordinates.py",

@@ -12,15 +12,18 @@ from heterotune.dataset import (
 )
 from heterotune.errors import InsufficientSamplesError
 from heterotune.estimator import (
+    SIGMA2_FLOOR,
     EstimatorParams,
     complete_row,
     em_fit,
     feature_matrix,
+    held_out_errors,
     init_regression,
     predict_best_config,
     predict_energy,
     predict_new_app,
     quadratic_features,
+    select_latent_dim,
 )
 from heterotune.platforms import DEFAULT_SYSTEM, unify_system
 from heterotune.synthetic import CI_SYSTEM, PROFILES, SyntheticSpec, generate_system
@@ -254,6 +257,86 @@ class TestEmFit:
         assert errors[-1] > errors[0]
 
 
+def naive_held_out_errors(Ys, obs, k_max):
+    """held_out_errors by its definition: one explicit SVD of every
+    leave-one-row-out block."""
+    n, D = Ys.shape
+    observed = np.zeros(D, dtype=bool)
+    observed[obs] = True
+    errors = np.empty((n, k_max))
+    for i in range(n):
+        others = np.delete(Ys, i, axis=0)
+        mean = others.mean(axis=0)
+        _, sv, vt = np.linalg.svd(others - mean, full_matrices=False)
+        lam = sv**2 / (n - 1)
+        total = ((others - mean) ** 2).sum() / (n - 1)
+        x = Ys[i] - mean
+        for K in range(1, k_max + 1):
+            s2 = max((total - lam[:K].sum()) / (D - K), SIGMA2_FLOOR)
+            W = vt[:K].T * np.sqrt(np.maximum(lam[:K] - s2, 0.0))
+            Wo = W[observed]
+            z = np.linalg.solve(Wo.T @ Wo + s2 * np.eye(K), Wo.T @ x[observed])
+            errors[i, K - 1] = ((x[~observed] - W[~observed] @ z) ** 2).sum()
+    return errors
+
+
+def _sampled_cells(n_cols, n_obs, seed):
+    return np.sort(np.random.default_rng(seed).choice(n_cols, n_obs, replace=False))
+
+
+class TestSelectLatentDim:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_recovers_noiseless_rank(self, rank):
+        picks = [select_latent_dim(rank_k_matrix(17, 393, rank, seed), _sampled_cells(393, 15, seed + 100), 5)
+                 for seed in range(20)]
+        assert picks == [rank] * 20
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_noisy_rank_never_under_picked(self, rank):
+        # Additive noise is heteroscedastic once columns are z-scored, and on
+        # a few draws one extra component lowers the held-out error by more
+        # than a standard error; the rule never drops a planted component.
+        picks = [select_latent_dim(rank_k_matrix(17, 393, rank, seed, noise_sd=0.05),
+                                   _sampled_cells(393, 15, seed + 100), 5)
+                 for seed in range(20)]
+        assert set(picks) <= {rank, rank + 1}
+        assert picks.count(rank) >= 17
+
+    @pytest.mark.parametrize("n_train", [1, 2, 3])
+    def test_too_few_rows_give_rank_one(self, n_train):
+        rows = rank_k_matrix(n_train, 40, 1, seed=4, noise_sd=0.1)
+        assert select_latent_dim(rows, _sampled_cells(40, 15, 5), 5) == 1
+
+    @pytest.mark.parametrize("zscored", [True, False])
+    @pytest.mark.parametrize("shape, n_obs", [((17, 393), 15), ((6, 40), 15), ((9, 12), 4), ((12, 9), 3)])
+    def test_row_space_errors_match_explicit_svd(self, shape, n_obs, zscored):
+        n, D = shape
+        rng = np.random.default_rng(n * D)
+        Ys = rng.standard_normal(shape) * rng.uniform(0.5, 3.0, D) + rng.standard_normal(D)
+        if zscored:
+            Ys = (Ys - Ys.mean(axis=0)) / Ys.std(axis=0)
+        obs = _sampled_cells(D, n_obs, D)
+        k_max = min(5, n - 2, D - 1)
+        np.testing.assert_allclose(held_out_errors(Ys, obs, k_max),
+                                   naive_held_out_errors(Ys, obs, k_max), rtol=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 20), D=st.integers(2, 60), rank=st.integers(1, 5),
+           noise_sd=st.floats(0.0, 0.5), latent_dim=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_pick_in_range_deterministic_and_unit_free(self, n, D, rank, noise_sd, latent_dim,
+                                                       seed, data):
+        rows = rank_k_matrix(n, D, min(rank, n, D), seed, noise_sd)
+        obs = _sampled_cells(D, data.draw(st.integers(1, D)), seed)
+        k = select_latent_dim(rows, obs, latent_dim)
+        assert 1 <= k <= max(1, min(latent_dim, n - 2, D - 1))
+        assert select_latent_dim(rows.copy(), obs.copy(), latent_dim) == k
+        col = data.draw(st.integers(0, D - 1))
+        rescaled = rows.copy()
+        rescaled[:, col] *= data.draw(st.sampled_from([1e-3, 0.5, 7.0, 1e4]))
+        assert select_latent_dim(rescaled, obs, latent_dim) == k
+
+
 class TestPredictEnergy:
     def test_picks_smaller_of_two(self):
         system = tiny_system(0.0, 0.0)
@@ -394,6 +477,12 @@ class TestPipeline:
         plan = select_samples(sub.n_configs, 3, seed=7, target_app=app)
         result = predict_best_config(sub, app, plan)
         assert 0 <= result.chosen < len(gpu_cols)
+
+    def test_full_profile_predictions_converge(self):
+        m, _ = _system_and_features("full")
+        for app in m.apps:
+            plan = select_samples(m.n_configs, 15, 1000 + app.app_id, app.app_id)
+            assert predict_best_config(m, app.app_id, plan).converged, app.app_id
 
     @settings(max_examples=15, deadline=None)
     @given(
