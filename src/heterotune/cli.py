@@ -107,6 +107,9 @@ def _make_backend(args, apps=None) -> SimulatedBackend:
                     f"{flag} names a different system than --backend-data {args.backend_data}"
                 )
         return SimulatedBackend(matrix)
+    if apps is not None and len(apps) < 2:
+        raise DataFormatError(f"--apps {args.apps}: a generated system needs at least "
+                              f"2 applications, got {len(apps)}")
     profile = PROFILES[args.profile or "full"]
     platforms = load_system(args.system) if args.system else profile.platforms
     n_apps = len(apps) if apps is not None else profile.n_apps
@@ -211,8 +214,8 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
             raise DataFormatError(f"{path}: row {r}: {exc}") from exc
         if not (np.isfinite(p) and np.isfinite(t)):
             raise DataFormatError(f"{path}: row {r}: non-finite value")
-        if p < 0:
-            raise DataFormatError(f"{path}: row {r}: negative power {p!r}")
+        if p <= 0:
+            raise DataFormatError(f"{path}: row {r}: non-positive power {p!r}")
         if t <= 0:
             raise DataFormatError(f"{path}: row {r}: non-positive time {t!r}")
         idx.append(col[cells[0]])

@@ -114,17 +114,20 @@ class SampleSet:
     def __post_init__(self) -> None:
         if not (len(self.config_indices) == len(self.power) == len(self.time)):
             raise ValueError("sample arrays must align with config_indices")
+        if (np.asarray(self.power) <= 0).any() or (np.asarray(self.time) <= 0).any():
+            raise ValueError("sample power and time must be positive")
 
 
 @dataclass(frozen=True)
 class TrainingMatrix:
     """Applications x configurations grid of mean power (mW) and mean time (s).
 
-    ``power`` and ``time`` hold NaN exactly at unmeasured cells.  Power is
-    the active platform's dynamic draw; whole-system static energy is added
-    only by ``energy.total_energy_row``.  ``unified`` holds each
-    configuration's (equivalent cores, frequency index, equivalent memory)
-    row from ``platforms.unify_system``.
+    ``power`` and ``time`` hold NaN exactly at unmeasured cells and are
+    positive at measured ones, since the estimator completes their
+    logarithms.  Power is the active platform's dynamic draw; whole-system
+    static energy is added only by ``energy.total_energy_row``.  ``unified``
+    holds each configuration's (equivalent cores, frequency index,
+    equivalent memory) row from ``platforms.unify_system``.
     """
 
     apps: tuple[ApplicationMeta, ...]
@@ -148,7 +151,7 @@ class TrainingMatrix:
         checks = (
             (np.isinf(self.power) | np.isinf(self.time), "infinite value"),
             (np.isnan(self.power) != np.isnan(self.time), "cell unmeasured in only one grid"),
-            (self.power < 0, "negative power"),
+            (self.power <= 0, "non-positive power"),
             (self.time <= 0, "non-positive time"),
         )
         for bad, what in checks:

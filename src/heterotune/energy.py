@@ -32,8 +32,8 @@ class RunMeasurement:
     def __post_init__(self) -> None:
         if self.mean_time <= 0:
             raise ValueError("mean_time must be positive")
-        if self.mean_energy < 0:
-            raise ValueError("mean_energy must be non-negative")
+        if self.mean_energy <= 0:
+            raise ValueError(f"non-positive power: mean_energy {self.mean_energy!r}")
 
     @property
     def mean_power(self) -> float:

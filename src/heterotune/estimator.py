@@ -6,8 +6,9 @@ configurations matrix generated by a latent-factor Gaussian:
     y_i = W z_i + mu + eps,   z_i ~ N(0, I_K),   eps ~ N(0, sigma^2 I)
 
 Offline rows (the training set) are fully observed; the target application
-contributes only its sampled cells.  Fitting proceeds in two stages, both
-per quantity (power in the linear domain, time in the log domain):
+contributes only its sampled cells.  Power and time are both positive and
+span decades, so each is completed the same way on its logarithm and
+mapped back through ``exp``.  Fitting proceeds in two stages per quantity:
 
 1. a minimum-norm least-squares fit of the sampled cells on a full
    quadratic basis of the unified coordinates fills in a dense initial row;
@@ -414,24 +415,10 @@ def complete_row(
     observed_values: Sequence[float],
     features: np.ndarray,
     params: EstimatorParams | None = None,
-    log_domain: bool = False,
 ) -> tuple[EstimatorState, np.ndarray]:
-    """Regression-initialized EM completion of one row, optionally in the
-    log domain (used for execution times, which span decades)."""
-    params = params or EstimatorParams()
-    y = np.asarray(observed_values, dtype=float)
-    rows = np.asarray(training_rows, dtype=float)
-    if log_domain:
-        if (y <= 0).any() or (rows <= 0).any():
-            raise ValueError("log-domain completion requires positive values")
-        rows = np.log(rows)
-        y = np.log(y)
-    initial = init_regression(observed_idx, y, features)
-    state, completed = em_fit(rows, observed_idx, y, initial, params)
-    if log_domain:
-        completed = np.exp(completed)
-        completed[np.asarray(observed_idx, dtype=int)] = observed_values
-    return state, completed
+    """Regression-initialized EM completion of one row."""
+    initial = init_regression(observed_idx, observed_values, features)
+    return em_fit(training_rows, observed_idx, observed_values, initial, params)
 
 
 def predict_energy(
@@ -497,29 +484,32 @@ def predict_new_app(
     """Prediction for an application whose row is not in ``matrix``.
 
     Every training row participates: regression-initialized EM completion
-    of the power and time rows, each at the latent rank that
+    of the log power and log time rows, each at the latent rank that
     ``select_latent_dim`` picks for it (at most ``params.latent_dim``), then
     whole-system energy minimization over every configuration of every
     platform.
     """
     params = params or EstimatorParams()
-    if np.isnan(matrix.power).any() or np.isnan(matrix.time).any():
+    if not matrix.fully_observed:
         raise ValueError("training rows must be fully observed")
     feats = feature_matrix(matrix)
     idx = samples.config_indices
-    k_power = select_latent_dim(matrix.power, idx, params.latent_dim)
-    k_time = select_latent_dim(np.log(matrix.time), idx, params.latent_dim)
-    p_state, power_row = complete_row(
-        matrix.power, idx, samples.power, feats, replace(params, latent_dim=k_power)
-    )
-    t_state, time_row = complete_row(
-        matrix.time, idx, samples.time, feats, replace(params, latent_dim=k_time), log_domain=True
-    )
+    rows, converged = [], True
+    for quantity in ("power", "time"):
+        logs = np.log(getattr(matrix, quantity))
+        sampled = getattr(samples, quantity)
+        k = select_latent_dim(logs, idx, params.latent_dim)
+        state, completed = complete_row(
+            logs, idx, np.log(sampled), feats, replace(params, latent_dim=k)
+        )
+        row = np.exp(completed)
+        row[list(idx)] = sampled
+        rows.append(row)
+        converged = converged and state.converged
     return predict_energy(
-        power_row,
-        time_row,
+        *rows,
         matrix.system,
         observed_idx=idx,
         min_observed_time=float(np.min(matrix.time)),
-        converged=p_state.converged and t_state.converged,
+        converged=converged,
     )

@@ -221,8 +221,9 @@ def load_system(path: str) -> tuple[PlatformSpec, ...]:
     """Read platform descriptors from a ``[platform <name>]`` key/value file.
 
     Field names are documented in docs/data-formats.md and must match
-    exactly; a missing or unknown field is rejected.  Raises DataFormatError
-    with the offending section/field.
+    exactly; a missing or unknown field is rejected, and so is a system with
+    no CPU, which ``unify_system`` needs as its reference.  Raises
+    DataFormatError with the offending section/field.
     """
     specs: list[PlatformSpec] = []
     for section, opts in read_sections(path, "platform file").items():
@@ -257,6 +258,8 @@ def load_system(path: str) -> tuple[PlatformSpec, ...]:
         specs.append(spec)
     if not specs:
         raise DataFormatError(f"{path}: no [platform ...] sections found")
+    if not any(spec.kind is PlatformKind.CPU for spec in specs):
+        raise DataFormatError(f"{path}: no CPU platform to serve as the unified reference")
     return tuple(specs)
 
 

@@ -139,6 +139,20 @@ class TestBenchmark:
         other = [j for j in range(m.n_configs) if j not in one_core]
         assert m.mask[:, other].all()
 
+    def test_one_application_catalog_rejected(self, tmp_path, monkeypatch, capsys):
+        # a generated system needs two applications; one would end in a
+        # SyntheticSpec traceback
+        from heterotune.dataset import DEFAULT_APPLICATIONS, save_applications
+
+        apps_file = tmp_path / "one.csv"
+        save_applications(DEFAULT_APPLICATIONS[:1], str(apps_file))
+        calls = count_runs(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["benchmark", "--profile", "ci", "--apps", str(apps_file),
+                     "--out", str(out)]) == EXIT_PARSE
+        assert f"--apps {apps_file}: " in capsys.readouterr().err
+        assert calls["n"] == 0
+        assert not out.exists()
 
     @pytest.mark.parametrize("backing, ids, unknown", [
         (False, (5, 9), "[5, 9]"),
@@ -329,10 +343,12 @@ class TestPredict:
     @pytest.mark.parametrize("app_id, row, what", [
         (2, "{cfg0},100.0,1.0", "listed twice"),
         (99, "{cfg1},100.0,0.0", "non-positive time"),
-        (2, "{cfg1},-1.0,1.0", "negative power"),
+        (2, "{cfg1},-1.0,1.0", "non-positive power"),
+        (2, "{cfg1},0.0,1.0", "non-positive power"),
         (2, "{cfg1},inf,1.0", "non-finite"),
         (99, "{cfg1},100.0,nan", "non-finite"),
-    ], ids=["duplicate", "zero-time-new-app", "negative-power", "inf-power", "nan-time-new-app"])
+    ], ids=["duplicate", "zero-time-new-app", "negative-power", "zero-power", "inf-power",
+            "nan-time-new-app"])
     def test_bad_sample_values_exit_parse(self, training_dir, tmp_path, capsys,
                                           app_id, row, what):
         matrix = load_training(str(training_dir / "manifest.conf"))
@@ -609,6 +625,21 @@ def test_out_of_range_value_exits_parse(training_dir, tmp_path, capsys, command,
     assert main([command] + base + extra) == EXIT_PARSE
     assert "error" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("benchmark", ["--out", "b"]),
+    ("sample", ["--gpu-cmd", "app:1", "--out", "s.csv"]),
+    ("run", ["--gpu-cmd", "app:1", "--config", "ci-gpu:w1:f1.0:m1"]),
+], ids=["benchmark", "sample", "run"])
+def test_system_without_cpu_exits_parse(tmp_path, monkeypatch, capsys, command, extra):
+    # the unified coordinates need a reference CPU
+    sys_file = tmp_path / "gpu-only.conf"
+    save_system([p for p in CI_SYSTEM if p.kind is PlatformKind.GPU], str(sys_file))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--system", str(sys_file)] + extra) == EXIT_PARSE
+    assert f"{sys_file}: no CPU platform" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["gpu-only.conf"]
 
 
 class TestBackendErrors:

@@ -77,9 +77,10 @@ class TestPersistence:
 
     def test_negative_power_cell_error_names_cell(self, tmp_path):
         # the matrix makes these checks, so every way of building one names
-        # the offending cell; a non-positive time is the second case
+        # the offending cell; a non-positive time is the last case
         cases = (
-            ("power.csv", "-5.0", "negative power at app 1, config tiny-cpu:c1:f1.5:m1"),
+            ("power.csv", "-5.0", "non-positive power at app 1, config tiny-cpu:c1:f1.5:m1"),
+            ("power.csv", "0.0", "non-positive power at app 1, config tiny-cpu:c1:f1.5:m1"),
             ("time.csv", "0.0", "non-positive time at app 1, config tiny-cpu:c1:f1.5:m1"),
         )
         for k, (grid, value, message) in enumerate(cases):

@@ -126,5 +126,6 @@ class TestRunMeasurement:
         cfg = NativeConfig("tiny-cpu", PlatformKind.CPU, 1, 1.0, 1)
         with pytest.raises(ValueError):
             RunMeasurement(1, cfg, mean_time=0.0, mean_energy=1.0)
-        with pytest.raises(ValueError):
-            RunMeasurement(1, cfg, mean_time=1.0, mean_energy=-1.0)
+        for energy in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="non-positive power"):
+                RunMeasurement(1, cfg, mean_time=1.0, mean_energy=energy)

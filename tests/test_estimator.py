@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -142,9 +143,7 @@ class TestInitRegression:
         m, feats = _system_and_features(profile)
         n = min(feats.shape[1] + extra, m.n_configs)
         obs = np.sort(np.random.default_rng(seed).choice(m.n_configs, n, replace=False))
-        values = getattr(m, quantity)[app_index, obs]
-        if quantity == "time":
-            values = np.log(values)
+        values = np.log(getattr(m, quantity)[app_index, obs])
         fitted = init_regression(obs, values, feats)
         assert np.isfinite(fitted).all()
         np.testing.assert_array_equal(fitted[obs], values)
@@ -194,15 +193,17 @@ class TestEmFit:
             )
 
     def test_floored_loglik_finite_and_non_decreasing(self, ci_noiseless):
-        # noiseless log times floor sigma^2, where a dense C is near-singular
+        # noiseless log powers and times floor sigma^2, where a dense C is
+        # near-singular
         m = ci_noiseless.matrix
         app = m.apps[0].app_id
         view, samples = mask_application(m, app, select_samples(m.n_configs, 15, 2, app))
-        state, _ = complete_row(view.time, samples.config_indices, samples.time,
-                                feature_matrix(m), log_domain=True)
-        assert state.sigma2_floored and state.n_iters > 1
-        assert np.isfinite(state.ll_history).all()
-        assert (np.diff(state.ll_history) >= 0).all()
+        for quantity in ("power", "time"):
+            state, _ = complete_row(np.log(getattr(view, quantity)), samples.config_indices,
+                                    np.log(getattr(samples, quantity)), feature_matrix(m))
+            assert state.sigma2_floored and state.n_iters > 1
+            assert np.isfinite(state.ll_history).all()
+            assert (np.diff(state.ll_history) >= 0).all()
 
     def test_exact_low_rank_recovery(self):
         Y = rank_k_matrix(18, 393, 3, seed=5)
@@ -462,6 +463,13 @@ class TestPipeline:
         )
         result = predict_new_app(m, samples)
         assert 0 <= result.chosen < m.n_configs
+        # their logarithms are completed, so a non-positive sample is
+        # rejected where the sample set is built
+        for name in ("power", "time"):
+            values = getattr(samples, name).copy()
+            values[0] = 0.0
+            with pytest.raises(ValueError, match="must be positive"):
+                dataclasses.replace(samples, **{name: values})
 
     def test_single_predictor_mode(self, ci_system):
         # one GPU platform's configurations get the [1, w, w^2] basis, so
@@ -498,7 +506,9 @@ class TestPipeline:
         plan = select_samples(m.n_configs, 15, plan_seed, target_app=app)
         r1 = predict_best_config(m, app, plan)
         r2 = predict_best_config(m, app, plan)
-        assert np.isfinite(r1.energy).all() and (r1.energy > 0).all()
+        for values in (r1.power, r1.time, r1.energy):
+            assert np.isfinite(values).all() and (values > 0).all()
+        assert r1.clamped == ()
         assert r1.chosen == int(np.argmin(r1.energy))
         row, idx = m.app_index(app), list(plan.sample_configs)
         np.testing.assert_array_equal(r1.power[idx], m.power[row, idx])

@@ -281,6 +281,13 @@ class TestSystemFileKeys:
                            match=r"\[platform quadro-k620\] unknown field 'idle_power'"):
             load_system(str(system_file))
 
+    def test_system_without_cpu_rejected(self, tmp_path):
+        # the unified coordinates are relative to a reference CPU
+        path = str(tmp_path / "gpu-only.conf")
+        save_system((DEFAULT_GPU,), path)
+        with pytest.raises(DataFormatError, match=f"{path}: no CPU platform"):
+            load_system(path)
+
     def test_cpu_workgroup_sizes_rejected(self, system_file):
         # a CPU's settings never read workgroup sizes, though save_system
         # would write them back
