@@ -12,11 +12,13 @@ mapped back through ``exp``.  Fitting proceeds in two stages per quantity:
 
 1. a minimum-norm least-squares fit of the sampled cells on a full
    quadratic basis of the unified coordinates fills in a dense initial row;
-2. expectation-maximization refines W, mu and sigma^2 over the training
-   rows plus the target row, treating the target's unsampled cells as
-   missing. Parameters are initialized from the stage-1 completion, and the
-   E-step conditions the target's latent vector on its sampled cells only,
-   so exact low-rank structure is recovered exactly.
+2. parameter-expanded expectation-maximization (PX-EM) refines W, mu and
+   sigma^2 over the training rows plus the target row, with the latent
+   vectors as the only missing data: the target row enters through its
+   sampled cells alone, and its unsampled cells are never imputed.
+   Parameters are initialized from the stage-1 completion, and the E-step
+   conditions the target's latent vector on its sampled cells only, so
+   exact low-rank structure is recovered exactly.
 
 On the prediction path the rank K of each quantity's fit is chosen from
 the training rows by held-out-row completion error (``select_latent_dim``),
@@ -273,9 +275,21 @@ def em_fit(
     regression row used only to initialize parameters.  Each iteration runs
     the E-step under the current parameters and conditional maximizations of
     mean, loadings and noise variance, so the observed-data log-likelihood
-    never decreases.  Non-convergence at ``max_iters`` is flagged on the
-    returned state, not raised; a collapsing noise variance is clamped at
-    SIGMA2_FLOOR (and flagged), which keeps the noiseless case well-posed.
+    never decreases.  The latent vectors are the only missing data: each
+    column's mean and loadings are regressed on the rows that observe it,
+    and sigma^2 is fitted on the observed cells.
+
+    The M-step is parameter-expanded (PX-EM; Liu, Rubin & Wu, Biometrika
+    85(4), 1998): it also fits the latent vector's mean m and covariance S,
+    from the same E-step sums, and reduces the expanded model z ~ N(m, S)
+    to the equivalent one with z ~ N(0, I) by mu <- mu + W m and
+    W <- W chol(S).  That is still an EM step, so the log-likelihood stays
+    non-decreasing, but it rescales each latent factor at once instead of
+    creeping toward its scale: plain EM ran to hundreds of iterations on
+    sparse rows, PX-EM stops in 3-4 at the median.  ``max_iters`` is a
+    safety bound; reaching it is flagged on the returned state, not raised.
+    A collapsing noise variance is clamped at SIGMA2_FLOOR (and flagged),
+    which keeps the noiseless case well-posed.
     """
     params = params or EstimatorParams()
     Yt = np.asarray(training_rows, dtype=float)
@@ -291,9 +305,10 @@ def em_fit(
 
     K = max(1, min(params.latent_dim, D - 1, N - 1))
     # The raw regression row carries misfit in directions no training row
-    # supports; stacking it as-is plants spurious components that EM then
-    # spends hundreds of iterations unlearning.  Keep only its projection
-    # onto the training block's rank-K principal subspace.
+    # supports; stacking it as-is plants spurious components in the initial
+    # loadings that EM does not unlearn: exact rank-3 rows of 393 cells were
+    # then completed with relative errors up to 66, not below 1e-6.  Keep only
+    # its projection onto the training block's rank-K principal subspace.
     tr_mean = Ys.mean(axis=0)
     _, sv_tr, vt_tr = np.linalg.svd(Ys - tr_mean, full_matrices=False)
     lam_tr = sv_tr**2 / max(n_train, 1)
@@ -314,9 +329,9 @@ def em_fit(
     K = max(1, int(np.count_nonzero(supported)))
     W = vt[:K].T * np.sqrt(np.maximum(lam[:K] - s2, SIGMA2_FLOOR))
 
-    n_miss = D - np.unique(obs).size
     k_obs = min(K, obs.size)       # W_o^T W_o has no more nonzero eigenvalues
     ys_sum = Ys.sum(axis=0)
+    n_cells = n_train * D + obs.size   # cells the likelihood sees
     floored = s2 <= SIGMA2_FLOOR
 
     def statistics(W, mu, s2):
@@ -340,50 +355,66 @@ def em_fit(
         Mo_inv = (V_o / (lam_o + s2)) @ V_o.T
         m_dense = Dc_w @ Minv                        # (n_train, K)
         m_t = Mo_inv @ r_o_w
-        sz_t = s2 * Mo_inv
-        spread = n_train * s2 * Minv + sz_t          # summed latent covariances
-        e_y = W @ m_t + mu
-        e_y[obs] = y_obs
-        cov_yz = W @ sz_t                            # (D, K), zero at sampled cells
-        cov_yz[obs] = 0.0
-        var_y_miss = (cov_yz * W).sum() + n_miss * s2
-        return float(ll), (m_dense, m_t, spread, e_y, cov_yz, var_y_miss)
+        # posterior latent covariances: summed over the training rows, and
+        # the target's
+        return float(ll), (m_dense, m_t, n_train * s2 * Minv, s2 * Mo_inv)
+
+    def normal_matrix(n_rows, sum_z, sum_zz):
+        """(K+1)-square second moments of the intercept-augmented [1, z]."""
+        out = np.empty((K + 1, K + 1))
+        out[0, 0] = n_rows
+        out[0, 1:] = out[1:, 0] = sum_z
+        out[1:, 1:] = sum_zz
+        return out
 
     ll, post = statistics(W, mu, s2)
     ll_hist = [ll]
     converged = False
     it = 0
     for it in range(1, params.max_iters + 1):
-        m_dense, m_t, spread, e_y, cov_yz, var_y_miss = post
+        m_dense, m_t, sz_train, sz_t = post
 
-        sum_m = m_dense.sum(axis=0) + m_t
-        A = spread + m_dense.T @ m_dense + m_t[:, None] * m_t
+        sum_train = m_dense.sum(axis=0)
+        A_train = sz_train + m_dense.T @ m_dense
+        sum_m = sum_train + m_t
+        A = A_train + sz_t + m_t[:, None] * m_t
 
         # Joint M-step over (mu, W) via the intercept-augmented latent
         # vector [1, z]; decoupled conditional updates of mean and loadings
-        # zig-zag badly when one factor dominates the spectrum.
-        A_aug = np.empty((K + 1, K + 1))
-        A_aug[0, 0] = N
-        A_aug[0, 1:] = sum_m
-        A_aug[1:, 0] = sum_m
-        A_aug[1:, 1:] = A
-        B_aug = np.empty((D, K + 1))
-        B_aug[:, 0] = ys_sum + e_y
-        B_aug[:, 1:] = Ys.T @ m_dense + e_y[:, None] * m_t + cov_yz
-        sol = B_aug @ np.linalg.inv(A_aug)
+        # zig-zag badly when one factor dominates the spectrum.  Each column
+        # is regressed on the rows that observe it: training rows everywhere,
+        # the target only at its sampled cells.  Imputing the target's
+        # unsampled cells would add them to the missing data, and when a
+        # factor is carried by the target alone its unsampled loadings would
+        # then grow only ~3 % per iteration (120-170 iterations on `ci`).
+        B = np.empty((D, K + 1))
+        B[:, 0] = ys_sum
+        B[:, 1:] = Ys.T @ m_dense
+        sol = B @ np.linalg.inv(normal_matrix(n_train, sum_train, A_train))
+        B_o = B[obs]
+        B_o[:, 0] += y_obs
+        B_o[:, 1:] += y_obs[:, None] * m_t
+        sol[obs] = B_o @ np.linalg.inv(normal_matrix(N, sum_m, A))
         mu_new, W_new = sol[:, 0], sol[:, 1:]
 
-        # CM step for the isotropic noise variance.  The uniform treatment
-        # below is exact for known cells; missing cells additionally carry
-        # their own posterior variance and their covariance with z.
+        # CM step for the isotropic noise variance over the observed cells
+        Wo_new = W_new[obs]
         R = Ys - mu_new - m_dense @ W_new.T
-        r_t = e_y - mu_new - W_new @ m_t
-        total = (R**2).sum() + (r_t**2).sum() + var_y_miss
-        total += (W_new * (W_new @ spread - 2.0 * cov_yz)).sum()
-        s2_new = total / (N * D)
+        r_t = y_obs - mu_new[obs] - Wo_new @ m_t
+        total = (R**2).sum() + (W_new * (W_new @ sz_train)).sum()
+        total += (r_t**2).sum() + (Wo_new * (Wo_new @ sz_t)).sum()
+        s2_new = total / n_cells
         if s2_new <= SIGMA2_FLOOR:
             s2_new = SIGMA2_FLOOR
             floored = True
+
+        # PX-EM reduction: fold the latent mean and covariance the E-step
+        # implies into (mu, W).  The folded model gives rows the same
+        # distribution as the expanded one, so s2 needs no update.
+        m_bar = sum_m / N
+        L = np.linalg.cholesky(A / N - np.outer(m_bar, m_bar))
+        mu_new = mu_new + W_new @ m_bar
+        W_new = W_new @ L
 
         W, mu, s2 = W_new, mu_new, float(s2_new)
         ll, post = statistics(W, mu, s2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heterotune import estimator
 from heterotune.dataset import (
     DEFAULT_APPLICATIONS,
     build_training_matrix,
@@ -36,6 +37,29 @@ from conftest import tiny_system
 def _system_and_features(profile):
     m = generate_system(PROFILES[profile]).matrix
     return m, feature_matrix(m)
+
+
+def _panel_predictions(profile, plans_per_app=1):
+    """(app id, prediction) for every application of a profile, each from
+    15 samples drawn with seed 1000 k + app id, k = 1..plans_per_app."""
+    m, _ = _system_and_features(profile)
+    for k in range(1, plans_per_app + 1):
+        for app in m.apps:
+            plan = select_samples(m.n_configs, 15, 1000 * k + app.app_id, app.app_id)
+            yield app.app_id, predict_best_config(m, app.app_id, plan)
+
+
+def _count_em_iterations(monkeypatch):
+    """Record the iterations of every ``em_fit`` the pipeline runs."""
+    iters = []
+
+    def counting_em_fit(*args, **kwargs):
+        state, completed = em_fit(*args, **kwargs)
+        iters.append(state.n_iters)
+        return state, completed
+
+    monkeypatch.setattr(estimator, "em_fit", counting_em_fit)
+    return iters
 
 
 def rank_k_matrix(n_rows, n_cols, k, seed, noise_sd=0.0):
@@ -229,6 +253,27 @@ class TestEmFit:
         init = np.tile(Y[-1][obs].mean(), 60)
         state, _ = em_fit(Y[:-1], obs, Y[-1][obs], init, EstimatorParams(latent_dim=4))
         assert np.all(np.diff(state.ll_history) >= -1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(noise_sd=st.one_of(st.just(0.0), st.floats(0.0, 0.1)), rank=st.integers(1, 4),
+           latent_dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           app_index=st.integers(0, 5), plan_seed=st.integers(0, 2**32 - 1))
+    def test_loglik_monotone_over_generated_systems(self, noise_sd, rank, latent_dim, seed,
+                                                    app_index, plan_seed):
+        # noiseless draws floor sigma^2 and latent_dim above the planted rank
+        # leaves latent directions the data barely support: the two places
+        # where the latent covariance folded into W is closest to singular
+        spec = SyntheticSpec(n_apps=6, platforms=CI_SYSTEM, rank=rank, noise_sd=noise_sd,
+                             seed=seed)
+        m = generate_system(spec).matrix
+        app = m.apps[app_index].app_id
+        view, samples = mask_application(m, app, select_samples(m.n_configs, 15, plan_seed, app))
+        for quantity in ("power", "time"):
+            state, _ = complete_row(np.log(getattr(view, quantity)), samples.config_indices,
+                                    np.log(getattr(samples, quantity)), feature_matrix(m),
+                                    EstimatorParams(latent_dim=latent_dim))
+            assert np.isfinite(state.ll_history).all()
+            assert np.all(np.diff(state.ll_history) >= -1e-9)
 
     def test_determinism(self):
         Y = rank_k_matrix(10, 50, 2, seed=3, noise_sd=0.05)
@@ -487,10 +532,31 @@ class TestPipeline:
         assert 0 <= result.chosen < len(gpu_cols)
 
     def test_full_profile_predictions_converge(self):
-        m, _ = _system_and_features("full")
-        for app in m.apps:
-            plan = select_samples(m.n_configs, 15, 1000 + app.app_id, app.app_id)
-            assert predict_best_config(m, app.app_id, plan).converged, app.app_id
+        for app_id, result in _panel_predictions("full"):
+            assert result.converged, app_id
+
+    def test_ci_profile_predictions_converge(self):
+        for app_id, result in _panel_predictions("ci"):
+            assert result.converged, app_id
+
+    @pytest.mark.parametrize("profile", ["ci", "full"])
+    def test_panel_fits_stop_within_ten_iterations(self, profile, monkeypatch):
+        # the predictions of the two tests above, fit by fit; a slow
+        # direction in EM shows here as hundreds of iterations
+        iters = _count_em_iterations(monkeypatch)
+        predictions = list(_panel_predictions(profile))
+        assert len(iters) == 2 * len(predictions)
+        assert max(iters) <= 10, iters
+
+    def test_ci_fits_stop_quickly_over_many_plans(self, monkeypatch):
+        # twelve plans per application: on some plans of app 4 a latent
+        # factor is carried by the target row alone, and an EM that imputes
+        # the target's unsampled cells grew their loadings for 120-170
+        # iterations, so the cost of a prediction depended on its plan
+        iters = _count_em_iterations(monkeypatch)
+        predictions = list(_panel_predictions("ci", plans_per_app=12))
+        assert len(iters) == 2 * len(predictions) == 144
+        assert max(iters) <= 25, sorted(iters)[-10:]
 
     @settings(max_examples=15, deadline=None)
     @given(

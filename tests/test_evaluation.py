@@ -15,7 +15,7 @@ from heterotune.evaluation import (
     single_platform_baseline,
 )
 from heterotune.estimator import EstimatorParams
-from heterotune.synthetic import CI_SYSTEM, SyntheticSpec, generate_system
+from heterotune.synthetic import CI_SYSTEM, PROFILES, SyntheticSpec, generate_system
 
 from conftest import tiny_system
 
@@ -112,6 +112,16 @@ class TestSinglePlatformBaseline:
         cpu_gap = energies[cpu_chosen] - opt_e
         holistic_gap = energies[holistic_chosen] - opt_e
         assert cpu_gap > holistic_gap
+
+    @pytest.mark.parametrize("profile, gpu", [("ci", "ci-gpu"), ("full", "quadro-k620")])
+    def test_gpu_baseline_converges(self, profile, gpu):
+        # 3 samples of a GPU's workgroup sizes: few columns, few cells, and
+        # the fits most prone to a slow EM direction
+        m = generate_system(PROFILES[profile]).matrix
+        for app in m.apps:
+            for seed in range(4):
+                _, result = single_platform_baseline(m, app.app_id, gpu, 3, seed)
+                assert result.converged, (app.app_id, seed)
 
     def test_unknown_platform_rejected(self, ci_system):
         with pytest.raises(ValueError):
