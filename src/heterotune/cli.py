@@ -199,14 +199,14 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
     if not body or body[0] != "config_id,power,time":
         raise DataFormatError(f"{path}: missing 'config_id,power,time' header")
     col = {cfg.config_id: j for j, cfg in enumerate(matrix.configs)}
-    idx, power, time = [], [], []
+    idx, seen, power, time = [], set(), [], []
     for r, ln in enumerate(body[1:], start=1):
         cells = ln.split(",")
         if len(cells) != 3:
             raise DataFormatError(f"{path}: row {r}: expected 3 cells")
         if cells[0] not in col:
             raise DataFormatError(f"{path}: row {r}: unknown config {cells[0]!r}")
-        if col[cells[0]] in idx:
+        if cells[0] in seen:
             raise DataFormatError(f"{path}: row {r}: config {cells[0]!r} listed twice")
         try:
             p, t = float(cells[1]), float(cells[2])
@@ -219,6 +219,7 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
         if t <= 0:
             raise DataFormatError(f"{path}: row {r}: non-positive time {t!r}")
         idx.append(col[cells[0]])
+        seen.add(cells[0])
         power.append(p)
         time.append(t)
     try:
@@ -270,10 +271,19 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _require_measured(matrix: TrainingMatrix, manifest: str, skip_app: int | None = None) -> None:
-    """Reject an unmeasured training cell outside ``skip_app``'s row, which
-    the estimator masks out."""
+def _require_training(matrix: TrainingMatrix, manifest: str, skip_app: int | None = None) -> None:
+    """Reject a training set that leaves the estimator no training row, or
+    that has an unmeasured cell outside ``skip_app``'s row, which the
+    estimator masks out.  ``predict`` trains on every row but its target's;
+    ``evaluate`` (no ``skip_app``) holds out each application in turn, so it
+    needs two."""
     rows = [i for i, a in enumerate(matrix.apps) if a.app_id != skip_app]
+    if skip_app is not None and not rows:
+        raise DataFormatError(f"{manifest}: no training row besides the target application "
+                              f"{skip_app}")
+    if skip_app is None and len(rows) < 2:
+        raise DataFormatError(f"{manifest}: evaluate needs at least 2 applications, "
+                              f"got {len(rows)}")
     unmeasured = np.isnan(matrix.power[rows])
     if unmeasured.any():
         i, j = np.argwhere(unmeasured)[0]
@@ -288,7 +298,7 @@ def cmd_predict(args) -> int:
     most energy-efficient one.  Never touches a measurement backend."""
     matrix = load_training(args.training)
     samples, seed = load_samples(args.sample, matrix)
-    _require_measured(matrix, args.training, skip_app=samples.app_id)
+    _require_training(matrix, args.training, skip_app=samples.app_id)
     params = load_params(args.params)
     known_ids = {a.app_id for a in matrix.apps}
     if samples.app_id in known_ids:
@@ -316,12 +326,10 @@ def cmd_predict(args) -> int:
         path = os.path.join(args.out, "estimates.csv")
         with open(path, "w") as fh:
             fh.write("config_id,power,time,energy,provenance,chosen\n")
-            for j, cfg in enumerate(matrix.configs):
-                fh.write(
-                    f"{cfg.config_id},{float(result.power[j])!r},{float(result.time[j])!r},"
-                    f"{float(result.energy[j])!r},{result.provenance[j]},"
-                    f"{int(j == result.chosen)}\n"
-                )
+            columns = zip(matrix.configs, result.power.tolist(), result.time.tolist(),
+                          result.energy.tolist(), result.provenance)
+            for j, (cfg, p, t, e, source) in enumerate(columns):
+                fh.write(f"{cfg.config_id},{p!r},{t!r},{e!r},{source},{int(j == result.chosen)}\n")
         print(f"estimates -> {path}")
     return EXIT_OK
 
@@ -350,7 +358,7 @@ def cmd_run(args) -> int:
 def cmd_evaluate(args) -> int:
     """Compare approaches against the brute-force oracle on a full matrix."""
     matrix = load_training(args.training)
-    _require_measured(matrix, args.training)
+    _require_training(matrix, args.training)
     params = load_params(args.params)
     try:
         report = evaluate(
@@ -431,7 +439,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Every command is registered; with ``command`` only
+    that command's flags are declared, which is all that parsing its
+    argument list reads."""
     parser = argparse.ArgumentParser(
         prog="heterotune",
         description="energy-optimal configuration selection for heterogeneous systems",
@@ -439,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for flag in flags:
+        for flag in flags if command in (None, name) else ():
             p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(func=func)
     return parser
@@ -462,7 +473,7 @@ def _splice_manifest(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         try:
             args = parser.parse_args(_splice_manifest(argv))

@@ -269,23 +269,36 @@ def _write_grid(path: str, apps: Sequence[ApplicationMeta], configs: Sequence[Na
             fh.write(str(app.app_id) + "," + ",".join(cells) + "\n")
 
 
-def _bad_cell(where: str, cells: Sequence[str], columns: Sequence[str]) -> DataFormatError:
-    """The error naming the first cell of a row that is neither ``NA`` nor a
+def _grid_error(path: str, rows: Sequence[str], columns: Sequence[str]) -> DataFormatError:
+    """The error naming the first bad line of a grid body in file order: a
+    wrong cell count, a bad app id, or a cell that is neither ``NA`` nor a
     finite number."""
-    for column, cell in zip(columns, cells):
-        if cell == MISSING:
-            continue
+    for r, line in enumerate(rows, start=2):
+        cells = line.split(",")
+        if len(cells) != len(columns) + 1:
+            return DataFormatError(f"{path}:{r}: expected {len(columns) + 1} cells, got {len(cells)}")
         try:
-            value = float(cell)
+            int(cells[0])
         except ValueError:
-            return DataFormatError(f"{where}: column {column!r}: bad value {cell!r}")
-        if not math.isfinite(value):
-            return DataFormatError(f"{where}: column {column!r}: non-finite value")
-    raise AssertionError("row has no bad cell")
+            return DataFormatError(f"{path}:{r}: bad app_id {cells[0]!r}")
+        for column, cell in zip(columns, cells[1:]):
+            if cell == MISSING:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                return DataFormatError(f"{path}:{r}: column {column!r}: bad value {cell!r}")
+            if not math.isfinite(value):
+                return DataFormatError(f"{path}:{r}: column {column!r}: non-finite value")
+    raise AssertionError("grid has no bad line")
 
 
 def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[int], np.ndarray]:
-    """App ids and values of one grid file; NaN at ``NA`` cells."""
+    """App ids and values of one grid file; NaN at ``NA`` cells.
+
+    The body is split and converted in one pass; only a grid that fails it
+    is walked row by row, by ``_grid_error``, to name the first bad line.
+    """
     lines = read_lines(path, "grid")
     if not lines:
         raise DataFormatError(f"{path}: empty grid file")
@@ -298,23 +311,21 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
             f"{path}: config columns do not match the platform file "
             f"(got {len(header) - 1} columns, expected {len(expected)})"
         )
-    app_ids: list[int] = []
-    values = np.empty((len(lines) - 1, len(expected)))
-    for r, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(expected) + 1:
-            raise DataFormatError(f"{path}:{r}: expected {len(expected) + 1} cells, got {len(cells)}")
-        try:
-            app_ids.append(int(cells[0]))
-        except ValueError:
-            raise DataFormatError(f"{path}:{r}: bad app_id {cells[0]!r}") from None
-        row = values[r - 2]
-        try:
-            row[:] = [math.nan if cell == MISSING else float(cell) for cell in cells[1:]]
-        except ValueError:
-            row[:] = math.inf   # an unparseable token; _bad_cell names it
-        if np.isfinite(row).sum() + cells.count(MISSING) != len(expected):
-            raise _bad_cell(f"{path}:{r}", cells[1:], expected)
+    body, width = lines[1:], len(expected) + 1
+    try:
+        if any(line.count(",") != width - 1 for line in body):
+            raise ValueError("wrong cell count")
+        tokens = ",".join(body).split(",") if body else []
+        app_ids = [int(cell) for cell in tokens[::width]]
+        n_missing = tokens.count(MISSING)
+        if n_missing:
+            tokens = [math.nan if cell == MISSING else cell for cell in tokens]
+        cells = np.fromiter(map(float, tokens), float, len(tokens)).reshape(len(body), width)
+        values = cells[:, 1:]
+        if np.isfinite(values).sum() + n_missing != values.size:
+            raise ValueError("non-finite value")
+    except ValueError:
+        raise _grid_error(path, body, expected) from None
     return app_ids, values
 
 

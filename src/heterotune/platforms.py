@@ -51,8 +51,10 @@ class NativeConfig:
     def workgroup_size(self) -> int:
         return self.cores
 
-    @property
+    @cached_property
     def config_id(self) -> str:
+        # formatted once per configuration: grid headers, sample files and
+        # estimates all key on it
         knob = "w" if self.kind is PlatformKind.GPU else "c"
         return f"{self.platform}:{knob}{self.cores}:f{self.freq!r}:m{self.mem}"
 
@@ -123,13 +125,14 @@ def per_core_flops(spec: PlatformSpec) -> float:
 
 def equiv_cores(src: PlatformSpec, ref: PlatformSpec, n_src_cores: float) -> float:
     """Express ``n_src_cores`` of ``src`` in ``ref``-core equivalents, by the
-    ratio of per-core peak compute rates."""
+    ratio of per-core peak compute rates; elementwise over an array."""
     return per_core_flops(src) / per_core_flops(ref) * n_src_cores
 
 
 def equiv_mem(src: PlatformSpec, ref: PlatformSpec, n_src_mem: float) -> float:
     """Express ``n_src_mem`` memory controllers of ``src`` in ``ref``
-    equivalents, by the ratio of per-controller peak bandwidth."""
+    equivalents, by the ratio of per-controller peak bandwidth; elementwise
+    over an array."""
     src_bw = src.peak_bandwidth / src.mem_controllers
     ref_bw = ref.peak_bandwidth / ref.mem_controllers
     return src_bw / ref_bw * n_src_mem
@@ -167,14 +170,16 @@ def unify_system(system: Sequence[PlatformSpec]) -> tuple[tuple[NativeConfig, ..
         raise ValueError("system has no CPU platform to serve as reference")
     merged = sorted((f, order) for order, spec in enumerate(system) for f in spec.frequencies)
     freq_index = {key: i for i, key in enumerate(merged)}
-    rows = []
+    blocks = []
     for order, spec in enumerate(system):
-        for cfg in spec.native_settings:
-            cores = equiv_cores(spec, ref, cfg.cores)
-            if spec.kind is PlatformKind.GPU:
-                cores = max(cores, MIN_EQUIV_CORES)
-            rows.append((cores, freq_index[cfg.freq, order], equiv_mem(spec, ref, cfg.mem)))
-    return enumerate_configs(system), np.array(rows, dtype=float)
+        settings = spec.native_settings
+        cores = equiv_cores(spec, ref, np.array([c.cores for c in settings], dtype=float))
+        if spec.kind is PlatformKind.GPU:
+            cores = np.maximum(cores, MIN_EQUIV_CORES)
+        freq = [freq_index[c.freq, order] for c in settings]
+        mem = equiv_mem(spec, ref, np.array([c.mem for c in settings], dtype=float))
+        blocks.append(np.column_stack((cores, freq, mem)))
+    return enumerate_configs(system), np.concatenate(blocks)
 
 
 # Default heterogeneous system: a 24-core Xeon E5-2650L v3 next to a Quadro

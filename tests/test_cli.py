@@ -1,10 +1,14 @@
 import configparser
 import os
+import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import heterotune
 from heterotune.backends import (
     WORKGROUP_ENV_VAR,
     ExecutableDescriptor,
@@ -12,10 +16,13 @@ from heterotune.backends import (
     build_environment,
 )
 from heterotune.cli import (
+    COMMANDS,
     EXIT_BACKEND,
     EXIT_ESTIMATOR,
     EXIT_OK,
     EXIT_PARSE,
+    _require_training,
+    build_parser,
     load_params,
     main,
 )
@@ -47,6 +54,18 @@ def with_unmeasured_cells(training_dir, out, cells):
             row = next(r for r in lines[1:] if r[0] == str(app_id))
             row[j + 1] = "NA"
         path.write_text("\n".join(",".join(r) for r in lines) + "\n")
+    return str(out / "manifest.conf")
+
+
+def with_apps(training_dir, out, app_ids):
+    """A copy of a training set keeping only the grid rows of ``app_ids``;
+    returns its manifest."""
+    shutil.copytree(training_dir, out)
+    for grid in ("power.csv", "time.csv"):
+        path = out / grid
+        lines = path.read_text().splitlines()
+        kept = [ln for ln in lines[1:] if int(ln.split(",")[0]) in app_ids]
+        path.write_text("\n".join(lines[:1] + kept) + "\n")
     return str(out / "manifest.conf")
 
 
@@ -383,6 +402,25 @@ class TestPredict:
         own_row = with_unmeasured_cells(training_dir, tmp_path / "own", [(2, j)])
         assert main(["predict", "--training", own_row, "--sample", str(sample)]) == EXIT_OK
 
+    def test_no_training_row_besides_the_target_exits_parse(self, training_dir, tmp_path,
+                                                             capsys):
+        # header-only grids, or a set whose only row is the sample's own
+        # application, leave the estimator nothing to train on
+        sample = tmp_path / "s.csv"
+        assert main(["sample", "--backend-data", str(training_dir / "manifest.conf"),
+                     "--cpu-cmd", "app:2", "--gpu-cmd", "app:2", "--seed", "4",
+                     "--out", str(sample)]) == EXIT_OK
+        for name, app_ids in (("none", ()), ("own", (2,))):
+            manifest = with_apps(training_dir, tmp_path / name, app_ids)
+            capsys.readouterr()
+            rc = main(["predict", "--training", manifest, "--sample", str(sample)])
+            assert rc == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err == f"error: {manifest}: no training row besides the target application 2\n"
+        # one other row is enough
+        other = with_apps(training_dir, tmp_path / "other", (3,))
+        _require_training(load_training(other), other, skip_app=2)
+
     def test_too_few_samples_exits_estimator(self, training_dir, tmp_path):
         matrix = load_training(str(training_dir / "manifest.conf"))
         few = tmp_path / "few.csv"
@@ -525,6 +563,18 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
         assert main(argv + ["gpu-only,brute-force"]) == EXIT_OK
 
+    def test_fewer_than_two_applications_exits_parse(self, training_dir, tmp_path, capsys):
+        # each application is predicted from the others
+        for name, app_ids in (("none", ()), ("one", (2,))):
+            manifest = with_apps(training_dir, tmp_path / name, app_ids)
+            capsys.readouterr()
+            assert main(["evaluate", "--training", manifest]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err == (f"error: {manifest}: evaluate needs at least 2 applications, "
+                           f"got {len(app_ids)}\n")
+        two = with_apps(training_dir, tmp_path / "two", (2, 3))
+        _require_training(load_training(two), two)
+
     def test_malformed_training_exits_parse(self, tmp_path):
         bad = tmp_path / "manifest.conf"
         bad.write_text("[training]\npower = nowhere.csv\ntime = nowhere.csv\nplatforms = nope.conf\n")
@@ -575,6 +625,37 @@ class TestManifestAndParams:
     def test_help_exits_ok(self, capsys):
         assert main(["predict", "--help"]) == EXIT_OK
         assert "--training" in capsys.readouterr().out
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        for name, (_, help_text, _) in COMMANDS.items():
+            assert re.search(rf"^    {name} +{re.escape(help_text)}$", out, re.MULTILINE)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_help_lists_exactly_its_flags(self, command, capsys):
+        assert main([command, "--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        options = out[out.index("options:"):]
+        listed = set(re.findall(r"^  (?:-h, )?(--[a-z-]+)", options, re.MULTILINE))
+        assert listed == {"--help", *COMMANDS[command][2]}
+        # the parser built for every command prints the same help
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert capsys.readouterr().out == out
+
+    def test_unknown_command_exits_parse(self, capsys):
+        assert main(["bogus", "--training", "x"]) == EXIT_PARSE
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_module_entry_point(self):
+        # `python -m heterotune` runs in a fresh process, as a shell would
+        src = os.path.dirname(os.path.dirname(heterotune.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "heterotune", "predict", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == EXIT_OK
+        assert "--training" in done.stdout
 
     def test_params_file(self, tmp_path):
         p = tmp_path / "params.conf"

@@ -1,7 +1,11 @@
+import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from heterotune.dataset import (
@@ -17,6 +21,7 @@ from heterotune.dataset import (
     select_samples,
 )
 from heterotune.errors import DataFormatError
+from heterotune.platforms import PlatformKind, PlatformSpec, enumerate_configs, save_system
 from heterotune.synthetic import SyntheticSpec, generate_system
 
 from conftest import tiny_system
@@ -149,6 +154,16 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match="time.csv:2: expected 4 cells, got 3"):
             load_training(manifest)
 
+    def test_short_row_then_long_row_rejected_at_the_short_one(self, tmp_path):
+        # together the two rows hold the right number of cells, and integer
+        # values would parse as app ids if the cells were read out of line
+        manifest = save_training(tiny_matrix(), str(tmp_path / "t"))
+        power_file = tmp_path / "t" / "power.csv"
+        header = power_file.read_text().splitlines()[0]
+        power_file.write_text(f"{header}\n1,100,100\n2,100,100,100,100\n")
+        with pytest.raises(DataFormatError, match="power.csv:2: expected 4 cells, got 3"):
+            load_training(manifest)
+
     def test_na_cell_loads_as_nan(self, tmp_path):
         m = tiny_matrix()
         manifest = save_training(m, str(tmp_path / "t"))
@@ -189,6 +204,107 @@ class TestPersistence:
         path = str(tmp_path / "apps.csv")
         save_applications(DEFAULT_APPLICATIONS, path)
         assert load_applications(path) == DEFAULT_APPLICATIONS
+
+
+def reference_grid(path, columns):
+    """A plain per-row, per-cell reading of a grid body: app ids and values,
+    or the DataFormatError naming the first bad line."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    ids, rows = [], []
+    for r, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(columns) + 1:
+            raise DataFormatError(f"{path}:{r}: expected {len(columns) + 1} cells, got {len(cells)}")
+        try:
+            ids.append(int(cells[0]))
+        except ValueError:
+            raise DataFormatError(f"{path}:{r}: bad app_id {cells[0]!r}") from None
+        row = []
+        for column, cell in zip(columns, cells[1:]):
+            if cell == "NA":
+                row.append(math.nan)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataFormatError(f"{path}:{r}: column {column!r}: bad value {cell!r}") from None
+            if not math.isfinite(value):
+                raise DataFormatError(f"{path}:{r}: column {column!r}: non-finite value")
+            row.append(value)
+        rows.append(row)
+    return ids, np.array(rows, dtype=float).reshape(len(rows), len(columns))
+
+
+# cell tokens a corruption writes over a cell, and whole-row edits
+BAD_TOKENS = ("abc", "", "nan", "inf", "-inf", "1e400", "NaN", "-NA", "1.2.3")
+ROW_EDITS = ("short", "long", "bad-id", "fractional-id", "pad")
+
+
+@st.composite
+def corrupted_grids(draw):
+    """A CPU-only system and its power and time grids as rows of cells, NA
+    at the same cells of both, then zero, one or two corruptions."""
+    cores, n_freq, ctl = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    spec = PlatformSpec("gen-cpu", PlatformKind.CPU, cores, 10.0, 20.0, ctl,
+                        (1.0, 1.5, 2.0)[:n_freq], 1.0)
+    n_cfg = cores * n_freq * ctl
+    ids = draw(st.lists(st.integers(1, 500), max_size=5, unique=True))
+    positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+    grids = {"power.csv": [], "time.csv": []}
+    for app_id in ids:
+        missing = draw(st.lists(st.booleans(), min_size=n_cfg, max_size=n_cfg))
+        for rows in grids.values():
+            values = draw(st.lists(positive, min_size=n_cfg, max_size=n_cfg))
+            rows.append([str(app_id)] + ["NA" if m else repr(v) for m, v in zip(missing, values)])
+    n_corruptions = draw(st.integers(0, 2)) if ids else 0
+    for _ in range(n_corruptions):
+        cells = grids[draw(st.sampled_from(sorted(grids)))][draw(st.integers(0, len(ids) - 1))]
+        edit = draw(st.sampled_from(BAD_TOKENS + ROW_EDITS))
+        at = draw(st.integers(1, max(len(cells) - 1, 1))) % len(cells)
+        if edit == "short":
+            cells.pop()
+        elif edit == "long":
+            cells.append("1.0")
+        elif edit == "bad-id":
+            cells[0] = "x7"
+        elif edit == "fractional-id":
+            cells[0] = "1.5"
+        elif edit == "pad":
+            cells[at] = f" {cells[at]}  "
+        else:
+            cells[at] = edit
+    return (spec,), grids
+
+
+class TestGridParseProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(corrupted_grids())
+    def test_load_matches_per_row_reference(self, case):
+        system, grids = case
+        columns = [c.config_id for c in enumerate_configs(system)]
+        with tempfile.TemporaryDirectory() as d:
+            save_system(system, os.path.join(d, "system.conf"))
+            for name, rows in grids.items():
+                with open(os.path.join(d, name), "w") as fh:
+                    fh.write("app_id," + ",".join(columns) + "\n")
+                    fh.writelines(",".join(cells) + "\n" for cells in rows)
+            manifest = os.path.join(d, "manifest.conf")
+            with open(manifest, "w") as fh:
+                fh.write("[training]\npower = power.csv\ntime = time.csv\n"
+                         "platforms = system.conf\n")
+            try:
+                ids, power = reference_grid(os.path.join(d, "power.csv"), columns)
+                _, time = reference_grid(os.path.join(d, "time.csv"), columns)
+            except DataFormatError as exc:
+                with pytest.raises(DataFormatError) as got:
+                    load_training(manifest)
+                assert str(got.value) == str(exc)
+                return
+            loaded = load_training(manifest)
+            assert [a.app_id for a in loaded.apps] == ids
+            np.testing.assert_array_equal(loaded.power, power)
+            np.testing.assert_array_equal(loaded.time, time)
 
 
 class TestSelectSamples:

@@ -19,6 +19,7 @@ from heterotune.platforms import (
     save_system,
     unify_system,
 )
+from heterotune.synthetic import PROFILES
 
 
 def make_spec(name, kind, cores, gflops, bw, ctl, freqs, workgroups=()):
@@ -212,6 +213,54 @@ class TestUnifySystemProperties:
         np.testing.assert_array_equal(unified[on_ref, 0], [configs[i].cores for i in on_ref])
         np.testing.assert_array_equal(unified[on_ref, 2], [configs[i].mem for i in on_ref])
         assert sorted(set(unified[:, 1])) == list(range(len(pairs)))
+
+
+# Two GPUs and a CPU, several frequencies each.
+TWO_GPU_SYSTEM = (
+    make_spec("cpu", PlatformKind.CPU, 4, 64.0, 40.0, 2, (1.0, 1.5, 2.0)),
+    make_spec("gpu-a", PlatformKind.GPU, 128, 500.0, 80.0, 2, (0.9, 1.2, 1.5), (1, 32, 256)),
+    make_spec("gpu-b", PlatformKind.GPU, 64, 120.0, 25.6, 1, (1.2, 1.73), (8, 64)),
+)
+SYSTEMS = {"full": PROFILES["full"].platforms, "ci": PROFILES["ci"].platforms,
+           "two-gpu": TWO_GPU_SYSTEM}
+
+
+def reference_unified(system):
+    """``unify_system``'s array, one configuration at a time."""
+    ref = next(spec for spec in system if spec.kind is PlatformKind.CPU)
+    merged = sorted((f, order) for order, spec in enumerate(system) for f in spec.frequencies)
+    rows = []
+    for order, spec in enumerate(system):
+        for cfg in spec.native_settings:
+            cores = equiv_cores(spec, ref, cfg.cores)
+            if spec.kind is PlatformKind.GPU:
+                cores = max(cores, MIN_EQUIV_CORES)
+            rows.append((cores, merged.index((cfg.freq, order)), equiv_mem(spec, ref, cfg.mem)))
+    return np.array(rows, dtype=float)
+
+
+class TestConfigurationEquivalence:
+    @staticmethod
+    def assert_ids_match_formula(system):
+        for cfg in enumerate_configs(system):
+            knob = "w" if cfg.kind is PlatformKind.GPU else "c"
+            assert cfg.config_id == f"{cfg.platform}:{knob}{cfg.cores}:f{cfg.freq!r}:m{cfg.mem}"
+            assert cfg.config_id is cfg.config_id   # formatted once
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_config_id_is_the_formula(self, name):
+        self.assert_ids_match_formula(SYSTEMS[name])
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_unified_array_equals_per_config_loop(self, name):
+        configs, unified = unify_system(SYSTEMS[name])
+        assert configs == enumerate_configs(SYSTEMS[name])
+        assert np.array_equal(unified, reference_unified(SYSTEMS[name]))
+
+    @given(cpu_gpu_systems())
+    def test_config_id_is_the_formula_on_generated_systems(self, system):
+        # TestUnifySystemProperties checks their unified rows
+        self.assert_ids_match_formula(system)
 
 
 class TestEnumerate:
