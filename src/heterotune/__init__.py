@@ -22,7 +22,6 @@ from .dataset import (
 )
 from .energy import (
     RunMeasurement,
-    power_from,
     total_energy_row,
 )
 from .errors import (

@@ -93,9 +93,4 @@ class SimulatedBackend:
         power = float(self.matrix.power[row, col])
         if math.isnan(time):
             raise BackendError(f"cell ({app_id}, {config.config_id}) is unmeasured")
-        return RunMeasurement(
-            app_id=app_id,
-            config=config,
-            mean_time=time,
-            mean_energy=power * time,
-        )
+        return RunMeasurement(app_id=app_id, config=config, mean_power=power, mean_time=time)

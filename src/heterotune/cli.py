@@ -37,7 +37,8 @@ from .dataset import (
     select_samples,
 )
 from .errors import BackendError, DataFormatError, EstimatorError
-from .estimator import EstimatorParams, feature_matrix, predict_best_config, predict_new_app
+from .energy import total_energy_row
+from .estimator import feature_matrix, predict_best_config, predict_new_app
 from .evaluation import APPROACHES, evaluate
 from .platforms import PlatformKind, load_system
 from .readers import read_lines, read_sections
@@ -47,29 +48,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_ESTIMATOR = 3
 EXIT_BACKEND = 4
-
-
-def load_params(path: str | None) -> EstimatorParams:
-    """Estimator parameters from an ``[estimator]`` key/value file."""
-    if path is None:
-        return EstimatorParams()
-    sections = read_sections(path, "params file")
-    if "estimator" not in sections:
-        raise DataFormatError(f"{path}: missing [estimator] section")
-    # each key is a field of EstimatorParams, cast to the type of its default
-    casts = {f.name: type(f.default) for f in dataclasses.fields(EstimatorParams)}
-    kwargs = {}
-    for key, value in sections["estimator"].items():
-        if key not in casts:
-            raise DataFormatError(f"{path}: unknown estimator key {key!r}")
-        try:
-            kwargs[key] = casts[key](value)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad value for {key}: {exc}") from exc
-    try:
-        return EstimatorParams(**kwargs)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _descriptor(args, configs) -> ExecutableDescriptor:
@@ -299,7 +277,6 @@ def cmd_predict(args) -> int:
     matrix = load_training(args.training)
     samples, seed = load_samples(args.sample, matrix)
     _require_training(matrix, args.training, skip_app=samples.app_id)
-    params = load_params(args.params)
     known_ids = {a.app_id for a in matrix.apps}
     if samples.app_id in known_ids:
         # The file's measurements replace the matrix's at the sampled cells;
@@ -310,9 +287,9 @@ def cmd_predict(args) -> int:
         time[row, idx] = samples.time
         matrix = dataclasses.replace(matrix, power=power, time=time)
         plan = SamplePlan(samples.app_id, samples.config_indices, seed)
-        result = predict_best_config(matrix, samples.app_id, plan, params)
+        result = predict_best_config(matrix, samples.app_id, plan)
     else:
-        result = predict_new_app(matrix, samples, params)
+        result = predict_new_app(matrix, samples)
     chosen = matrix.configs[result.chosen]
     print(f"chosen: {chosen.config_id}")
     print(f"platform: {chosen.platform}")
@@ -335,7 +312,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """Execute once at a chosen configuration and report the measurement."""
+    """Execute once at a chosen configuration and report the measurement.
+    Energy is whole-system energy, as ``predict`` estimates it, so the two
+    compare directly."""
     backend = _make_backend(args)
     configs = {cfg.config_id: cfg for cfg in backend.matrix.configs}
     if args.config not in configs:
@@ -344,11 +323,12 @@ def cmd_run(args) -> int:
     desc = _descriptor(args, [cfg])
     run_desc = dataclasses.replace(desc, env=build_environment(desc, cfg))
     meas = backend.run(run_desc, cfg)
+    energy = float(total_energy_row(meas.mean_power, meas.mean_time, backend.matrix.system))
     print(f"config: {cfg.config_id}")
     print(f"measured time: {meas.mean_time:.6f} s")
-    print(f"measured energy: {meas.mean_energy:.3f} mJ")
+    print(f"measured energy: {energy:.3f} mJ")
     if args.predicted_energy is not None:
-        delta = meas.mean_energy - args.predicted_energy
+        delta = energy - args.predicted_energy
         pct = delta / args.predicted_energy * 100.0
         print(f"predicted energy: {args.predicted_energy:.3f} mJ "
               f"(delta {delta:+.3f} mJ, {pct:+.2f}%)")
@@ -359,7 +339,6 @@ def cmd_evaluate(args) -> int:
     """Compare approaches against the brute-force oracle on a full matrix."""
     matrix = load_training(args.training)
     _require_training(matrix, args.training)
-    params = load_params(args.params)
     try:
         report = evaluate(
             matrix,
@@ -367,7 +346,6 @@ def cmd_evaluate(args) -> int:
             trials=args.trials,
             seed=args.seed or 0,
             holistic_samples=args.samples,
-            params=params,
         )
     except ValueError as exc:   # a bad approach list, or a sample count it cannot draw
         raise DataFormatError(str(exc)) from exc
@@ -415,7 +393,6 @@ FLAGS = {
                          help="comma list of distinct names (default all)"),
     "--seed": dict(type=_checked(int, lambda v: v >= 0, "a non-negative integer"),
                    default=None, help="random seed (default 0)"),
-    "--params": dict(help="estimator parameter file"),
     "--out": dict(help="output file or directory"),
     "--manifest": dict(help="run manifest supplying this command's flags as key = value"),
 }
@@ -429,13 +406,13 @@ COMMANDS = {
                _BACKEND_FLAGS + ("--cpu-cmd", "--gpu-cmd", "--samples", "--seed", "--out",
                                  "--manifest")),
     "predict": (cmd_predict, "predict the best configuration (offline)",
-                ("--training", "--sample", "--params", "--out", "--manifest")),
+                ("--training", "--sample", "--out", "--manifest")),
     "run": (cmd_run, "run once at a chosen configuration",
             _BACKEND_FLAGS + ("--cpu-cmd", "--gpu-cmd", "--config", "--predicted-energy",
                               "--seed", "--manifest")),
     "evaluate": (cmd_evaluate, "compare approaches against brute force",
-                 ("--training", "--trials", "--approaches", "--samples", "--seed",
-                  "--params", "--out", "--manifest")),
+                 ("--training", "--trials", "--approaches", "--samples", "--seed", "--out",
+                  "--manifest")),
 }
 
 

@@ -22,29 +22,20 @@ W_TO_MW = 1000.0
 
 @dataclass(frozen=True)
 class RunMeasurement:
-    """Mean measurement of one (application, configuration) point."""
+    """Mean measurement of one (application, configuration) point: the
+    active platform's dynamic power (mW) and the run duration (s), the two
+    quantities the training grids hold."""
 
     app_id: int
     config: NativeConfig
+    mean_power: float
     mean_time: float
-    mean_energy: float
 
     def __post_init__(self) -> None:
         if self.mean_time <= 0:
             raise ValueError("mean_time must be positive")
-        if self.mean_energy <= 0:
-            raise ValueError(f"non-positive power: mean_energy {self.mean_energy!r}")
-
-    @property
-    def mean_power(self) -> float:
-        return power_from(self.mean_energy, self.mean_time)
-
-
-def power_from(energy_mj: float, time_s: float) -> float:
-    """Mean power (mW) of a run measured as ``energy_mj`` over ``time_s``."""
-    if time_s <= 0:
-        raise ValueError(f"time must be positive, got {time_s}")
-    return energy_mj / time_s
+        if self.mean_power <= 0:
+            raise ValueError(f"non-positive power: mean_power {self.mean_power!r}")
 
 
 def static_power_mw(system: Sequence[PlatformSpec]) -> float:

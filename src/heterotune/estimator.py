@@ -22,14 +22,14 @@ mapped back through ``exp``.  Fitting proceeds in two stages per quantity:
 
 On the prediction path the rank K of each quantity's fit is chosen from
 the training rows by held-out-row completion error (``select_latent_dim``),
-with ``latent_dim`` as its upper bound.  Columns are z-scored with
+with ``MAX_LATENT_DIM`` as its upper bound.  Columns are z-scored with
 training-view statistics before EM and restored after; sampled cells always
 pass through to the output unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,17 +40,19 @@ from .errors import InsufficientSamplesError
 from .platforms import PlatformKind, PlatformSpec
 
 SIGMA2_FLOOR = 1e-12
+MAX_LATENT_DIM = 5   # upper bound on the rank select_latent_dim picks
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Knobs of the two-stage estimator.
+    """Settings of one fixed-rank fit by ``em_fit`` or ``complete_row``.
 
-    ``latent_dim`` is the rank K that ``em_fit`` and ``complete_row`` fit
-    at.  On the prediction path (``predict_new_app``) it is an upper bound:
-    each quantity is fitted at the rank ``select_latent_dim`` picks from
-    the training rows, which is at most ``latent_dim``.
+    ``latent_dim`` is the rank K fitted at, ``max_iters`` a safety bound on
+    EM iterations and ``tol`` the relative log-likelihood change that stops
+    them.  The prediction path takes no settings: ``predict_new_app`` fits
+    each quantity at the rank ``select_latent_dim`` picks, at most
+    ``MAX_LATENT_DIM``, with the other defaults.
     """
 
     latent_dim: int = 5
@@ -347,7 +349,10 @@ def em_fit(
         r_o = y_obs - mu[obs]
         r_o_w = r_o @ Wo
         lam_o, V_o = np.linalg.eigh(Wo.T @ Wo)
-        top = slice(K - k_obs, K)
+        # W_o can have lower rank than k_obs (it is zero when the sampled
+        # columns carry no loading, as with one training row): keep only
+        # eigenpairs that do not vanish (eigh sorts them ascending)
+        top = slice(max(K - k_obs, int(np.searchsorted(lam_o, 0.0, side="right"))), K)
         ll = _block_loglik(Dc, Dc_w, W, lam, V, s2) + _block_loglik(
             r_o[None, :], r_o_w[None, :], Wo, lam_o[top], V_o[:, top], s2
         )
@@ -495,7 +500,6 @@ def predict_best_config(
     matrix: TrainingMatrix,
     app_id: int,
     plan: SamplePlan,
-    params: EstimatorParams | None = None,
 ) -> PredictionResult:
     """End-to-end holistic prediction for one application of the matrix.
 
@@ -504,23 +508,18 @@ def predict_best_config(
     scored system are the matrix's own.
     """
     view, samples = mask_application(matrix, app_id, plan)
-    return predict_new_app(view, samples, params)
+    return predict_new_app(view, samples)
 
 
-def predict_new_app(
-    matrix: TrainingMatrix,
-    samples: SampleSet,
-    params: EstimatorParams | None = None,
-) -> PredictionResult:
+def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionResult:
     """Prediction for an application whose row is not in ``matrix``.
 
     Every training row participates: regression-initialized EM completion
     of the log power and log time rows, each at the latent rank that
-    ``select_latent_dim`` picks for it (at most ``params.latent_dim``), then
+    ``select_latent_dim`` picks for it (at most ``MAX_LATENT_DIM``), then
     whole-system energy minimization over every configuration of every
     platform.
     """
-    params = params or EstimatorParams()
     if not matrix.fully_observed:
         raise ValueError("training rows must be fully observed")
     feats = feature_matrix(matrix)
@@ -529,9 +528,9 @@ def predict_new_app(
     for quantity in ("power", "time"):
         logs = np.log(getattr(matrix, quantity))
         sampled = getattr(samples, quantity)
-        k = select_latent_dim(logs, idx, params.latent_dim)
+        k = select_latent_dim(logs, idx, MAX_LATENT_DIM)
         state, completed = complete_row(
-            logs, idx, np.log(sampled), feats, replace(params, latent_dim=k)
+            logs, idx, np.log(sampled), feats, EstimatorParams(latent_dim=k)
         )
         row = np.exp(completed)
         row[list(idx)] = sampled

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import TrainingMatrix, select_samples
 from .energy import total_energy_row
-from .estimator import EstimatorParams, PredictionResult, feature_matrix, predict_best_config
+from .estimator import PredictionResult, feature_matrix, predict_best_config
 from .platforms import PlatformKind
 
 HOLISTIC = "holistic"
@@ -54,7 +54,6 @@ def single_platform_baseline(
     platform: str,
     n_samples: int,
     seed: int,
-    params: EstimatorParams | None = None,
 ) -> tuple[int, PredictionResult]:
     """Run the estimator restricted to one platform's configurations.
 
@@ -69,7 +68,7 @@ def single_platform_baseline(
         raise ValueError(f"no configurations for platform {platform!r}")
     sub = matrix.select_configs(cols)
     plan = select_samples(sub.n_configs, n_samples, seed, target_app=app_id)
-    result = predict_best_config(sub, app_id, plan, params)
+    result = predict_best_config(sub, app_id, plan)
     return cols[result.chosen], result
 
 
@@ -149,7 +148,6 @@ def evaluate(
     trials: int = 1,
     seed: int = 0,
     holistic_samples: int = DEFAULT_HOLISTIC_SAMPLES,
-    params: EstimatorParams | None = None,
 ) -> EvaluationReport:
     """Leave-one-application-out comparison of approaches over many seeded
     trials; deterministic given (matrix, seed, trials).
@@ -205,10 +203,10 @@ def evaluate(
                     chosen = opt_idx
                 elif approach == HOLISTIC:
                     plan = select_samples(matrix.n_configs, n, int(sub_seed), app.app_id)
-                    chosen = predict_best_config(matrix, app.app_id, plan, params).chosen
+                    chosen = predict_best_config(matrix, app.app_id, plan).chosen
                 else:
                     chosen, _ = single_platform_baseline(
-                        matrix, app.app_id, platform[approach], n, int(sub_seed), params
+                        matrix, app.app_id, platform[approach], n, int(sub_seed)
                     )
                 e = float(energies[chosen])
                 records.append(

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import os
 import re
 import shutil
@@ -23,13 +24,11 @@ from heterotune.cli import (
     EXIT_PARSE,
     _require_training,
     build_parser,
-    load_params,
     main,
 )
 from heterotune.dataset import load_training, save_training
 from heterotune.errors import BackendError
-from heterotune.estimator import EstimatorParams
-from heterotune.evaluation import brute_force_best
+from heterotune.evaluation import brute_force_best, measured_energy_row
 from heterotune.platforms import NativeConfig, PlatformKind, save_system
 from heterotune.synthetic import CI_SYSTEM, PROFILES, SyntheticSpec, generate_system
 
@@ -130,6 +129,13 @@ class TestBenchmark:
             outs.append(out)
         for fname in ("power.csv", "time.csv", "system.conf", "manifest.conf"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_grids_equal_the_generated_system(self, training_dir):
+        # each cell is written as the backend measured it, bit for bit
+        m = load_training(str(training_dir / "manifest.conf"))
+        truth = generate_system(dataclasses.replace(PROFILES["ci"], seed=3)).matrix
+        np.testing.assert_array_equal(m.power, truth.power)
+        np.testing.assert_array_equal(m.time, truth.time)
 
     def test_seed_recorded_only_for_a_generated_system(self, training_dir, tmp_path):
         assert "seed" in manifest_keys(training_dir / "manifest.conf")
@@ -447,8 +453,21 @@ class TestRun:
         assert rc == EXIT_OK
         printed = capsys.readouterr().out
         assert f"config: {cfg.config_id}" in printed
-        expected = matrix.power[0, 0] * matrix.time[0, 0]
-        assert f"{expected:.3f}" in printed
+        # whole-system energy, static draw included, as predict estimates it
+        expected = measured_energy_row(matrix, 1)[0]
+        assert f"measured energy: {expected:.3f} mJ\n" in printed
+
+    def test_measured_whole_system_energy_as_prediction_has_zero_delta(self, training_dir,
+                                                                        capsys):
+        manifest = str(training_dir / "manifest.conf")
+        matrix = load_training(manifest)
+        j = next(j for j, c in enumerate(matrix.configs) if c.kind is PlatformKind.GPU)
+        energy = measured_energy_row(matrix, 2)[j]
+        rc = main(["run", "--backend-data", manifest, "--config", matrix.configs[j].config_id,
+                   "--cpu-cmd", "app:2", "--gpu-cmd", "app:2",
+                   "--predicted-energy", repr(float(energy))])
+        assert rc == EXIT_OK
+        assert "(delta +0.000 mJ, +0.00%)" in capsys.readouterr().out
 
     def test_unknown_config_rejected(self, training_dir):
         rc = main([
@@ -521,27 +540,12 @@ class TestEvaluateCommand:
         assert (out / "report.csv").exists()
         assert (out / "gap_by_app.csv").exists()
 
-    def test_params_file_reaches_evaluate(self, training_dir, tmp_path, monkeypatch):
-        seen = {}
-
-        class Report:
-            def summary_text(self):
-                return ""
-
-        def fake_evaluate(matrix, **kwargs):
-            seen.update(kwargs)
-            return Report()
-
-        monkeypatch.setattr("heterotune.cli.evaluate", fake_evaluate)
-        argv = ["evaluate", "--training", str(training_dir / "manifest.conf"), "--params"]
-        bad = tmp_path / "bad.conf"
-        bad.write_text("[estimator]\nwhatever = 3\n")
-        assert main(argv + [str(bad)]) == EXIT_PARSE
-        assert not seen
-        good = tmp_path / "good.conf"
-        good.write_text("[estimator]\nlatent_dim = 3\n")
-        assert main(argv + [str(good)]) == EXIT_OK
-        assert seen["params"] == EstimatorParams(latent_dim=3)
+    def test_two_applications(self, training_dir, tmp_path, capsys):
+        # each held-out fit has one training row; pytest turns any numpy
+        # warning of the estimator into an error
+        manifest = with_apps(training_dir, tmp_path / "two", (1, 2))
+        assert main(["evaluate", "--training", manifest, "--seed", "0"]) == EXIT_OK
+        assert "holistic" in capsys.readouterr().out
 
     def test_unmeasured_training_cell_exits_parse(self, training_dir, tmp_path, capsys):
         matrix = load_training(str(training_dir / "manifest.conf"))
@@ -644,6 +648,14 @@ class TestManifestAndParams:
             build_parser().parse_args([command, "--help"])
         assert capsys.readouterr().out == out
 
+    def test_readme_flag_table_matches_the_commands(self):
+        # a flag added or deleted in the CLI must be added or deleted there too
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            rows = re.findall(r"^\| `([a-z]+)` \| `(--[a-z -]+)` \|$", fh.read(), re.MULTILINE)
+        assert {name: tuple(flags.split()) for name, flags in rows} == {
+            name: flags for name, (_, _, flags) in COMMANDS.items()}
+
     def test_unknown_command_exits_parse(self, capsys):
         assert main(["bogus", "--training", "x"]) == EXIT_PARSE
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
@@ -657,24 +669,20 @@ class TestManifestAndParams:
         assert done.returncode == EXIT_OK
         assert "--training" in done.stdout
 
-    def test_params_file(self, tmp_path):
-        p = tmp_path / "params.conf"
-        p.write_text("[estimator]\nlatent_dim = 3\nmax_iters = 100\ntol = 1e-4\n")
-        params = load_params(str(p))
-        assert params == EstimatorParams(latent_dim=3, max_iters=100, tol=1e-4)
-        assert isinstance(params.max_iters, int) and isinstance(params.tol, float)
-
-    def test_bad_params_key_rejected(self, tmp_path):
-        # min_samples, log_time and ridge were estimator keys once; a file
-        # that still sets one is rejected rather than silently obeyed or dropped
-        from heterotune.errors import DataFormatError
-
-        p = tmp_path / "params.conf"
-        for line in ("whatever = 3", "min_samples = 3", "log_time = false", "ridge = 1e-8"):
-            p.write_text(f"[estimator]\n{line}\n")
-            with pytest.raises(DataFormatError, match="unknown estimator key"):
-                load_params(str(p))
-
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_params_flag_rejected(self, training_dir, tmp_path, capsys, command):
+        # the prediction path takes no settings; an old --params flag or
+        # params key is an unknown flag, not silently ignored
+        params = tmp_path / "params.conf"
+        params.write_text("[estimator]\nlatent_dim = 3\n")
+        run_manifest = tmp_path / "run.conf"
+        run_manifest.write_text(f"params = {params}\n")
+        argv = [command, "--training", str(training_dir / "manifest.conf")]
+        if command == "predict":
+            argv += ["--sample", str(tmp_path / "s.csv")]
+        for extra in (["--params", str(params)], ["--manifest", str(run_manifest)]):
+            assert main(argv + extra) == EXIT_PARSE
+            assert "unrecognized arguments: --params" in capsys.readouterr().err
 
 OUT_OF_RANGE = [
     ("evaluate", ["--trials", "0"]),

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from heterotune.energy import (
     RunMeasurement,
-    power_from,
     static_power_mw,
     total_energy_row,
 )
@@ -16,24 +14,6 @@ from conftest import tiny_system
 def one_run(system, dynamic_mj, duration_s):
     """Whole-system energy of a single run given its dynamic energy."""
     return float(total_energy_row([dynamic_mj / duration_s], [duration_s], system)[0])
-
-
-class TestPowerFrom:
-    def test_arithmetic(self):
-        assert power_from(1000, 2) == 500
-
-    def test_zero_energy(self):
-        assert power_from(0, 5) == 0
-
-    @given(st.floats(1e-6, 1e9), st.floats(1e-6, 1e6))
-    def test_round_trip(self, energy, time):
-        assert power_from(energy, time) * time == pytest.approx(energy, rel=1e-12)
-
-    def test_non_positive_time_rejected(self):
-        with pytest.raises(ValueError):
-            power_from(10, 0)
-        with pytest.raises(ValueError):
-            power_from(10, -1)
 
 
 class TestStaticEnergy:
@@ -119,13 +99,13 @@ class TestTotalEnergyRow:
 class TestRunMeasurement:
     def test_mean_power(self):
         cfg = NativeConfig("tiny-cpu", PlatformKind.CPU, 1, 1.0, 1)
-        m = RunMeasurement(app_id=1, config=cfg, mean_time=2.0, mean_energy=1000.0)
-        assert m.mean_power == 500.0
+        m = RunMeasurement(app_id=1, config=cfg, mean_power=0.1 + 0.2, mean_time=3.0)
+        assert m.mean_power == 0.1 + 0.2
 
     def test_validation(self):
         cfg = NativeConfig("tiny-cpu", PlatformKind.CPU, 1, 1.0, 1)
         with pytest.raises(ValueError):
-            RunMeasurement(1, cfg, mean_time=0.0, mean_energy=1.0)
-        for energy in (-1.0, 0.0):
+            RunMeasurement(1, cfg, mean_power=1.0, mean_time=0.0)
+        for power in (-1.0, 0.0):
             with pytest.raises(ValueError, match="non-positive power"):
-                RunMeasurement(1, cfg, mean_time=1.0, mean_energy=energy)
+                RunMeasurement(1, cfg, mean_power=power, mean_time=1.0)

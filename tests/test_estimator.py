@@ -255,18 +255,20 @@ class TestEmFit:
         assert np.all(np.diff(state.ll_history) >= -1e-9)
 
     @settings(max_examples=30, deadline=None)
-    @given(noise_sd=st.one_of(st.just(0.0), st.floats(0.0, 0.1)), rank=st.integers(1, 4),
-           latent_dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+    @given(n_apps=st.integers(2, 6), noise_sd=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+           rank=st.integers(1, 4), latent_dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
            app_index=st.integers(0, 5), plan_seed=st.integers(0, 2**32 - 1))
-    def test_loglik_monotone_over_generated_systems(self, noise_sd, rank, latent_dim, seed,
-                                                    app_index, plan_seed):
+    def test_loglik_monotone_over_generated_systems(self, n_apps, noise_sd, rank, latent_dim,
+                                                    seed, app_index, plan_seed):
         # noiseless draws floor sigma^2 and latent_dim above the planted rank
         # leaves latent directions the data barely support: the two places
-        # where the latent covariance folded into W is closest to singular
-        spec = SyntheticSpec(n_apps=6, platforms=CI_SYSTEM, rank=rank, noise_sd=noise_sd,
-                             seed=seed)
+        # where the latent covariance folded into W is closest to singular.
+        # Two applications leave one training row, where the sampled columns
+        # can carry no loading at all.
+        spec = SyntheticSpec(n_apps=n_apps, platforms=CI_SYSTEM, rank=min(rank, n_apps),
+                             noise_sd=noise_sd, seed=seed)
         m = generate_system(spec).matrix
-        app = m.apps[app_index].app_id
+        app = m.apps[app_index % n_apps].app_id
         view, samples = mask_application(m, app, select_samples(m.n_configs, 15, plan_seed, app))
         for quantity in ("power", "time"):
             state, _ = complete_row(np.log(getattr(view, quantity)), samples.config_indices,

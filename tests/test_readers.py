@@ -24,7 +24,6 @@ READERS = {
     "read_grid": lambda path, m: dataset._read_grid(path, m.configs),
     "load_applications": lambda path, m: dataset.load_applications(path),
     "load_samples": lambda path, m: cli.load_samples(path, m),
-    "load_params": lambda path, m: cli.load_params(path),
     "run_manifest": lambda path, m: cli._splice_manifest(["predict", "--manifest", path]),
 }
 
@@ -33,7 +32,6 @@ READERS = {
 MALFORMED = {
     "load_system": "[platform p]\nkind = cpu\nthis line has no separator\n",
     "load_training": "[training]\npower = power.csv\nthis line has no separator\n",
-    "load_params": "[estimator]\nlatent_dim = 3\nthis line has no separator\n",
     "run_manifest": "samples = 20\nthis line has no separator\n",
 }
 
