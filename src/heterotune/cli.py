@@ -39,7 +39,7 @@ from .dataset import (
 from .errors import BackendError, DataFormatError, EstimatorError
 from .energy import total_energy_row
 from .estimator import feature_matrix, predict_best_config, predict_new_app
-from .evaluation import APPROACHES, evaluate
+from .evaluation import APPROACHES, DEFAULT_HOLISTIC_SAMPLES, HOLISTIC, evaluate
 from .platforms import PlatformKind, load_system
 from .readers import read_lines, read_sections
 from .synthetic import PROFILES
@@ -60,6 +60,12 @@ def _descriptor(args, configs) -> ExecutableDescriptor:
             raise DataFormatError(f"configuration {cfg.config_id} needs --{cfg.kind.value}-cmd")
         commands[cfg.platform] = command
     return ExecutableDescriptor(commands=commands)
+
+
+def _run(backend: SimulatedBackend, desc: ExecutableDescriptor, cfg):
+    """Run ``desc`` once at ``cfg`` in that configuration's environment
+    (a GPU configuration's workgroup size)."""
+    return backend.run(ExecutableDescriptor(desc.commands, build_environment(desc, cfg)), cfg)
 
 
 def _make_backend(args, apps=None) -> SimulatedBackend:
@@ -133,7 +139,7 @@ def cmd_benchmark(args) -> int:
         )
         for j, cfg in enumerate(configs):
             try:
-                meas = backend.run(desc, cfg)
+                meas = _run(backend, desc, cfg)
             except BackendError:
                 failures += 1
                 continue
@@ -219,18 +225,17 @@ def cmd_sample(args) -> int:
     _require_out(args)
     backend = _make_backend(args)
     configs = backend.matrix.configs
+    n = args.samples or DEFAULT_HOLISTIC_SAMPLES
     minimum = feature_matrix(backend.matrix).shape[1]
-    if not minimum <= args.samples <= len(configs):
-        raise DataFormatError(f"--samples {args.samples} must lie between the estimator "
+    if not minimum <= n <= len(configs):
+        raise DataFormatError(f"--samples {n} must lie between the estimator "
                               f"minimum {minimum} and the {len(configs)} configurations")
     seed = args.seed or 0
-    plan = select_samples(len(configs), args.samples, seed)
+    plan = select_samples(len(configs), n, seed)
     desc = _descriptor(args, [configs[j] for j in plan.sample_configs])
     power, time, app_ids = [], [], set()
     for j in plan.sample_configs:
-        cfg = configs[j]
-        run_desc = dataclasses.replace(desc, env=build_environment(desc, cfg))
-        meas = backend.run(run_desc, cfg)
+        meas = _run(backend, desc, configs[j])
         app_ids.add(meas.app_id)
         power.append(meas.mean_power)
         time.append(meas.mean_time)
@@ -320,9 +325,7 @@ def cmd_run(args) -> int:
     if args.config not in configs:
         raise DataFormatError(f"unknown configuration {args.config!r}")
     cfg = configs[args.config]
-    desc = _descriptor(args, [cfg])
-    run_desc = dataclasses.replace(desc, env=build_environment(desc, cfg))
-    meas = backend.run(run_desc, cfg)
+    meas = _run(backend, _descriptor(args, [cfg]), cfg)
     energy = float(total_energy_row(meas.mean_power, meas.mean_time, backend.matrix.system))
     print(f"config: {cfg.config_id}")
     print(f"measured time: {meas.mean_time:.6f} s")
@@ -337,15 +340,19 @@ def cmd_run(args) -> int:
 
 def cmd_evaluate(args) -> int:
     """Compare approaches against the brute-force oracle on a full matrix."""
+    approaches = args.approaches.split(",")
+    if args.samples is not None and HOLISTIC not in approaches:
+        raise DataFormatError(f"--samples sets the {HOLISTIC} budget and cannot take effect "
+                              f"without {HOLISTIC} in --approaches")
     matrix = load_training(args.training)
     _require_training(matrix, args.training)
     try:
         report = evaluate(
             matrix,
-            approaches=args.approaches.split(","),
+            approaches=approaches,
             trials=args.trials,
             seed=args.seed or 0,
-            holistic_samples=args.samples,
+            holistic_samples=args.samples or DEFAULT_HOLISTIC_SAMPLES,
         )
     except ValueError as exc:   # a bad approach list, or a sample count it cannot draw
         raise DataFormatError(str(exc)) from exc
@@ -387,7 +394,8 @@ FLAGS = {
     "--config": dict(required=True, help="configuration id"),
     "--predicted-energy": dict(type=_checked(float, lambda v: np.isfinite(v) and v > 0,
                                              "finite and > 0"), default=None),
-    "--samples": dict(type=_POSITIVE_INT, default=15, help="sample count (default 15)"),
+    "--samples": dict(type=_POSITIVE_INT, default=None,
+                      help=f"sample count (default {DEFAULT_HOLISTIC_SAMPLES})"),
     "--trials": dict(type=_POSITIVE_INT, default=1),
     "--approaches": dict(default=",".join(APPROACHES),
                          help="comma list of distinct names (default all)"),

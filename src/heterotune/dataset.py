@@ -404,15 +404,18 @@ def load_applications(path: str) -> tuple[ApplicationMeta, ...]:
     lines = read_lines(path, "apps file")
     if not lines or lines[0] != "app_id,benchmark,input,dwarf,perf_limit":
         raise DataFormatError(f"{path}: bad or missing header")
-    apps = []
+    apps, line_of = [], {}
     for r, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != 5:
             raise DataFormatError(f"{path}:{r}: expected 5 cells")
         try:
-            apps.append(
-                ApplicationMeta(int(cells[0]), cells[1], cells[2], cells[3], PerfLimit(cells[4]))
-            )
+            app = ApplicationMeta(int(cells[0]), cells[1], cells[2], cells[3], PerfLimit(cells[4]))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{r}: {exc}") from exc
+        if app.app_id in line_of:
+            raise DataFormatError(f"{path}:{r}: app_id {app.app_id} repeats line "
+                                  f"{line_of[app.app_id]}")
+        line_of[app.app_id] = r
+        apps.append(app)
     return tuple(apps)

@@ -26,7 +26,6 @@ GPU_ONLY = "gpu-only"
 BRUTE_FORCE = "brute-force"
 
 APPROACHES = (HOLISTIC, CPU_ONLY, GPU_ONLY, BRUTE_FORCE)
-_APPROACH_CODE = {name: i for i, name in enumerate(APPROACHES)}
 
 DEFAULT_HOLISTIC_SAMPLES = 15
 CPU_SAMPLES = 15   # sampling runs of the CPU-only baseline
@@ -61,11 +60,9 @@ def single_platform_baseline(
     uses the single-predictor basis (see ``feature_matrix``).  Returns the
     chosen configuration as an index into the full matrix.
     """
-    if platform not in {spec.name for spec in matrix.system}:
-        raise ValueError(f"platform {platform!r} not in system")
     cols = matrix.platform_config_indices(platform)
     if not cols:
-        raise ValueError(f"no configurations for platform {platform!r}")
+        raise ValueError(f"no configurations for platform {platform!r} in the system")
     sub = matrix.select_configs(cols)
     plan = select_samples(sub.n_configs, n_samples, seed, target_app=app_id)
     result = predict_best_config(sub, app_id, plan)
@@ -86,36 +83,37 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Per-(app, trial, approach) selections plus aggregate gap statistics."""
+    """Per-(app, trial, approach) selections; the summary derives from them."""
 
     records: tuple[TrialRecord, ...]
-    aggregates: dict[str, dict[str, float]]
-    sample_counts: dict[str, int]
-    saving_fraction: float
     trials: int
     seed: int
+
+    # the share of the single-platform pair's sampling runs (15 + 3) that a
+    # 15-run holistic pick saves: run-count arithmetic, not a measurement
+    saving_fraction = GPU_SAMPLES / (CPU_SAMPLES + GPU_SAMPLES)
 
     def gaps(self, approach: str) -> np.ndarray:
         return np.array([r.gap_pct for r in self.records if r.approach == approach])
 
     def summary_text(self) -> str:
+        """One row per approach, in record order, with each approach's gap
+        statistics; the saving line when both baselines were run."""
+        samples = {r.approach: r.n_samples for r in self.records}
         lines = [
             f"trials={self.trials} seed={self.seed}",
             f"{'approach':<14}{'samples':>8}{'mean gap %':>12}{'median %':>10}{'p90 %':>8}",
         ]
-        for name, agg in self.aggregates.items():
+        for name, n in samples.items():
+            gaps = self.gaps(name)
             lines.append(
-                f"{name:<14}{self.sample_counts.get(name, 0):>8}"
-                f"{agg['mean']:>12.2f}{agg['median']:>10.2f}{agg['p90']:>8.2f}"
+                f"{name:<14}{n:>8}"
+                f"{gaps.mean():>12.2f}{np.median(gaps):>10.2f}{np.percentile(gaps, 90):>8.2f}"
             )
-        cpu_n = self.sample_counts.get(CPU_ONLY, 0)
-        gpu_n = self.sample_counts.get(GPU_ONLY, 0)
-        if cpu_n and gpu_n:
-            lines.append(
-                f"sampling-run saving vs single-platform pair: "
-                f"{round(self.saving_fraction * 100):.0f}% "
-                f"({gpu_n}/{cpu_n + gpu_n})"
-            )
+        if CPU_ONLY in samples and GPU_ONLY in samples:
+            gpu_n, pair = samples[GPU_ONLY], samples[CPU_ONLY] + samples[GPU_ONLY]
+            lines.append(f"sampling-run saving vs single-platform pair: "
+                         f"{round(gpu_n / pair * 100):.0f}% ({gpu_n}/{pair})")
         return "\n".join(lines)
 
     def write(self, out_dir: str) -> None:
@@ -166,22 +164,22 @@ def evaluate(
         raise ValueError(f"an approach is listed twice in {list(approaches)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cpu_name = next(s.name for s in matrix.system if s.kind is PlatformKind.CPU)
-    gpu_names = [s.name for s in matrix.system if s.kind is PlatformKind.GPU]
-    sample_counts = {
-        HOLISTIC: holistic_samples,
-        CPU_ONLY: CPU_SAMPLES,
-        GPU_ONLY: GPU_SAMPLES,
-        BRUTE_FORCE: 0,
-    }
-    if GPU_ONLY in approaches and not gpu_names:
+    cpu = next(s.name for s in matrix.system if s.kind is PlatformKind.CPU)
+    gpu = next((s.name for s in matrix.system if s.kind is PlatformKind.GPU), None)
+    if GPU_ONLY in approaches and gpu is None:
         raise ValueError(f"{GPU_ONLY} needs a GPU platform in the system")
-    platform = {CPU_ONLY: cpu_name, GPU_ONLY: gpu_names[0] if gpu_names else None}
+    # Each approach once: the platform its samples are drawn on (None: all
+    # of them) and how many samples it takes.
+    draws = {
+        HOLISTIC: (None, holistic_samples),
+        CPU_ONLY: (cpu, CPU_SAMPLES),
+        GPU_ONLY: (gpu, GPU_SAMPLES),
+        BRUTE_FORCE: (None, 0),
+    }
     for approach in [a for a in approaches if a != BRUTE_FORCE]:
-        n = sample_counts[approach]
-        pool = matrix
-        if approach in platform:
-            pool = matrix.select_configs(matrix.platform_config_indices(platform[approach]))
+        platform, n = draws[approach]
+        pool = (matrix if platform is None
+                else matrix.select_configs(matrix.platform_config_indices(platform)))
         minimum = feature_matrix(pool).shape[1]
         if not minimum <= n <= pool.n_configs:
             raise ValueError(f"{approach}: {n} samples must lie between the estimator minimum "
@@ -195,19 +193,17 @@ def evaluate(
             opt_idx = int(np.argmin(energies))   # the brute-force pick
             opt_energy = float(energies[opt_idx])
             for approach in approaches:
-                sub_seed = np.random.SeedSequence(
-                    [seed, trial, a_idx, _APPROACH_CODE[approach]]
-                ).generate_state(1)[0]
-                n = sample_counts[approach]
+                sub_seed = int(np.random.SeedSequence(
+                    [seed, trial, a_idx, APPROACHES.index(approach)]
+                ).generate_state(1)[0])
+                platform, n = draws[approach]
                 if approach == BRUTE_FORCE:
                     chosen = opt_idx
-                elif approach == HOLISTIC:
-                    plan = select_samples(matrix.n_configs, n, int(sub_seed), app.app_id)
+                elif platform is None:
+                    plan = select_samples(matrix.n_configs, n, sub_seed, app.app_id)
                     chosen = predict_best_config(matrix, app.app_id, plan).chosen
                 else:
-                    chosen, _ = single_platform_baseline(
-                        matrix, app.app_id, platform[approach], n, int(sub_seed)
-                    )
+                    chosen, _ = single_platform_baseline(matrix, app.app_id, platform, n, sub_seed)
                 e = float(energies[chosen])
                 records.append(
                     TrialRecord(
@@ -221,21 +217,4 @@ def evaluate(
                         n_samples=n,
                     )
                 )
-
-    aggregates = {}
-    for approach in approaches:
-        gaps = np.array([r.gap_pct for r in records if r.approach == approach])
-        aggregates[approach] = {
-            "mean": float(gaps.mean()),
-            "median": float(np.median(gaps)),
-            "p90": float(np.percentile(gaps, 90)),
-        }
-    saving = GPU_SAMPLES / (CPU_SAMPLES + GPU_SAMPLES)
-    return EvaluationReport(
-        records=tuple(records),
-        aggregates=aggregates,
-        sample_counts={k: v for k, v in sample_counts.items() if k in approaches},
-        saving_fraction=saving,
-        trials=trials,
-        seed=seed,
-    )
+    return EvaluationReport(records=tuple(records), trials=trials, seed=seed)

@@ -179,6 +179,42 @@ class TestBenchmark:
         assert calls["n"] == 0
         assert not out.exists()
 
+    def test_repeated_catalog_id_rejected_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # ids 1, 1, 2 used to measure every cell and then fail building the matrix
+        from heterotune.dataset import DEFAULT_APPLICATIONS, save_applications
+
+        apps_file = tmp_path / "apps.csv"
+        first, second = DEFAULT_APPLICATIONS[:2]
+        save_applications([first, first, second], str(apps_file))
+        calls = count_runs(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["benchmark", "--profile", "ci", "--apps", str(apps_file),
+                     "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{apps_file}:3: app_id 1 repeats line 2" in err
+        assert "Traceback" not in err
+        assert calls["n"] == 0
+        assert not out.exists()
+
+    def test_gpu_configs_run_with_workgroup_env(self, tmp_path, monkeypatch):
+        # as for sample and run, each GPU run carries its workgroup size
+        seen = []
+        orig = SimulatedBackend.run
+
+        def recording(self, descriptor, config):
+            seen.append((config, dict(descriptor.env)))
+            return orig(self, descriptor, config)
+
+        monkeypatch.setattr(SimulatedBackend, "run", recording)
+        assert main(["benchmark", "--profile", "ci", "--out", str(tmp_path / "b")]) == EXIT_OK
+        profile = PROFILES["ci"]
+        assert len(seen) == profile.n_apps * sum(len(p.native_settings) for p in profile.platforms)
+        gpu = [(cfg, env) for cfg, env in seen if cfg.kind is PlatformKind.GPU]
+        assert gpu and all(env == {WORKGROUP_ENV_VAR: str(cfg.workgroup_size)}
+                           for cfg, env in gpu)
+        assert not any(WORKGROUP_ENV_VAR in env for cfg, env in seen
+                       if cfg.kind is PlatformKind.CPU)
+
     @pytest.mark.parametrize("backing, ids, unknown", [
         (False, (5, 9), "[5, 9]"),
         (True, (5, 9), "[9]"),
@@ -539,6 +575,30 @@ class TestEvaluateCommand:
         assert "17%" in printed
         assert (out / "report.csv").exists()
         assert (out / "gap_by_app.csv").exists()
+
+    @pytest.mark.parametrize("source", ["argv", "manifest"])
+    def test_samples_without_holistic_rejected(self, training_dir, tmp_path, capsys, source):
+        # --samples sets only the holistic budget; the baselines' counts are fixed
+        argv = ["evaluate", "--training", str(training_dir / "manifest.conf"),
+                "--approaches", "cpu-only"]
+        if source == "argv":
+            argv += ["--samples", "3"]
+        else:
+            run_conf = tmp_path / "run.conf"
+            run_conf.write_text("samples = 3\n")
+            argv += ["--manifest", str(run_conf)]
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--samples sets the holistic budget" in err
+        assert main(argv[:-2] + ["--approaches", "cpu-only,holistic", *argv[-2:]]) == EXIT_PARSE
+        assert "holistic: 3 samples must lie between" in capsys.readouterr().err
+
+    def test_holistic_budget_defaults_to_fifteen(self, training_dir, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--training", str(training_dir / "manifest.conf"),
+                     "--approaches", "holistic,cpu-only", "--out", str(out)]) == EXIT_OK
+        rows = [row.split(",") for row in (out / "report.csv").read_text().splitlines()[1:]]
+        assert {row[-1] for row in rows if row[2] == "holistic"} == {"15"}
 
     def test_two_applications(self, training_dir, tmp_path, capsys):
         # each held-out fit has one training row; pytest turns any numpy

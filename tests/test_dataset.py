@@ -205,6 +205,14 @@ class TestPersistence:
         save_applications(DEFAULT_APPLICATIONS, path)
         assert load_applications(path) == DEFAULT_APPLICATIONS
 
+    def test_repeated_app_id_rejected(self, tmp_path):
+        # one id names one application; load_training used to keep the last
+        path = tmp_path / "apps.csv"
+        save_applications([DEFAULT_APPLICATIONS[0], DEFAULT_APPLICATIONS[0],
+                           DEFAULT_APPLICATIONS[1]], str(path))
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: app_id 1 repeats line 2")):
+            load_applications(str(path))
+
 
 def reference_grid(path, columns):
     """A plain per-row, per-cell reading of a grid body: app ids and values,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from heterotune.energy import static_power_mw
 from heterotune.evaluation import (
     BRUTE_FORCE,
     CPU_ONLY,
+    CPU_SAMPLES,
     GPU_ONLY,
+    GPU_SAMPLES,
     HOLISTIC,
     brute_force_best,
     evaluate,
@@ -163,6 +167,34 @@ class TestEvaluate:
         assert len(text) == 1 + len(report.records)
         gaps = (tmp_path / "gap_by_app.csv").read_text().splitlines()
         assert gaps[0] == "app_id,holistic,cpu-only,gpu-only,brute-force"
+
+    def test_report_keeps_only_its_records(self, report):
+        # the summary and the saving line are computed from the records
+        assert [f.name for f in dataclasses.fields(report)] == ["records", "trials", "seed"]
+        assert report.saving_fraction == GPU_SAMPLES / (CPU_SAMPLES + GPU_SAMPLES)
+
+    @pytest.mark.parametrize("approaches", [
+        (HOLISTIC, CPU_ONLY, GPU_ONLY, BRUTE_FORCE),
+        (GPU_ONLY, HOLISTIC),
+        (CPU_ONLY, BRUTE_FORCE),
+        (BRUTE_FORCE,),
+    ], ids=["all", "gpu-only,holistic", "cpu-only,brute-force", "brute-force"])
+    def test_summary_derived_from_records(self, ci_system, approaches):
+        report = evaluate(ci_system.matrix, approaches=approaches, seed=3)
+        lines = report.summary_text().splitlines()
+        assert lines[0] == "trials=1 seed=3"
+        rows = lines[2:2 + len(approaches)]
+        assert [row.split()[0] for row in rows] == list(approaches)
+        for row, name in zip(rows, approaches):
+            gaps = report.gaps(name)
+            (n,) = {r.n_samples for r in report.records if r.approach == name}
+            stats = (gaps.mean(), np.median(gaps), np.percentile(gaps, 90))
+            assert row.split()[1:] == [str(n), *(f"{v:.2f}" for v in stats)]
+        saving = lines[2 + len(approaches):]
+        if CPU_ONLY in approaches and GPU_ONLY in approaches:
+            assert saving == ["sampling-run saving vs single-platform pair: 17% (3/18)"]
+        else:
+            assert saving == []
 
     def test_partial_matrix_rejected(self):
         power = np.array([[10.0, np.nan, 20.0]])
