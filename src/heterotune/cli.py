@@ -171,7 +171,7 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
     """Read a sample file back; returns the sample set and its seed."""
     meta = {}
     body = []
-    for ln in read_lines(path, "sample file"):
+    for _, ln in read_lines(path, "sample file"):
         if ln.startswith("#"):
             try:
                 key, value = ln[1:].split("=", 1)

@@ -269,11 +269,12 @@ def _write_grid(path: str, apps: Sequence[ApplicationMeta], configs: Sequence[Na
             fh.write(str(app.app_id) + "," + ",".join(cells) + "\n")
 
 
-def _grid_error(path: str, rows: Sequence[str], columns: Sequence[str]) -> DataFormatError:
-    """The error naming the first bad line of a grid body in file order: a
-    wrong cell count, a bad app id, or a cell that is neither ``NA`` nor a
-    finite number."""
-    for r, line in enumerate(rows, start=2):
+def _grid_error(path: str, rows: Sequence[tuple[int, str]],
+                columns: Sequence[str]) -> DataFormatError:
+    """The error naming the first bad line of a grid body, given as (file
+    line number, line) pairs in file order: a wrong cell count, a bad app
+    id, or a cell that is neither ``NA`` nor a finite number."""
+    for r, line in rows:
         cells = line.split(",")
         if len(cells) != len(columns) + 1:
             return DataFormatError(f"{path}:{r}: expected {len(columns) + 1} cells, got {len(cells)}")
@@ -302,7 +303,7 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
     lines = read_lines(path, "grid")
     if not lines:
         raise DataFormatError(f"{path}: empty grid file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[0] != "app_id":
         raise DataFormatError(f"{path}: header must start with 'app_id'")
     expected = [c.config_id for c in expect_configs]
@@ -311,7 +312,7 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
             f"{path}: config columns do not match the platform file "
             f"(got {len(header) - 1} columns, expected {len(expected)})"
         )
-    body, width = lines[1:], len(expected) + 1
+    body, width = [line for _, line in lines[1:]], len(expected) + 1
     try:
         if any(line.count(",") != width - 1 for line in body):
             raise ValueError("wrong cell count")
@@ -325,7 +326,7 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
         if np.isfinite(values).sum() + n_missing != values.size:
             raise ValueError("non-finite value")
     except ValueError:
-        raise _grid_error(path, body, expected) from None
+        raise _grid_error(path, lines[1:], expected) from None
     return app_ids, values
 
 
@@ -402,10 +403,10 @@ def save_applications(apps: Sequence[ApplicationMeta], path: str) -> None:
 
 def load_applications(path: str) -> tuple[ApplicationMeta, ...]:
     lines = read_lines(path, "apps file")
-    if not lines or lines[0] != "app_id,benchmark,input,dwarf,perf_limit":
+    if not lines or lines[0][1] != "app_id,benchmark,input,dwarf,perf_limit":
         raise DataFormatError(f"{path}: bad or missing header")
     apps, line_of = [], {}
-    for r, line in enumerate(lines[1:], start=2):
+    for r, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 5:
             raise DataFormatError(f"{path}:{r}: expected 5 cells")

@@ -16,9 +16,11 @@ mapped back through ``exp``.  Fitting proceeds in two stages per quantity:
    sigma^2 over the training rows plus the target row, with the latent
    vectors as the only missing data: the target row enters through its
    sampled cells alone, and its unsampled cells are never imputed.
-   Parameters are initialized from the stage-1 completion, and the E-step
-   conditions the target's latent vector on its sampled cells only, so
-   exact low-rank structure is recovered exactly.
+   Parameters are initialized from the stage-1 completion: the PPCA fit of
+   the training rows stacked with that row's projection onto their
+   principal subspace, computed in the coordinates of the training rows'
+   own span.  The E-step conditions the target's latent vector on its
+   sampled cells only, so exact low-rank structure is recovered exactly.
 
 On the prediction path the rank K of each quantity's fit is chosen from
 the training rows by held-out-row completion error (``select_latent_dim``),
@@ -164,6 +166,18 @@ def _zscore(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (rows - col_mean) / col_scale, col_mean, col_scale
 
 
+def _row_space(centred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (D, r) of the span of centred rows, from the thin QR
+    of their transpose, and the rows' coordinates in it (n, r).
+
+    The rows sum to zero, so all but the last of them span that space
+    (r = min(D, n - 1)); a single row, zero once centred, gets a basis of
+    one column.
+    """
+    basis, _ = np.linalg.qr((centred[:-1] if centred.shape[0] > 1 else centred).T)
+    return basis, centred @ basis
+
+
 def held_out_errors(Ys: np.ndarray, observed_idx: Sequence[int], k_max: int) -> np.ndarray:
     """Held-out-row completion error of the PPCA model at each rank.
 
@@ -175,9 +189,10 @@ def held_out_errors(Ys: np.ndarray, observed_idx: Sequence[int], k_max: int) -> 
     the latent vector given the observed cells.
 
     Every held-out fit lives in the row space of the centred rows, so all
-    of it runs in one orthonormal basis of that space: the scatter of the
-    other rows is the full scatter minus n/(n-1) times row i's share, one
-    batched (n-1)-square eigendecomposition gives every fit, and one batched
+    of it runs in the orthonormal basis of that space that ``em_fit``'s
+    initial fit also uses (``_row_space``): the scatter of the other rows
+    is the full scatter minus n/(n-1) times row i's share, one batched
+    (n-1)-square eigendecomposition gives every fit, and one batched
     K x K solve every completion.  Residuals are formed as vectors
     in that basis and squared under the Gram matrix of the unsampled cells
     alone: expanding them into Gram entries of the rows, or taking the
@@ -190,9 +205,7 @@ def held_out_errors(Ys: np.ndarray, observed_idx: Sequence[int], k_max: int) -> 
     obs[np.asarray(observed_idx, dtype=int)] = True
     shrink = n / (n - 1)
     centred = Ys - Ys.mean(axis=0)
-    # The centred rows sum to zero, so all but one of them span their space
-    basis, _ = np.linalg.qr(centred[:-1].T)                 # (D, r), orthonormal
-    P = centred @ basis                                     # centred rows = P basis^T
+    basis, P = _row_space(centred)                          # centred rows = P basis^T
     # Held out row i: the others' scatter about their own mean, and row i
     # minus that mean (shrink * P[i]), in that basis
     scatter = P.T @ P - shrink * P[:, :, None] * P[:, None, :]
@@ -263,6 +276,61 @@ def _block_loglik(
     return -0.5 * (n * (d * _LOG_2PI + logdet) + quad)
 
 
+def _initial_parameters(
+    Ys: np.ndarray, init_s: np.ndarray, latent_dim: int
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """``em_fit``'s starting point (mu, W, sigma^2, K): the maximum-likelihood
+    PPCA fit (Tipping & Bishop, JRSS-B 61(3), 1999) of the z-scored training
+    rows ``Ys`` stacked with the regression row ``init_s``.
+
+    The raw regression row carries misfit in directions no training row
+    supports; stacking it as-is plants spurious components in the initial
+    loadings that EM does not unlearn: exact rank-3 rows of 393 cells were
+    then completed with relative errors up to 66, not below 1e-6.  Only its
+    projection onto the training block's top-k principal subspace is
+    stacked (k = K, or fewer when the block has lower rank).
+
+    Every row stacked then lies in the span of the centred training rows,
+    so the fit runs in their ``_row_space`` coordinates: an SVD of the
+    n_train x r coordinate matrix gives the block's spectrum.  With the
+    training rows C (summing to zero) and the projected row a, the stacked
+    scatter is C^T C + (n_train / N) a a^T, and a lies in the block's top k
+    right singular vectors, so one k x k eigendecomposition gives the new
+    top of the spectrum and the rest is the block's.  The spectrum is
+    padded with zeros to min(N, D) entries, the eigenvalues of the N x D
+    stacked rows.  sigma^2 is the mean eigenvalue past K, and K then drops
+    directions the spectrum cannot support: loading columns born at (near)
+    zero norm otherwise collapse through |w|^2 ~ sigma^2, where the latent
+    posterior of the partially observed row blows up.
+    """
+    n_train, D = Ys.shape
+    N = n_train + 1
+    K = max(1, min(latent_dim, D - 1, N - 1))
+    tr_mean = Ys.mean(axis=0)
+    basis, P = _row_space(Ys - tr_mean)
+    _, sv, vt = np.linalg.svd(P, full_matrices=False)
+    lam_tr = sv**2 / n_train
+    k_proj = int(np.count_nonzero(lam_tr > max(1e-9 * lam_tr[0], 1e-12)))
+    k = max(1, min(K, k_proj))
+    top = basis @ vt[:k].T                      # (D, k), the top right singular vectors
+    a = (init_s - tr_mean) @ top                # the projected row, in them
+    nu, Q = np.linalg.eigh(np.diag(sv[:k] ** 2) + (n_train / N) * np.outer(a, a))
+    # a rank-one raise of the top k eigenvalues interlaces with the rest, so
+    # the spectrum stays in descending order
+    lam = np.zeros(min(N, D))
+    lam[:k] = nu[::-1]
+    lam[k:sv.size] = sv[k:] ** 2
+    lam /= N
+    mu = tr_mean + top @ a / N
+    s2 = float(lam[K:].mean()) if lam.size > K else SIGMA2_FLOOR
+    s2 = max(s2, SIGMA2_FLOOR)
+    # every direction past k is below the support threshold, so K <= k
+    supported = lam[:K] - s2 > max(1e-9 * lam[0], 1e-10)
+    K = max(1, int(np.count_nonzero(supported)))
+    W = top @ Q[:, :-K - 1:-1] * np.sqrt(np.maximum(lam[:K] - s2, SIGMA2_FLOOR))
+    return mu, W, s2, K
+
+
 def em_fit(
     training_rows: np.ndarray,
     observed_idx: Sequence[int],
@@ -274,12 +342,17 @@ def em_fit(
 
     ``training_rows`` are fully observed; the target application enters with
     its sampled cells (``observed_idx``/``observed_values``) plus the dense
-    regression row used only to initialize parameters.  Each iteration runs
-    the E-step under the current parameters and conditional maximizations of
-    mean, loadings and noise variance, so the observed-data log-likelihood
-    never decreases.  The latent vectors are the only missing data: each
-    column's mean and loadings are regressed on the rows that observe it,
-    and sigma^2 is fitted on the observed cells.
+    regression row used only to initialize parameters: they start at the
+    PPCA fit of the training rows stacked with that row's projection onto
+    their principal subspace (``_initial_parameters``).  It is taken in the
+    orthonormal basis of the centred training rows that ``held_out_errors``
+    also uses, so it costs one thin QR, an SVD of the n_train x r coordinate
+    matrix and a k x k eigendecomposition, and no SVD of a D-column matrix.
+    Each iteration runs the E-step under the current parameters and
+    conditional maximizations of mean, loadings and noise variance, so the
+    observed-data log-likelihood never decreases.  The latent vectors are
+    the only missing data: each column's mean and loadings are regressed on
+    the rows that observe it, and sigma^2 is fitted on the observed cells.
 
     The M-step is parameter-expanded (PX-EM; Liu, Rubin & Wu, Biometrika
     85(4), 1998): it also fits the latent vector's mean m and covariance S,
@@ -305,32 +378,7 @@ def em_fit(
     y_obs = (y_obs_raw - col_mean[obs]) / col_scale[obs]
     init_s = (np.asarray(initial_row, dtype=float) - col_mean) / col_scale
 
-    K = max(1, min(params.latent_dim, D - 1, N - 1))
-    # The raw regression row carries misfit in directions no training row
-    # supports; stacking it as-is plants spurious components in the initial
-    # loadings that EM does not unlearn: exact rank-3 rows of 393 cells were
-    # then completed with relative errors up to 66, not below 1e-6.  Keep only
-    # its projection onto the training block's rank-K principal subspace.
-    tr_mean = Ys.mean(axis=0)
-    _, sv_tr, vt_tr = np.linalg.svd(Ys - tr_mean, full_matrices=False)
-    lam_tr = sv_tr**2 / max(n_train, 1)
-    k_proj = int(np.count_nonzero(lam_tr > max(1e-9 * lam_tr[0], 1e-12)))
-    basis = vt_tr[: max(1, min(K, k_proj))]
-    init_proj = (init_s - tr_mean) @ basis.T @ basis + tr_mean
-    stacked = np.vstack([Ys, init_proj])
-    mu = stacked.mean(axis=0)
-    centered = stacked - mu
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    lam = sv**2 / N
-    s2 = float(lam[K:].mean()) if lam.size > K else SIGMA2_FLOOR
-    s2 = max(s2, SIGMA2_FLOOR)
-    # Drop directions the initial spectrum cannot support: loading columns
-    # born at (near) zero norm otherwise collapse through |w|^2 ~ sigma^2,
-    # where the latent posterior of the partially observed row blows up.
-    supported = lam[:K] - s2 > max(1e-9 * lam[0], 1e-10)
-    K = max(1, int(np.count_nonzero(supported)))
-    W = vt[:K].T * np.sqrt(np.maximum(lam[:K] - s2, SIGMA2_FLOOR))
-
+    mu, W, s2, K = _initial_parameters(Ys, init_s, params.latent_dim)
     k_obs = min(K, obs.size)       # W_o^T W_o has no more nonzero eigenvalues
     ys_sum = Ys.sum(axis=0)
     n_cells = n_train * D + obs.size   # cells the likelihood sees

@@ -28,11 +28,12 @@ def read_sections(path: str, what: str, implied: str | None = None) -> dict[str,
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def read_lines(path: str, what: str) -> list[str]:
+def read_lines(path: str, what: str) -> list[tuple[int, str]]:
     """A line-oriented file's non-blank lines, stripped of surrounding
-    whitespace; ``what`` names the file in errors."""
+    whitespace, each with its line number in the file (from 1), so that
+    errors name the file's own line; ``what`` names the file in errors."""
     try:
         with open(path) as fh:
-            return [ln.strip() for ln in fh if ln.strip()]
+            return [(r, ln.strip()) for r, ln in enumerate(fh, start=1) if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc

@@ -213,14 +213,38 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: app_id 1 repeats line 2")):
             load_applications(str(path))
 
+    def test_catalog_errors_name_file_lines_past_blank_ones(self, tmp_path):
+        # blank lines are allowed, and skipped, but errors count them
+        path = tmp_path / "apps.csv"
+        save_applications(DEFAULT_APPLICATIONS[:2], str(path))
+        header, first, second = path.read_text().splitlines()
+        path.write_text(f"{header}\n\n{first}\n\n  \n{first}\n{second}\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:6: app_id 1 repeats line 3")):
+            load_applications(str(path))
+        path.write_text(f"{header}\n\n{first}\n{second.rsplit(',', 1)[0]}\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:4: expected 5 cells")):
+            load_applications(str(path))
+
+    def test_grid_errors_name_file_lines_past_blank_ones(self, tmp_path):
+        m = tiny_matrix()
+        manifest = save_training(m, str(tmp_path / "t"))
+        power_file = tmp_path / "t" / "power.csv"
+        header, first, second = power_file.read_text().splitlines()
+        cells = second.split(",")
+        cells[2] = "abc"
+        power_file.write_text(f"\n{header}\n\n{first}\n \n\n{','.join(cells)}\n\n")
+        message = f"power.csv:7: column {m.configs[1].config_id!r}: bad value 'abc'"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_training(manifest)
+
 
 def reference_grid(path, columns):
     """A plain per-row, per-cell reading of a grid body: app ids and values,
     or the DataFormatError naming the first bad line."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(r, ln.strip()) for r, ln in enumerate(fh, start=1) if ln.strip()]
     ids, rows = [], []
-    for r, line in enumerate(lines[1:], start=2):
+    for r, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(columns) + 1:
             raise DataFormatError(f"{path}:{r}: expected {len(columns) + 1} cells, got {len(cells)}")
@@ -252,7 +276,9 @@ ROW_EDITS = ("short", "long", "bad-id", "fractional-id", "pad")
 @st.composite
 def corrupted_grids(draw):
     """A CPU-only system and its power and time grids as rows of cells, NA
-    at the same cells of both, then zero, one or two corruptions."""
+    at the same cells of both, then zero, one or two corruptions; and the
+    body rows each grid has a blank line before (the row count for one
+    after the last)."""
     cores, n_freq, ctl = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
     spec = PlatformSpec("gen-cpu", PlatformKind.CPU, cores, 10.0, 20.0, ctl,
                         (1.0, 1.5, 2.0)[:n_freq], 1.0)
@@ -282,21 +308,25 @@ def corrupted_grids(draw):
             cells[at] = f" {cells[at]}  "
         else:
             cells[at] = edit
-    return (spec,), grids
+    blank_before = draw(st.lists(st.integers(0, len(ids)), max_size=3))
+    return (spec,), grids, blank_before
 
 
 class TestGridParseProperty:
     @settings(max_examples=150, deadline=None)
     @given(corrupted_grids())
     def test_load_matches_per_row_reference(self, case):
-        system, grids = case
+        system, grids, blank_before = case
         columns = [c.config_id for c in enumerate_configs(system)]
         with tempfile.TemporaryDirectory() as d:
             save_system(system, os.path.join(d, "system.conf"))
             for name, rows in grids.items():
                 with open(os.path.join(d, name), "w") as fh:
                     fh.write("app_id," + ",".join(columns) + "\n")
-                    fh.writelines(",".join(cells) + "\n" for cells in rows)
+                    for r, cells in enumerate(rows + [None]):
+                        fh.write("\n" * blank_before.count(r))
+                        if cells is not None:
+                            fh.write(",".join(cells) + "\n")
             manifest = os.path.join(d, "manifest.conf")
             with open(manifest, "w") as fh:
                 fh.write("[training]\npower = power.csv\ntime = time.csv\n"

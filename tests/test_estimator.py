@@ -305,6 +305,65 @@ class TestEmFit:
         assert errors[-1] > errors[0]
 
 
+def naive_initial_parameters(Ys, init_s, latent_dim):
+    """em_fit's starting point by its definition: one explicit SVD of the
+    training block, projection of the regression row onto its top right
+    singular vectors, and one explicit SVD of the stacked rows."""
+    n_train, D = Ys.shape
+    N = n_train + 1
+    K = max(1, min(latent_dim, D - 1, N - 1))
+    tr_mean = Ys.mean(axis=0)
+    _, sv_tr, vt_tr = np.linalg.svd(Ys - tr_mean, full_matrices=False)
+    lam_tr = sv_tr**2 / n_train
+    k_proj = int(np.count_nonzero(lam_tr > max(1e-9 * lam_tr[0], 1e-12)))
+    basis = vt_tr[: max(1, min(K, k_proj))]
+    stacked = np.vstack([Ys, (init_s - tr_mean) @ basis.T @ basis + tr_mean])
+    mu = stacked.mean(axis=0)
+    _, sv, vt = np.linalg.svd(stacked - mu, full_matrices=False)
+    lam = sv**2 / N
+    s2 = max(float(lam[K:].mean()) if lam.size > K else SIGMA2_FLOOR, SIGMA2_FLOOR)
+    K = max(1, int(np.count_nonzero(lam[:K] - s2 > max(1e-9 * lam[0], 1e-10))))
+    W = vt[:K].T * np.sqrt(np.maximum(lam[:K] - s2, SIGMA2_FLOOR))
+    return mu, W, s2, K
+
+
+class TestInitialParameters:
+    @settings(max_examples=100, deadline=None)
+    @given(n_train=st.integers(1, 20), D=st.integers(2, 60), rank=st.integers(1, 5),
+           noise_sd=st.one_of(st.just(0.0), st.floats(0.01, 0.5)), latent_dim=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_space_set_up_matches_two_svds(self, n_train, D, rank, noise_sd, latent_dim, seed):
+        # one training row, D < N, exact low rank (noise 0) and latent_dim
+        # above the supported rank are all in range
+        rows = rank_k_matrix(n_train, D, min(rank, n_train, D), seed, noise_sd)
+        Ys, _, _ = estimator._zscore(rows)
+        init_s = np.random.default_rng(seed + 1).standard_normal(D)
+        mu, W, s2, K = estimator._initial_parameters(Ys, init_s, latent_dim)
+        mu_ref, W_ref, s2_ref, K_ref = naive_initial_parameters(Ys, init_s, latent_dim)
+        assert K == K_ref == W.shape[1]
+        assert s2 == pytest.approx(s2_ref, rel=1e-9)
+        # loadings' signs are arbitrary; the z-scored columns set the unit
+        for got, ref in ((mu, mu_ref), (W @ W.T, W_ref @ W_ref.T)):
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(ref).max()))
+
+    def test_full_system_prediction_runs_no_wide_svd(self, monkeypatch):
+        # the set-up works in the training rows' span: no SVD sees more
+        # columns than the fit has rows
+        m, _ = _system_and_features("full")
+        widths = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(estimator.np.linalg, "svd", spy)
+        app = m.apps[0].app_id
+        predict_best_config(m, app, select_samples(m.n_configs, 15, 1001, app))
+        assert widths, "the spy saw no SVD"
+        assert max(widths) <= (m.n_apps - 1) + 1, widths
+
+
 def naive_held_out_errors(Ys, obs, k_max):
     """held_out_errors by its definition: one explicit SVD of every
     leave-one-row-out block."""
