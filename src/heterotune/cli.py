@@ -425,17 +425,20 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser.  Every command is registered; with ``command`` only
-    that command's flags are declared, which is all that parsing its
-    argument list reads."""
+    """The CLI parser.  Without ``command`` every command is registered;
+    with one, only that command and its flags are, which is all that
+    parsing its argument list reads.  The command list in usage and error
+    text names every command either way."""
     parser = argparse.ArgumentParser(
         prog="heterotune",
         description="energy-optimal configuration selection for heterogeneous systems",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, flags) in COMMANDS.items():
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        func, help_text, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for flag in flags if command in (None, name) else ():
+        for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(func=func)
     return parser
@@ -446,6 +449,8 @@ def _splice_manifest(argv: list[str]) -> list[str]:
     tokens right after the command name.  The command's parser then
     converts, validates or rejects them, and explicit flags, parsed later,
     win."""
+    if not any(arg == "--manifest" or arg.startswith("--manifest=") for arg in argv):
+        return argv
     pre = argparse.ArgumentParser(prog="heterotune", add_help=False, allow_abbrev=False)
     pre.add_argument("--manifest")
     path = pre.parse_known_args(argv[1:])[0].manifest

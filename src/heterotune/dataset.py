@@ -316,9 +316,11 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
     try:
         if any(line.count(",") != width - 1 for line in body):
             raise ValueError("wrong cell count")
-        tokens = ",".join(body).split(",") if body else []
+        joined = ",".join(body)
+        tokens = joined.split(",") if body else []
         app_ids = [int(cell) for cell in tokens[::width]]
-        n_missing = tokens.count(MISSING)
+        # a grid with no NA anywhere needs no token count
+        n_missing = tokens.count(MISSING) if MISSING in joined else 0
         if n_missing:
             tokens = [math.nan if cell == MISSING else cell for cell in tokens]
         cells = np.fromiter(map(float, tokens), float, len(tokens)).reshape(len(body), width)

@@ -26,13 +26,15 @@ On the prediction path the rank K of each quantity's fit is chosen from
 the training rows by held-out-row completion error (``select_latent_dim``),
 with ``MAX_LATENT_DIM`` as its upper bound.  Columns are z-scored with
 training-view statistics before EM and restored after; sampled cells always
-pass through to the output unchanged.
+pass through to the output unchanged.  Each quantity's training rows are
+z-scored and factored once (``_block``), and the rank choice and EM both
+start from that block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,28 +159,51 @@ def init_regression(
     return row
 
 
-def _zscore(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns scaled to zero mean and unit variance; a constant column keeps
-    scale 1.  Returns (scaled rows, column means, column scales)."""
+def _row_space(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column mean of ``rows``; an orthonormal basis (D, r) of the span of
+    the rows less it, from the thin QR of their transpose; and the centred
+    rows' coordinates in it (n, r).
+
+    The centred rows sum to zero, so all but the last of them span that
+    space (r = min(D, n - 1)); a single row, zero once centred, gets a basis
+    of one column.
+    """
+    mean = rows.mean(axis=0)
+    centred = rows - mean
+    basis, _ = np.linalg.qr((centred[:-1] if centred.shape[0] > 1 else centred).T)
+    return mean, basis, centred @ basis
+
+
+class _Block(NamedTuple):
+    """One quantity's fully observed training rows, prepared once for both
+    the rank choice and EM: ``rows`` scaled to zero column mean and unit
+    column variance by (``col_mean``, ``col_scale``; a constant column keeps
+    scale 1), their column ``mean``, and the ``basis`` and ``coords`` of
+    their ``_row_space``."""
+
+    rows: np.ndarray
+    col_mean: np.ndarray
+    col_scale: np.ndarray
+    mean: np.ndarray
+    basis: np.ndarray
+    coords: np.ndarray
+
+
+def _block(rows: np.ndarray | _Block) -> _Block:
+    """``rows`` prepared as a ``_Block``; a block passes through."""
+    if isinstance(rows, _Block):
+        return rows
+    rows = np.asarray(rows, dtype=float)
     col_mean = rows.mean(axis=0)
     col_scale = rows.std(axis=0)
     col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
-    return (rows - col_mean) / col_scale, col_mean, col_scale
+    Ys = (rows - col_mean) / col_scale
+    return _Block(Ys, col_mean, col_scale, *_row_space(Ys))
 
 
-def _row_space(centred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (D, r) of the span of centred rows, from the thin QR
-    of their transpose, and the rows' coordinates in it (n, r).
-
-    The rows sum to zero, so all but the last of them span that space
-    (r = min(D, n - 1)); a single row, zero once centred, gets a basis of
-    one column.
-    """
-    basis, _ = np.linalg.qr((centred[:-1] if centred.shape[0] > 1 else centred).T)
-    return basis, centred @ basis
-
-
-def held_out_errors(Ys: np.ndarray, observed_idx: Sequence[int], k_max: int) -> np.ndarray:
+def held_out_errors(
+    Ys: np.ndarray | _Block, observed_idx: Sequence[int], k_max: int
+) -> np.ndarray:
     """Held-out-row completion error of the PPCA model at each rank.
 
     Entry (i, K-1) is the squared error at the cells outside ``observed_idx``
@@ -188,24 +213,25 @@ def held_out_errors(Ys: np.ndarray, observed_idx: Sequence[int], k_max: int) -> 
     eigenvalue, loadings V (lam - sigma^2)^1/2, and the posterior mean of
     the latent vector given the observed cells.
 
-    Every held-out fit lives in the row space of the centred rows, so all
-    of it runs in the orthonormal basis of that space that ``em_fit``'s
-    initial fit also uses (``_row_space``): the scatter of the other rows
-    is the full scatter minus n/(n-1) times row i's share, one batched
-    (n-1)-square eigendecomposition gives every fit, and one batched
-    K x K solve every completion.  Residuals are formed as vectors
-    in that basis and squared under the Gram matrix of the unsampled cells
-    alone: expanding them into Gram entries of the rows, or taking the
-    unsampled part as the whole minus the sampled part, cancels
+    ``Ys`` is a row array, taken as it is, or a ``_Block``, whose z-scored
+    rows and row space are used.  Every held-out fit lives in the row space
+    of the centred rows, so all of it runs in the orthonormal basis of that
+    space that ``em_fit``'s initial fit also uses (``_row_space``): the
+    scatter of the other rows is the full scatter minus n/(n-1) times row
+    i's share, one batched (n-1)-square eigendecomposition gives every fit,
+    and one batched K x K solve every completion.  Residuals are formed as
+    vectors in that basis and squared under the Gram matrix of the
+    unsampled cells alone: expanding them into Gram entries of the rows, or
+    taking the unsampled part as the whole minus the sampled part, cancels
     catastrophically when the rows are exactly low-rank or nearly every
     cell is sampled.
     """
-    n, D = Ys.shape
+    # centred rows = P basis^T
+    basis, P = (Ys.basis, Ys.coords) if isinstance(Ys, _Block) else _row_space(Ys)[1:]
+    D, n = basis.shape[0], P.shape[0]
     obs = np.zeros(D, dtype=bool)
     obs[np.asarray(observed_idx, dtype=int)] = True
     shrink = n / (n - 1)
-    centred = Ys - Ys.mean(axis=0)
-    basis, P = _row_space(centred)                          # centred rows = P basis^T
     # Held out row i: the others' scatter about their own mean, and row i
     # minus that mean (shrink * P[i]), in that basis
     scatter = P.T @ P - shrink * P[:, :, None] * P[:, None, :]
@@ -229,7 +255,9 @@ def held_out_errors(Ys: np.ndarray, observed_idx: Sequence[int], k_max: int) -> 
     return ((resid @ gram_u) * resid).sum(axis=-1).T
 
 
-def select_latent_dim(rows: np.ndarray, observed_idx: Sequence[int], k_max: int) -> int:
+def select_latent_dim(
+    rows: np.ndarray | _Block, observed_idx: Sequence[int], k_max: int
+) -> int:
     """Latent rank for completing a row sampled at ``observed_idx`` from
     fully observed ``rows``.
 
@@ -237,16 +265,18 @@ def select_latent_dim(rows: np.ndarray, observed_idx: Sequence[int], k_max: int)
     ``observed_idx`` by the PPCA fit of the others (``held_out_errors``);
     the rank is the smallest K whose summed error is within one standard
     error (the held-out rows' standard deviation times sqrt(n_rows)) of the
-    minimum.  Columns are z-scored as in ``em_fit``.  ``k_max`` is an upper
-    bound, further capped at n_rows - 2 (the rank a held-out fit of
-    n_rows - 1 centred rows supports) and n_configs - 1.
+    minimum.  Columns are z-scored as in ``em_fit``: ``rows`` are raw rows,
+    or the ``_Block`` of them that ``predict_new_app`` also hands to
+    ``em_fit``.  ``k_max`` is an upper bound, further capped at n_rows - 2
+    (the rank a held-out fit of n_rows - 1 centred rows supports) and
+    n_configs - 1.
     """
-    Ys, _, _ = _zscore(np.asarray(rows, dtype=float))
-    n, D = Ys.shape
+    block = _block(rows)
+    n, D = block.rows.shape
     k_max = min(k_max, n - 2, D - 1)
     if k_max < 2:
         return 1
-    errors = held_out_errors(Ys, observed_idx, k_max)
+    errors = held_out_errors(block, observed_idx, k_max)
     summed = errors.sum(axis=0)
     best = int(np.argmin(summed))
     se = errors[:, best].std(ddof=1) * np.sqrt(n)
@@ -277,11 +307,11 @@ def _block_loglik(
 
 
 def _initial_parameters(
-    Ys: np.ndarray, init_s: np.ndarray, latent_dim: int
+    block: _Block, init_s: np.ndarray, latent_dim: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """``em_fit``'s starting point (mu, W, sigma^2, K): the maximum-likelihood
     PPCA fit (Tipping & Bishop, JRSS-B 61(3), 1999) of the z-scored training
-    rows ``Ys`` stacked with the regression row ``init_s``.
+    rows of ``block`` stacked with the regression row ``init_s``.
 
     The raw regression row carries misfit in directions no training row
     supports; stacking it as-is plants spurious components in the initial
@@ -291,23 +321,23 @@ def _initial_parameters(
     stacked (k = K, or fewer when the block has lower rank).
 
     Every row stacked then lies in the span of the centred training rows,
-    so the fit runs in their ``_row_space`` coordinates: an SVD of the
-    n_train x r coordinate matrix gives the block's spectrum.  With the
-    training rows C (summing to zero) and the projected row a, the stacked
-    scatter is C^T C + (n_train / N) a a^T, and a lies in the block's top k
-    right singular vectors, so one k x k eigendecomposition gives the new
-    top of the spectrum and the rest is the block's.  The spectrum is
-    padded with zeros to min(N, D) entries, the eigenvalues of the N x D
-    stacked rows.  sigma^2 is the mean eigenvalue past K, and K then drops
-    directions the spectrum cannot support: loading columns born at (near)
-    zero norm otherwise collapse through |w|^2 ~ sigma^2, where the latent
-    posterior of the partially observed row blows up.
+    so the fit runs in their ``_row_space`` coordinates, which the block
+    already holds: an SVD of the n_train x r coordinate matrix gives the
+    block's spectrum.  With the training rows C (summing to zero) and the
+    projected row a, the stacked scatter is C^T C + (n_train / N) a a^T,
+    and a lies in the block's top k right singular vectors, so one k x k
+    eigendecomposition gives the new top of the spectrum and the rest is
+    the block's.  The spectrum is padded with zeros to min(N, D) entries,
+    the eigenvalues of the N x D stacked rows.  sigma^2 is the mean
+    eigenvalue past K, and K then drops directions the spectrum cannot
+    support: loading columns born at (near) zero norm otherwise collapse
+    through |w|^2 ~ sigma^2, where the latent posterior of the partially
+    observed row blows up.
     """
-    n_train, D = Ys.shape
+    n_train, D = block.rows.shape
     N = n_train + 1
     K = max(1, min(latent_dim, D - 1, N - 1))
-    tr_mean = Ys.mean(axis=0)
-    basis, P = _row_space(Ys - tr_mean)
+    tr_mean, basis, P = block.mean, block.basis, block.coords
     _, sv, vt = np.linalg.svd(P, full_matrices=False)
     lam_tr = sv**2 / n_train
     k_proj = int(np.count_nonzero(lam_tr > max(1e-9 * lam_tr[0], 1e-12)))
@@ -332,7 +362,7 @@ def _initial_parameters(
 
 
 def em_fit(
-    training_rows: np.ndarray,
+    training_rows: np.ndarray | _Block,
     observed_idx: Sequence[int],
     observed_values: Sequence[float],
     initial_row: np.ndarray,
@@ -340,19 +370,24 @@ def em_fit(
 ) -> tuple[EstimatorState, np.ndarray]:
     """Fit the factor model and complete the target row.
 
-    ``training_rows`` are fully observed; the target application enters with
-    its sampled cells (``observed_idx``/``observed_values``) plus the dense
+    ``training_rows`` are fully observed: raw rows, or their ``_Block``,
+    which then carries the z-scoring and the thin QR already done for the
+    rank choice; raw rows are prepared by the same ``_block``, so both give
+    the same fit bit for bit.  The target application enters with its
+    sampled cells (``observed_idx``/``observed_values``) plus the dense
     regression row used only to initialize parameters: they start at the
     PPCA fit of the training rows stacked with that row's projection onto
     their principal subspace (``_initial_parameters``).  It is taken in the
     orthonormal basis of the centred training rows that ``held_out_errors``
-    also uses, so it costs one thin QR, an SVD of the n_train x r coordinate
-    matrix and a k x k eigendecomposition, and no SVD of a D-column matrix.
-    Each iteration runs the E-step under the current parameters and
-    conditional maximizations of mean, loadings and noise variance, so the
-    observed-data log-likelihood never decreases.  The latent vectors are
-    the only missing data: each column's mean and loadings are regressed on
-    the rows that observe it, and sigma^2 is fitted on the observed cells.
+    also uses, so past the block it costs an SVD of the n_train x r
+    coordinate matrix and a k x k eigendecomposition, and no SVD of a
+    D-column matrix.  Each iteration runs the E-step under the current
+    parameters and conditional maximizations of mean, loadings and noise
+    variance, so the observed-data log-likelihood never decreases.  Its two
+    K x K eigendecompositions and its two (K+1)-square inverses are each one
+    stacked call.  The latent vectors are the only missing data: each
+    column's mean and loadings are regressed on the rows that observe it,
+    and sigma^2 is fitted on the observed cells.
 
     The M-step is parameter-expanded (PX-EM; Liu, Rubin & Wu, Biometrika
     85(4), 1998): it also fits the latent vector's mean m and covariance S,
@@ -361,24 +396,24 @@ def em_fit(
     W <- W chol(S).  That is still an EM step, so the log-likelihood stays
     non-decreasing, but it rescales each latent factor at once instead of
     creeping toward its scale: plain EM ran to hundreds of iterations on
-    sparse rows, PX-EM stops in 3-4 at the median.  ``max_iters`` is a
-    safety bound; reaching it is flagged on the returned state, not raised.
-    A collapsing noise variance is clamped at SIGMA2_FLOOR (and flagged),
-    which keeps the noiseless case well-posed.
+    sparse rows, PX-EM stops in 3 (full) or 4 (``ci``) at the median.
+    ``max_iters`` is a safety bound; reaching it is flagged on the returned
+    state, not raised.  A collapsing noise variance is clamped at
+    SIGMA2_FLOOR (and flagged), which keeps the noiseless case well-posed.
     """
     params = params or EstimatorParams()
-    Yt = np.asarray(training_rows, dtype=float)
-    n_train, D = Yt.shape
+    block = _block(training_rows)
+    Ys, col_mean, col_scale = block.rows, block.col_mean, block.col_scale
+    n_train, D = Ys.shape
     obs = np.asarray(observed_idx, dtype=int)
     y_obs_raw = np.asarray(observed_values, dtype=float)
     N = n_train + 1
 
-    # z-score columns with training-view statistics
-    Ys, col_mean, col_scale = _zscore(Yt)
+    # the target row in the training rows' z-scored columns
     y_obs = (y_obs_raw - col_mean[obs]) / col_scale[obs]
     init_s = (np.asarray(initial_row, dtype=float) - col_mean) / col_scale
 
-    mu, W, s2, K = _initial_parameters(Ys, init_s, params.latent_dim)
+    mu, W, s2, K = _initial_parameters(block, init_s, params.latent_dim)
     k_obs = min(K, obs.size)       # W_o^T W_o has no more nonzero eigenvalues
     ys_sum = Ys.sum(axis=0)
     n_cells = n_train * D + obs.size   # cells the likelihood sees
@@ -389,14 +424,15 @@ def em_fit(
 
         The stop test at these parameters and the next iteration's E-step
         share them.  Both come from the K x K eigendecompositions of W^T W
-        and W_o^T W_o, so no SVD or inverse is needed."""
+        and W_o^T W_o, taken in one stacked call, so no SVD or inverse is
+        needed."""
         Dc = Ys - mu
         Dc_w = Dc @ W
-        lam, V = np.linalg.eigh(W.T @ W)
         Wo = W[obs]
         r_o = y_obs - mu[obs]
         r_o_w = r_o @ Wo
-        lam_o, V_o = np.linalg.eigh(Wo.T @ Wo)
+        lams, Vs = np.linalg.eigh(np.stack([W.T @ W, Wo.T @ Wo]))
+        (lam, lam_o), (V, V_o) = lams, Vs
         # W_o can have lower rank than k_obs (it is zero when the sampled
         # columns carry no loading, as with one training row): keep only
         # eigenpairs that do not vanish (eigh sorts them ascending)
@@ -404,8 +440,7 @@ def em_fit(
         ll = _block_loglik(Dc, Dc_w, W, lam, V, s2) + _block_loglik(
             r_o[None, :], r_o_w[None, :], Wo, lam_o[top], V_o[:, top], s2
         )
-        Minv = (V / (lam + s2)) @ V.T
-        Mo_inv = (V_o / (lam_o + s2)) @ V_o.T
+        Minv, Mo_inv = (Vs / (lams[:, None, :] + s2)) @ Vs.transpose(0, 2, 1)
         m_dense = Dc_w @ Minv                        # (n_train, K)
         m_t = Mo_inv @ r_o_w
         # posterior latent covariances: summed over the training rows, and
@@ -443,11 +478,14 @@ def em_fit(
         B = np.empty((D, K + 1))
         B[:, 0] = ys_sum
         B[:, 1:] = Ys.T @ m_dense
-        sol = B @ np.linalg.inv(normal_matrix(n_train, sum_train, A_train))
+        G_train, G_all = np.linalg.inv(
+            np.stack([normal_matrix(n_train, sum_train, A_train), normal_matrix(N, sum_m, A)])
+        )
+        sol = B @ G_train
         B_o = B[obs]
         B_o[:, 0] += y_obs
         B_o[:, 1:] += y_obs[:, None] * m_t
-        sol[obs] = B_o @ np.linalg.inv(normal_matrix(N, sum_m, A))
+        sol[obs] = B_o @ G_all
         mu_new, W_new = sol[:, 0], sol[:, 1:]
 
         # CM step for the isotropic noise variance over the observed cells
@@ -566,7 +604,8 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
     of the log power and log time rows, each at the latent rank that
     ``select_latent_dim`` picks for it (at most ``MAX_LATENT_DIM``), then
     whole-system energy minimization over every configuration of every
-    platform.
+    platform.  Each log quantity's training rows are prepared once
+    (``_block``) for both its rank choice and its fit.
     """
     if not matrix.fully_observed:
         raise ValueError("training rows must be fully observed")
@@ -574,7 +613,7 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
     idx = samples.config_indices
     rows, converged = [], True
     for quantity in ("power", "time"):
-        logs = np.log(getattr(matrix, quantity))
+        logs = _block(np.log(getattr(matrix, quantity)))
         sampled = getattr(samples, quantity)
         k = select_latent_dim(logs, idx, MAX_LATENT_DIM)
         state, completed = complete_row(

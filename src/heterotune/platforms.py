@@ -16,7 +16,7 @@ All types are immutable; all operations are pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -38,7 +38,10 @@ class NativeConfig:
 
     ``cores`` holds the active core count for a CPU and the workgroup size
     for a GPU; ``mem`` is the number of memory controllers in use (a GPU
-    always uses all of its controllers).
+    always uses all of its controllers).  ``config_id`` names the
+    configuration in grid headers, sample files and estimates; it is
+    formatted once, as the configuration is built, and derives from the
+    other fields, so it takes no part in equality or hashing.
     """
 
     platform: str
@@ -46,17 +49,16 @@ class NativeConfig:
     cores: int
     freq: float
     mem: int
+    config_id: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        knob = "w" if self.kind is PlatformKind.GPU else "c"
+        object.__setattr__(self, "config_id",
+                           f"{self.platform}:{knob}{self.cores}:f{self.freq!r}:m{self.mem}")
 
     @property
     def workgroup_size(self) -> int:
         return self.cores
-
-    @cached_property
-    def config_id(self) -> str:
-        # formatted once per configuration: grid headers, sample files and
-        # estimates all key on it
-        knob = "w" if self.kind is PlatformKind.GPU else "c"
-        return f"{self.platform}:{knob}{self.cores}:f{self.freq!r}:m{self.mem}"
 
 
 @dataclass(frozen=True)

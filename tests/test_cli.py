@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import heterotune
+from heterotune import cli
 from heterotune.backends import (
     WORKGROUP_ENV_VAR,
     ExecutableDescriptor,
@@ -31,6 +32,18 @@ from heterotune.errors import BackendError
 from heterotune.evaluation import brute_force_best, measured_energy_row
 from heterotune.platforms import NativeConfig, PlatformKind, save_system
 from heterotune.synthetic import CI_SYSTEM, PROFILES, SyntheticSpec, generate_system
+
+
+# argument lists whose parse ends in help or an error, for the CLI text test
+CLI_TEXT_CASES = {
+    "no arguments": [],
+    "unknown command": ["bogus", "--training", "t.conf"],
+    "unknown flag": ["predict", "--training", "t.conf", "--sample", "s.csv", "--bogus"],
+    "missing required flag": ["predict", "--sample", "s.csv"],
+    "extra positional": ["evaluate", "--training", "t.conf", "extra"],
+    "bare manifest": ["predict", "--manifest"],
+    **{f"{name} --help": [name, "--help"] for name in COMMANDS},
+}
 
 
 @pytest.fixture(scope="module")
@@ -707,6 +720,34 @@ class TestManifestAndParams:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--help"])
         assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("argv", CLI_TEXT_CASES.values(), ids=CLI_TEXT_CASES)
+    def test_text_equals_the_all_commands_parser(self, argv, capsys, monkeypatch):
+        # main registers only the invoked command; its exit code, help,
+        # usage and error text must be those of the parser of every command
+        def run():
+            rc = main(list(argv))
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err
+
+        lean = run()
+        every_command = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: every_command())
+        assert lean == run()
+
+    def test_manifest_spliced_only_for_the_flag(self, tmp_path, monkeypatch):
+        run_manifest = tmp_path / "run.conf"
+        run_manifest.write_text("seed = 4\n")
+        for flag in (["--manifest", str(run_manifest)], [f"--manifest={run_manifest}"]):
+            assert cli._splice_manifest(["evaluate"] + flag) == ["evaluate", "--seed=4"] + flag
+
+        def no_parser(*args, **kwargs):
+            raise AssertionError("a pre-parser was built")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+        for argv in (["evaluate", "--training", "t.conf"],
+                     ["evaluate", "--training", "t.conf", "--out", "x--manifest"]):
+            assert cli._splice_manifest(argv) == argv
 
     def test_readme_flag_table_matches_the_commands(self):
         # a flag added or deleted in the CLI must be added or deleted there too

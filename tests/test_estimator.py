@@ -336,10 +336,10 @@ class TestInitialParameters:
         # one training row, D < N, exact low rank (noise 0) and latent_dim
         # above the supported rank are all in range
         rows = rank_k_matrix(n_train, D, min(rank, n_train, D), seed, noise_sd)
-        Ys, _, _ = estimator._zscore(rows)
+        block = estimator._block(rows)
         init_s = np.random.default_rng(seed + 1).standard_normal(D)
-        mu, W, s2, K = estimator._initial_parameters(Ys, init_s, latent_dim)
-        mu_ref, W_ref, s2_ref, K_ref = naive_initial_parameters(Ys, init_s, latent_dim)
+        mu, W, s2, K = estimator._initial_parameters(block, init_s, latent_dim)
+        mu_ref, W_ref, s2_ref, K_ref = naive_initial_parameters(block.rows, init_s, latent_dim)
         assert K == K_ref == W.shape[1]
         assert s2 == pytest.approx(s2_ref, rel=1e-9)
         # loadings' signs are arbitrary; the z-scored columns set the unit
@@ -442,6 +442,84 @@ class TestSelectLatentDim:
         rescaled = rows.copy()
         rescaled[:, col] *= data.draw(st.sampled_from([1e-3, 0.5, 7.0, 1e4]))
         assert select_latent_dim(rescaled, obs, latent_dim) == k
+
+
+def _composed_prediction(view, samples):
+    """``predict_new_app`` spelled out in public calls on raw arrays: the
+    rank choice, the completion at that rank, ``exp`` with the sampled
+    cells passed through, and the energy argmin."""
+    feats, idx = feature_matrix(view), samples.config_indices
+    rows = []
+    for quantity in ("power", "time"):
+        logs, sampled = np.log(getattr(view, quantity)), getattr(samples, quantity)
+        k = select_latent_dim(logs, idx, estimator.MAX_LATENT_DIM)
+        state, completed = complete_row(logs, idx, np.log(sampled), feats,
+                                        EstimatorParams(latent_dim=k))
+        row = np.exp(completed)
+        row[list(idx)] = sampled
+        rows.append(row)
+    return predict_energy(*rows, view.system, observed_idx=idx,
+                          min_observed_time=float(np.min(view.time)))
+
+
+GPU_ONLY_HOST = (CI_SYSTEM[0], DEFAULT_SYSTEM[1])   # the GPU has 9 configurations
+
+
+class TestPreparedBlock:
+    """``predict_new_app`` z-scores and factors each quantity's training rows
+    once and hands that block to the rank choice and to EM; every result
+    must equal the one from raw arrays bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(gpu_only=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           plan_seed=st.integers(0, 2**32 - 1), noise_sd=st.floats(0.0, 0.1), data=st.data())
+    def test_prediction_equals_composition_of_public_calls(self, gpu_only, seed, plan_seed,
+                                                           noise_sd, data):
+        # one training row (n_apps 2), and on the GPU-only matrix more
+        # training rows than its 9 columns, are both in range
+        n_apps = data.draw(st.sampled_from([2, 3, 5, 8, 12, 18]) if gpu_only
+                           else st.integers(2, 8))
+        spec = SyntheticSpec(n_apps=n_apps, platforms=GPU_ONLY_HOST if gpu_only else CI_SYSTEM,
+                             rank=min(3, n_apps), noise_sd=noise_sd, seed=seed)
+        m = generate_system(spec).matrix
+        if gpu_only:
+            m = m.select_configs(m.platform_config_indices(DEFAULT_SYSTEM[1].name))
+        app = m.apps[data.draw(st.integers(0, n_apps - 1))].app_id
+        n_samples = feature_matrix(m).shape[1]
+        plan = select_samples(m.n_configs, data.draw(st.integers(n_samples, m.n_configs)),
+                              plan_seed, target_app=app)
+        view, samples = mask_application(m, app, plan)
+        got, ref = predict_new_app(view, samples), _composed_prediction(view, samples)
+        for name in ("power", "time", "energy"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert got.chosen == ref.chosen
+
+        feats, idx = feature_matrix(view), samples.config_indices
+        for quantity in ("power", "time"):
+            logs = np.log(getattr(view, quantity))
+            values = np.log(getattr(samples, quantity))
+            init = init_regression(idx, values, feats)
+            params = EstimatorParams(latent_dim=data.draw(st.integers(1, 5)))
+            s_raw, c_raw = em_fit(logs, idx, values, init, params)
+            s_blk, c_blk = em_fit(estimator._block(logs), idx, values, init, params)
+            assert np.array_equal(s_raw.ll_history, s_blk.ll_history)
+            assert s_raw.n_iters == s_blk.n_iters
+            assert np.array_equal(c_raw, c_blk)
+
+    def test_full_system_prediction_factors_each_quantity_once(self, monkeypatch):
+        # the rank choice and EM's start share one thin QR per quantity
+        m, _ = _system_and_features("full")
+        shapes = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(estimator.np.linalg, "qr", spy)
+        app = m.apps[0].app_id
+        predict_best_config(m, app, select_samples(m.n_configs, 15, 1001, app))
+        assert shapes == [(m.n_configs, m.n_apps - 2)] * 2
 
 
 class TestPredictEnergy:
