@@ -146,20 +146,22 @@ def cmd_benchmark(args) -> int:
             time[i, j] = meas.mean_time
             power[i, j] = meas.mean_power
     matrix = dataset.build_training_matrix(apps, system, power, time)
-    manifest = save_training(matrix, args.out)
-    if not args.backend_data:
-        # the seed the system was generated from
-        with open(manifest, "a") as fh:
-            fh.write(f"seed = {args.seed or 0}\n")
+    # a generated system records the seed it was generated from
+    manifest = save_training(matrix, args.out, None if args.backend_data else args.seed or 0)
     print(f"benchmarked {n_apps * n_cfg - failures}/{n_apps * n_cfg} cells "
           f"({failures} failures) -> {manifest}")
     return EXIT_OK
 
 
-def save_samples(path: str, app_id: int, seed: int, samples: SampleSet,
-                 configs) -> None:
+# The header keys of a sample file, in the order they are written; a file
+# must give each exactly once.
+SAMPLE_HEADER = ("app_id", "seed")
+
+
+def save_samples(path: str, samples: SampleSet, seed: int, configs) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# app_id = {app_id}\n# seed = {seed}\n")
+        for key, value in zip(SAMPLE_HEADER, (samples.app_id, seed)):
+            fh.write(f"# {key} = {value}\n")
         fh.write("config_id,power,time\n")
         for k, j in enumerate(samples.config_indices):
             fh.write(
@@ -168,18 +170,26 @@ def save_samples(path: str, app_id: int, seed: int, samples: SampleSet,
 
 
 def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
-    """Read a sample file back; returns the sample set and its seed."""
+    """Read a sample file back; returns the sample set and its seed.  The
+    header gives each key of ``SAMPLE_HEADER`` once and no other key."""
     meta = {}
     body = []
     for _, ln in read_lines(path, "sample file"):
         if ln.startswith("#"):
             try:
-                key, value = ln[1:].split("=", 1)
-                meta[key.strip()] = value.strip()
+                key, value = (part.strip() for part in ln[1:].split("=", 1))
             except ValueError:
                 raise DataFormatError(f"{path}: bad header line {ln!r}") from None
+            if key not in SAMPLE_HEADER:
+                raise DataFormatError(f"{path}: unknown header key {key!r}")
+            if key in meta:
+                raise DataFormatError(f"{path}: header key {key!r} given twice")
+            meta[key] = value
         else:
             body.append(ln)
+    for key in SAMPLE_HEADER:
+        if key not in meta:
+            raise DataFormatError(f"{path}: missing header key {key!r}")
     if not body or body[0] != "config_id,power,time":
         raise DataFormatError(f"{path}: missing 'config_id,power,time' header")
     col = {cfg.config_id: j for j, cfg in enumerate(matrix.configs)}
@@ -207,8 +217,7 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
         power.append(p)
         time.append(t)
     try:
-        app_id = int(meta.get("app_id", "0"))
-        seed = int(meta.get("seed", "0"))
+        app_id, seed = (int(meta[key]) for key in SAMPLE_HEADER)
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad header metadata: {exc}") from exc
     samples = SampleSet(
@@ -249,7 +258,7 @@ def cmd_sample(args) -> int:
         power=np.array(power),
         time=np.array(time),
     )
-    save_samples(args.out, app_id, seed, samples, configs)
+    save_samples(args.out, samples, seed, configs)
     print(f"sampled {len(plan.sample_configs)} configurations -> {args.out}")
     return EXIT_OK
 

@@ -191,8 +191,8 @@ class TrainingMatrix:
             self,
             configs=tuple(self.configs[i] for i in idx),
             unified=self.unified[idx],
-            power=self.power[:, idx].copy(),
-            time=self.time[:, idx].copy(),
+            power=self.power[:, idx],
+            time=self.time[:, idx],
         )
 
     def platform_config_indices(self, platform: str) -> tuple[int, ...]:
@@ -241,8 +241,8 @@ def mask_application(
     view = replace(
         matrix,
         apps=tuple(matrix.apps[i] for i in keep),
-        power=matrix.power[keep].copy(),
-        time=matrix.time[keep].copy(),
+        power=matrix.power[keep],
+        time=matrix.time[keep],
     )
     idx = np.array(plan.sample_configs, dtype=int)
     if np.isnan(matrix.power[row, idx]).any():
@@ -250,8 +250,8 @@ def mask_application(
     samples = SampleSet(
         app_id=app_id,
         config_indices=tuple(plan.sample_configs),
-        power=matrix.power[row, idx].copy(),
-        time=matrix.time[row, idx].copy(),
+        power=matrix.power[row, idx],
+        time=matrix.time[row, idx],
     )
     return view, samples
 
@@ -332,9 +332,10 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
     return app_ids, values
 
 
-def save_training(matrix: TrainingMatrix, directory: str) -> str:
+def save_training(matrix: TrainingMatrix, directory: str, seed: int | None = None) -> str:
     """Write a matrix as manifest + grids + platform and application files;
-    returns the manifest path."""
+    returns the manifest path.  A ``seed``, that of a generated system, is
+    recorded in the manifest."""
     os.makedirs(directory, exist_ok=True)
     platform_file = os.path.join(directory, "system.conf")
     save_system(matrix.system, platform_file)
@@ -347,6 +348,8 @@ def save_training(matrix: TrainingMatrix, directory: str) -> str:
         "platforms = system.conf",
         "apps = apps.csv",
     ]
+    if seed is not None:
+        lines.append(f"seed = {seed}")
     save_applications(matrix.apps, os.path.join(directory, "apps.csv"))
     manifest = os.path.join(directory, "manifest.conf")
     with open(manifest, "w") as fh:

@@ -34,7 +34,7 @@ start from that block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,26 +50,22 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Settings of one fixed-rank fit by ``em_fit`` or ``complete_row``.
+    """The rank K of one fit by ``em_fit`` or ``complete_row``.
 
-    ``latent_dim`` is the rank K fitted at, ``max_iters`` a safety bound on
-    EM iterations and ``tol`` the relative log-likelihood change that stops
-    them.  The prediction path takes no settings: ``predict_new_app`` fits
-    each quantity at the rank ``select_latent_dim`` picks, at most
-    ``MAX_LATENT_DIM``, with the other defaults.
+    ``latent_dim`` is the one setting.  Every fit shares the constants
+    ``max_iters``, a safety bound on EM iterations, and ``tol``, the
+    relative log-likelihood change that stops them.  The prediction path
+    takes no settings: ``predict_new_app`` fits each quantity at the rank
+    ``select_latent_dim`` picks, at most ``MAX_LATENT_DIM``.
     """
 
-    latent_dim: int = 5
-    max_iters: int = 500
-    tol: float = 1e-6
+    latent_dim: int = MAX_LATENT_DIM
+    max_iters: ClassVar[int] = 500
+    tol: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -202,39 +198,37 @@ def _block(rows: np.ndarray | _Block) -> _Block:
 
 
 def held_out_errors(
-    Ys: np.ndarray | _Block, observed_idx: Sequence[int], k_max: int
+    basis: np.ndarray, coords: np.ndarray, observed_idx: Sequence[int], k_max: int
 ) -> np.ndarray:
     """Held-out-row completion error of the PPCA model at each rank.
 
-    Entry (i, K-1) is the squared error at the cells outside ``observed_idx``
-    when row i of ``Ys`` is completed from its cells at ``observed_idx``
-    under the maximum-likelihood rank-K PPCA fit of the other rows: top
-    eigenpairs (lam, V) of their covariance, sigma^2 the mean discarded
-    eigenvalue, loadings V (lam - sigma^2)^1/2, and the posterior mean of
-    the latent vector given the observed cells.
+    The rows are given by their row space, as ``_row_space`` returns it:
+    row i less the rows' column mean is ``coords[i] @ basis.T``, with
+    ``basis`` (D, r) orthonormal.  Entry (i, K-1) is the squared error at
+    the cells outside ``observed_idx`` when row i is completed from its
+    cells at ``observed_idx`` under the maximum-likelihood rank-K PPCA fit
+    of the other rows: top eigenpairs (lam, V) of their covariance, sigma^2
+    the mean discarded eigenvalue, loadings V (lam - sigma^2)^1/2, and the
+    posterior mean of the latent vector given the observed cells.
 
-    ``Ys`` is a row array, taken as it is, or a ``_Block``, whose z-scored
-    rows and row space are used.  Every held-out fit lives in the row space
-    of the centred rows, so all of it runs in the orthonormal basis of that
-    space that ``em_fit``'s initial fit also uses (``_row_space``): the
-    scatter of the other rows is the full scatter minus n/(n-1) times row
-    i's share, one batched (n-1)-square eigendecomposition gives every fit,
-    and one batched K x K solve every completion.  Residuals are formed as
+    Every held-out fit lives in that row space, so all of it runs in
+    ``basis``, which ``em_fit``'s initial fit also uses: the scatter of the
+    other rows is the full scatter minus n/(n-1) times row i's share, one
+    batched (n-1)-square eigendecomposition gives every fit, and one
+    batched K x K solve every completion.  Residuals are formed as
     vectors in that basis and squared under the Gram matrix of the
     unsampled cells alone: expanding them into Gram entries of the rows, or
     taking the unsampled part as the whole minus the sampled part, cancels
     catastrophically when the rows are exactly low-rank or nearly every
     cell is sampled.
     """
-    # centred rows = P basis^T
-    basis, P = (Ys.basis, Ys.coords) if isinstance(Ys, _Block) else _row_space(Ys)[1:]
-    D, n = basis.shape[0], P.shape[0]
+    D, n = basis.shape[0], coords.shape[0]
     obs = np.zeros(D, dtype=bool)
     obs[np.asarray(observed_idx, dtype=int)] = True
     shrink = n / (n - 1)
     # Held out row i: the others' scatter about their own mean, and row i
-    # minus that mean (shrink * P[i]), in that basis
-    scatter = P.T @ P - shrink * P[:, :, None] * P[:, None, :]
+    # minus that mean (shrink * coords[i]), in that basis
+    scatter = coords.T @ coords - shrink * coords[:, :, None] * coords[:, None, :]
     nu, Q = np.linalg.eigh(scatter)
     lam = nu[:, :-k_max - 1:-1] / (n - 1)                   # top k_max, descending
     Q = Q[:, :, :-k_max - 1:-1]
@@ -249,8 +243,8 @@ def held_out_errors(
     Bt = np.swapaxes(B, -1, -2)
     gram_o = basis[obs].T @ basis[obs]
     M = Bt @ gram_o @ B + s2[:, :, None, None] * np.eye(k_max)
-    z = np.linalg.solve(M, shrink * (Bt @ (P @ gram_o)[:, :, None]))
-    resid = (shrink * P[:, :, None] - B @ z)[..., 0]            # whole row, in the basis
+    z = np.linalg.solve(M, shrink * (Bt @ (coords @ gram_o)[:, :, None]))
+    resid = (shrink * coords[:, :, None] - B @ z)[..., 0]   # whole row, in the basis
     gram_u = basis[~obs].T @ basis[~obs]
     return ((resid @ gram_u) * resid).sum(axis=-1).T
 
@@ -276,7 +270,7 @@ def select_latent_dim(
     k_max = min(k_max, n - 2, D - 1)
     if k_max < 2:
         return 1
-    errors = held_out_errors(block, observed_idx, k_max)
+    errors = held_out_errors(block.basis, block.coords, observed_idx, k_max)
     summed = errors.sum(axis=0)
     best = int(np.argmin(summed))
     se = errors[:, best].std(ddof=1) * np.sqrt(n)
@@ -383,11 +377,10 @@ def em_fit(
     coordinate matrix and a k x k eigendecomposition, and no SVD of a
     D-column matrix.  Each iteration runs the E-step under the current
     parameters and conditional maximizations of mean, loadings and noise
-    variance, so the observed-data log-likelihood never decreases.  Its two
-    K x K eigendecompositions and its two (K+1)-square inverses are each one
-    stacked call.  The latent vectors are the only missing data: each
-    column's mean and loadings are regressed on the rows that observe it,
-    and sigma^2 is fitted on the observed cells.
+    variance, so the observed-data log-likelihood never decreases.  The
+    latent vectors are the only missing data: each column's mean and
+    loadings are regressed on the rows that observe it, and sigma^2 is
+    fitted on the observed cells.
 
     The M-step is parameter-expanded (PX-EM; Liu, Rubin & Wu, Biometrika
     85(4), 1998): it also fits the latent vector's mean m and covariance S,
@@ -424,15 +417,14 @@ def em_fit(
 
         The stop test at these parameters and the next iteration's E-step
         share them.  Both come from the K x K eigendecompositions of W^T W
-        and W_o^T W_o, taken in one stacked call, so no SVD or inverse is
-        needed."""
+        and W_o^T W_o, so no SVD or inverse is needed."""
         Dc = Ys - mu
         Dc_w = Dc @ W
+        lam, V = np.linalg.eigh(W.T @ W)
         Wo = W[obs]
         r_o = y_obs - mu[obs]
         r_o_w = r_o @ Wo
-        lams, Vs = np.linalg.eigh(np.stack([W.T @ W, Wo.T @ Wo]))
-        (lam, lam_o), (V, V_o) = lams, Vs
+        lam_o, V_o = np.linalg.eigh(Wo.T @ Wo)
         # W_o can have lower rank than k_obs (it is zero when the sampled
         # columns carry no loading, as with one training row): keep only
         # eigenpairs that do not vanish (eigh sorts them ascending)
@@ -440,7 +432,8 @@ def em_fit(
         ll = _block_loglik(Dc, Dc_w, W, lam, V, s2) + _block_loglik(
             r_o[None, :], r_o_w[None, :], Wo, lam_o[top], V_o[:, top], s2
         )
-        Minv, Mo_inv = (Vs / (lams[:, None, :] + s2)) @ Vs.transpose(0, 2, 1)
+        Minv = (V / (lam + s2)) @ V.T
+        Mo_inv = (V_o / (lam_o + s2)) @ V_o.T
         m_dense = Dc_w @ Minv                        # (n_train, K)
         m_t = Mo_inv @ r_o_w
         # posterior latent covariances: summed over the training rows, and
@@ -478,14 +471,11 @@ def em_fit(
         B = np.empty((D, K + 1))
         B[:, 0] = ys_sum
         B[:, 1:] = Ys.T @ m_dense
-        G_train, G_all = np.linalg.inv(
-            np.stack([normal_matrix(n_train, sum_train, A_train), normal_matrix(N, sum_m, A)])
-        )
-        sol = B @ G_train
+        sol = B @ np.linalg.inv(normal_matrix(n_train, sum_train, A_train))
         B_o = B[obs]
         B_o[:, 0] += y_obs
         B_o[:, 1:] += y_obs[:, None] * m_t
-        sol[obs] = B_o @ G_all
+        sol[obs] = B_o @ np.linalg.inv(normal_matrix(N, sum_m, A))
         mu_new, W_new = sol[:, 0], sol[:, 1:]
 
         # CM step for the isotropic noise variance over the observed cells

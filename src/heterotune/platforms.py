@@ -16,10 +16,10 @@ All types are immutable; all operations are pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -212,16 +212,31 @@ DEFAULT_GPU = PlatformSpec(
 DEFAULT_SYSTEM: tuple[PlatformSpec, ...] = (DEFAULT_CPU, DEFAULT_GPU)
 
 
-_REQUIRED_FIELDS = (
-    "kind",
-    "total_cores",
-    "peak_gflops",
-    "peak_bandwidth",
-    "mem_controllers",
-    "frequencies",
-    "static_power",
-)
-_FIELDS = _REQUIRED_FIELDS + ("workgroup_sizes",)
+def _reader(declared):
+    """The parser of a platform-file value for a field of type ``declared``:
+    a tuple is a comma list of its item type, and the kind is read without
+    regard to case."""
+    if declared is PlatformKind:
+        return lambda text: PlatformKind(text.strip().lower())
+    if get_origin(declared) is tuple:
+        item = get_args(declared)[0]
+        return lambda text: tuple(item(x) for x in text.split(","))
+    return declared
+
+
+def _text(value) -> str:
+    """A field value as the platform file writes it."""
+    if isinstance(value, PlatformKind):
+        return value.value
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return repr(value)
+
+
+# The keys of a [platform <name>] section: every PlatformSpec field after the
+# name, read by its declared type.  A field without a default is required.
+_KEYS = fields(PlatformSpec)[1:]
+_READERS = {f.name: _reader(get_type_hints(PlatformSpec)[f.name]) for f in _KEYS}
 
 
 def load_system(path: str) -> tuple[PlatformSpec, ...]:
@@ -237,29 +252,14 @@ def load_system(path: str) -> tuple[PlatformSpec, ...]:
         if not section.startswith("platform "):
             raise DataFormatError(f"{path}: unexpected section [{section}]")
         name = section[len("platform "):].strip()
-        for fieldname in _REQUIRED_FIELDS:
-            if fieldname not in opts:
-                raise DataFormatError(f"{path}: [{section}] missing field {fieldname!r}")
+        for key in _KEYS:
+            if key.default is MISSING and key.name not in opts:
+                raise DataFormatError(f"{path}: [{section}] missing field {key.name!r}")
         for fieldname in opts:
-            if fieldname not in _FIELDS:
+            if fieldname not in _READERS:
                 raise DataFormatError(f"{path}: [{section}] unknown field {fieldname!r}")
         try:
-            kind = PlatformKind(opts["kind"].strip().lower())
-            freqs = tuple(float(x) for x in opts["frequencies"].split(","))
-            workgroups: tuple[int, ...] = ()
-            if "workgroup_sizes" in opts:
-                workgroups = tuple(int(x) for x in opts["workgroup_sizes"].split(","))
-            spec = PlatformSpec(
-                name=name,
-                kind=kind,
-                total_cores=int(opts["total_cores"]),
-                peak_gflops=float(opts["peak_gflops"]),
-                peak_bandwidth=float(opts["peak_bandwidth"]),
-                mem_controllers=int(opts["mem_controllers"]),
-                frequencies=freqs,
-                static_power=float(opts["static_power"]),
-                workgroup_sizes=workgroups,
-            )
+            spec = PlatformSpec(name, **{k: _READERS[k](v) for k, v in opts.items()})
         except ValueError as exc:
             raise DataFormatError(f"{path}: [{section}]: {exc}") from exc
         specs.append(spec)
@@ -275,17 +275,10 @@ def save_system(system: Iterable[PlatformSpec], path: str) -> None:
     lines: list[str] = []
     for spec in system:
         lines.append(f"[platform {spec.name}]")
-        lines.append(f"kind = {spec.kind.value}")
-        lines.append(f"total_cores = {spec.total_cores}")
-        lines.append(f"peak_gflops = {spec.peak_gflops!r}")
-        lines.append(f"peak_bandwidth = {spec.peak_bandwidth!r}")
-        lines.append(f"mem_controllers = {spec.mem_controllers}")
-        lines.append("frequencies = " + ", ".join(repr(f) for f in spec.frequencies))
-        lines.append(f"static_power = {spec.static_power!r}")
-        if spec.workgroup_sizes:
-            lines.append(
-                "workgroup_sizes = " + ", ".join(str(w) for w in spec.workgroup_sizes)
-            )
+        for key in _KEYS:
+            value = getattr(spec, key.name)
+            if value != key.default:   # a field left at its default is not written
+                lines.append(f"{key.name} = {_text(value)}")
         lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

@@ -160,13 +160,10 @@ def generate_system(spec: SyntheticSpec) -> SyntheticSystem:
     f = np.array([cfg.freq for cfg in configs])
     gpu = np.array([cfg.kind is PlatformKind.GPU for cfg in configs])
     f_rel = f / f.max()
-    by_platform = {}
-    for spec_p in spec.platforms:
-        idx = [i for i, cfg in enumerate(configs) if cfg.platform == spec_p.name]
-        by_platform[spec_p.name] = idx
     c_norm = c.copy()
     f_norm = f.copy()
-    for idx in by_platform.values():
+    for spec_p in spec.platforms:
+        idx = [i for i, cfg in enumerate(configs) if cfg.platform == spec_p.name]
         c_norm[idx] = c[idx] / c[idx].max()
         f_norm[idx] = f[idx] / f[idx].max()
 

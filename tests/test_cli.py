@@ -394,6 +394,32 @@ class TestPredict:
                    "--sample", str(bad)])
         assert rc == EXIT_PARSE
 
+    @pytest.mark.parametrize("edit", ["none", "drop", "rename", "repeat", "extra"])
+    def test_sample_header_gives_each_key_once(self, training_dir, tmp_path, capsys, edit):
+        # without its app_id a file would load as some default application;
+        # a known one would then train on the target's own measured row
+        manifest = str(training_dir / "manifest.conf")
+        sample = tmp_path / "s.csv"
+        assert main(["sample", "--backend-data", manifest, "--cpu-cmd", "app:2",
+                     "--gpu-cmd", "app:2", "--seed", "4", "--out", str(sample)]) == EXIT_OK
+        lines = sample.read_text().splitlines()
+        assert lines[:2] == ["# app_id = 2", "# seed = 4"]
+        lines = {
+            "none": lines,
+            "drop": lines[1:],
+            "rename": ["# appid = 2"] + lines[1:],
+            "repeat": lines[:1] + lines,
+            "extra": lines[:2] + ["# foo = 1"] + lines[2:],
+        }[edit]
+        sample.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["predict", "--training", manifest, "--sample", str(sample)])
+        if edit == "none":
+            assert rc == EXIT_OK
+        else:
+            assert rc == EXIT_PARSE
+            assert f"error: {sample}: " in capsys.readouterr().err
+
     def test_known_app_uses_the_files_measurements(self, training_dir, tmp_path):
         # sampled cells come from the sample file, not from the matrix row
         manifest = str(training_dir / "manifest.conf")

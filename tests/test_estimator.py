@@ -391,6 +391,14 @@ def _sampled_cells(n_cols, n_obs, seed):
     return np.sort(np.random.default_rng(seed).choice(n_cols, n_obs, replace=False))
 
 
+def test_estimator_params_carry_only_the_rank():
+    # the iteration bound and the stop tolerance are constants of every fit
+    assert [f.name for f in dataclasses.fields(EstimatorParams)] == ["latent_dim"]
+    assert EstimatorParams().latent_dim == estimator.MAX_LATENT_DIM
+    assert EstimatorParams.max_iters == 500 and EstimatorParams.tol == 1e-6
+    assert EstimatorParams(latent_dim=2).max_iters == 500
+
+
 class TestSelectLatentDim:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_recovers_noiseless_rank(self, rank):
@@ -424,7 +432,7 @@ class TestSelectLatentDim:
             Ys = (Ys - Ys.mean(axis=0)) / Ys.std(axis=0)
         obs = _sampled_cells(D, n_obs, D)
         k_max = min(5, n - 2, D - 1)
-        np.testing.assert_allclose(held_out_errors(Ys, obs, k_max),
+        np.testing.assert_allclose(held_out_errors(*estimator._row_space(Ys)[1:], obs, k_max),
                                    naive_held_out_errors(Ys, obs, k_max), rtol=1e-8)
 
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heterotune.errors import DataFormatError
 from heterotune.platforms import (
@@ -313,6 +316,39 @@ def test_system_file_round_trip(tmp_path):
     save_system(DEFAULT_SYSTEM, path)
     loaded = load_system(path)
     assert loaded == DEFAULT_SYSTEM
+
+
+POSITIVE = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def saved_specs(draw, name, kind):
+    """Any valid descriptor of ``kind``, with arbitrary float values."""
+    freqs = sorted(set(draw(st.lists(POSITIVE, min_size=1, max_size=5))))
+    workgroups = ()
+    if kind is PlatformKind.GPU:
+        workgroups = tuple(draw(st.lists(st.integers(1, 1024), min_size=1, max_size=5)))
+    return PlatformSpec(name, kind, draw(st.integers(1, 1024)), draw(POSITIVE), draw(POSITIVE),
+                        draw(st.integers(1, 8)), tuple(freqs), draw(st.floats(0.0, 1e4)),
+                        workgroups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_system_file_round_trip(data):
+    kinds = data.draw(st.permutations(
+        [PlatformKind.CPU] * data.draw(st.integers(1, 2))
+        + [PlatformKind.GPU] * data.draw(st.integers(0, 2))
+    ))
+    system = tuple(data.draw(saved_specs(f"p{i}", kind)) for i, kind in enumerate(kinds))
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "a.conf"), os.path.join(d, "b.conf")
+        save_system(system, first)
+        loaded = load_system(first)
+        assert loaded == system
+        save_system(loaded, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
 
 class TestSystemFileKeys:
