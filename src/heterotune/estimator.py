@@ -322,8 +322,11 @@ def _initial_parameters(
     and a lies in the block's top k right singular vectors, so one k x k
     eigendecomposition gives the new top of the spectrum and the rest is
     the block's.  The spectrum is padded with zeros to min(N, D) entries,
-    the eigenvalues of the N x D stacked rows.  sigma^2 is the mean
-    eigenvalue past K, and K then drops directions the spectrum cannot
+    the eigenvalues of the N x D stacked rows.  sigma^2 is the
+    maximum-likelihood value, the mean of the D - K smallest eigenvalues of
+    the D x D covariance: the spectrum past K summed and divided by D - K,
+    so the zero eigenvalues past min(N, D) count in the mean, as in
+    ``held_out_errors``.  K then drops directions the spectrum cannot
     support: loading columns born at (near) zero norm otherwise collapse
     through |w|^2 ~ sigma^2, where the latent posterior of the partially
     observed row blows up.
@@ -346,8 +349,7 @@ def _initial_parameters(
     lam[k:sv.size] = sv[k:] ** 2
     lam /= N
     mu = tr_mean + top @ a / N
-    s2 = float(lam[K:].mean()) if lam.size > K else SIGMA2_FLOOR
-    s2 = max(s2, SIGMA2_FLOOR)
+    s2 = max(float(lam[K:].sum()) / (D - K), SIGMA2_FLOOR)
     # every direction past k is below the support threshold, so K <= k
     supported = lam[:K] - s2 > max(1e-9 * lam[0], 1e-10)
     K = max(1, int(np.count_nonzero(supported)))
@@ -389,7 +391,7 @@ def em_fit(
     W <- W chol(S).  That is still an EM step, so the log-likelihood stays
     non-decreasing, but it rescales each latent factor at once instead of
     creeping toward its scale: plain EM ran to hundreds of iterations on
-    sparse rows, PX-EM stops in 3 (full) or 4 (``ci``) at the median.
+    sparse rows, PX-EM stops in 2 (full) or 3 (``ci``) at the median.
     ``max_iters`` is a safety bound; reaching it is flagged on the returned
     state, not raised.  A collapsing noise variance is clamped at
     SIGMA2_FLOOR (and flagged), which keeps the noiseless case well-posed.

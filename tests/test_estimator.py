@@ -305,23 +305,29 @@ class TestEmFit:
         assert errors[-1] > errors[0]
 
 
-def naive_initial_parameters(Ys, init_s, latent_dim):
-    """em_fit's starting point by its definition: one explicit SVD of the
-    training block, projection of the regression row onto its top right
-    singular vectors, and one explicit SVD of the stacked rows."""
+def stacked_rows(Ys, init_s, latent_dim):
+    """The rows em_fit's starting point is fitted to, and the rank K asked
+    of that fit: the training rows and the regression row's projection onto
+    their top right singular vectors, from one explicit SVD."""
     n_train, D = Ys.shape
-    N = n_train + 1
-    K = max(1, min(latent_dim, D - 1, N - 1))
+    K = max(1, min(latent_dim, D - 1, n_train))
     tr_mean = Ys.mean(axis=0)
     _, sv_tr, vt_tr = np.linalg.svd(Ys - tr_mean, full_matrices=False)
     lam_tr = sv_tr**2 / n_train
     k_proj = int(np.count_nonzero(lam_tr > max(1e-9 * lam_tr[0], 1e-12)))
     basis = vt_tr[: max(1, min(K, k_proj))]
-    stacked = np.vstack([Ys, (init_s - tr_mean) @ basis.T @ basis + tr_mean])
+    return np.vstack([Ys, (init_s - tr_mean) @ basis.T @ basis + tr_mean]), K
+
+
+def naive_initial_parameters(Ys, init_s, latent_dim):
+    """em_fit's starting point by its definition: the rows of
+    ``stacked_rows`` and one explicit SVD of them."""
+    stacked, K = stacked_rows(Ys, init_s, latent_dim)
+    N, D = stacked.shape
     mu = stacked.mean(axis=0)
     _, sv, vt = np.linalg.svd(stacked - mu, full_matrices=False)
     lam = sv**2 / N
-    s2 = max(float(lam[K:].mean()) if lam.size > K else SIGMA2_FLOOR, SIGMA2_FLOOR)
+    s2 = max(float(lam[K:].sum()) / (D - K), SIGMA2_FLOOR)
     K = max(1, int(np.count_nonzero(lam[:K] - s2 > max(1e-9 * lam[0], 1e-10))))
     W = vt[:K].T * np.sqrt(np.maximum(lam[:K] - s2, SIGMA2_FLOOR))
     return mu, W, s2, K
@@ -345,6 +351,21 @@ class TestInitialParameters:
         # loadings' signs are arbitrary; the z-scored columns set the unit
         for got, ref in ((mu, mu_ref), (W @ W.T, W_ref @ W_ref.T)):
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(ref).max()))
+
+    @pytest.mark.parametrize("n_train, D", [(9, 60), (17, 393), (20, 9), (8, 9)])
+    def test_noise_variance_is_the_mean_discarded_eigenvalue(self, n_train, D):
+        # Tipping & Bishop's maximum-likelihood sigma^2: the mean of the
+        # D - K smallest eigenvalues of the stacked rows' D x D covariance,
+        # the zero ones included when D > N; the same rule as held_out_errors
+        rows = rank_k_matrix(n_train, D, 3, seed=D, noise_sd=0.1)
+        block = estimator._block(rows)
+        init_s = np.random.default_rng(D + 1).standard_normal(D)
+        _, _, s2, K = estimator._initial_parameters(block, init_s, 3)
+        stacked, K_asked = stacked_rows(block.rows, init_s, 3)
+        assert K == K_asked == 3
+        eig = np.linalg.eigvalsh(np.cov(stacked, rowvar=False, bias=True))
+        assert eig.size == D
+        assert s2 == pytest.approx(eig[: D - K].mean(), rel=1e-9)
 
     def test_full_system_prediction_runs_no_wide_svd(self, monkeypatch):
         # the set-up works in the training rows' span: no SVD sees more
@@ -694,6 +715,18 @@ class TestPipeline:
         predictions = list(_panel_predictions(profile))
         assert len(iters) == 2 * len(predictions)
         assert max(iters) <= 10, iters
+
+    @pytest.mark.parametrize("profile, plans_per_app, median", [("full", 3, 2), ("ci", 12, 3)])
+    def test_panel_fits_start_at_the_ml_noise_variance(self, profile, plans_per_app, median,
+                                                       monkeypatch):
+        # the benchmark's quality panels (54 full and 72 ci predictions).
+        # EM starts at the maximum-likelihood PPCA sigma^2; started at the
+        # mean of the min(N, D) - K eigenvalues past K instead (on full at
+        # K = 2, about 24 times larger) it took a median 3 and 4 iterations
+        iters = _count_em_iterations(monkeypatch)
+        predictions = list(_panel_predictions(profile, plans_per_app))
+        assert len(iters) == 2 * len(predictions)
+        assert np.median(iters) <= median, sorted(iters)
 
     def test_ci_fits_stop_quickly_over_many_plans(self, monkeypatch):
         # twelve plans per application: on some plans of app 4 a latent
