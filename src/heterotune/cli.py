@@ -114,6 +114,25 @@ def _require_out(args) -> None:
         raise DataFormatError(f"{args.command} needs --out")
 
 
+def _out_directory(path: str) -> None:
+    """Create an output directory before the first run or prediction, so
+    that an unusable ``--out`` exits 2, naming it, before any work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataFormatError(f"--out {path} is not a usable directory: {exc.strerror}") from exc
+
+
+def _out_file(path: str) -> None:
+    """Check an output file's location before the first run, as
+    ``_out_directory`` does for a directory; nothing is written yet."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        raise DataFormatError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise DataFormatError(f"--out {path}: no directory {parent}")
+
+
 def cmd_benchmark(args) -> int:
     """Measure every (application, configuration) cell and write the
     training files; backend failures leave missing cells and continue.
@@ -129,6 +148,7 @@ def cmd_benchmark(args) -> int:
     if unknown:
         raise DataFormatError(f"--apps {args.apps}: the simulated backend has no "
                               f"application with id {unknown}")
+    _out_directory(args.out)
     n_apps, n_cfg = len(apps), len(configs)
     power = np.full((n_apps, n_cfg), np.nan)
     time = np.full((n_apps, n_cfg), np.nan)
@@ -242,6 +262,7 @@ def cmd_sample(args) -> int:
     seed = args.seed or 0
     plan = select_samples(len(configs), n, seed)
     desc = _descriptor(args, [configs[j] for j in plan.sample_configs])
+    _out_file(args.out)
     power, time, app_ids = [], [], set()
     for j in plan.sample_configs:
         meas = _run(backend, desc, configs[j])
@@ -291,6 +312,8 @@ def cmd_predict(args) -> int:
     matrix = load_training(args.training)
     samples, seed = load_samples(args.sample, matrix)
     _require_training(matrix, args.training, skip_app=samples.app_id)
+    if args.out:
+        _out_directory(args.out)
     known_ids = {a.app_id for a in matrix.apps}
     if samples.app_id in known_ids:
         # The file's measurements replace the matrix's at the sampled cells;
@@ -313,14 +336,15 @@ def cmd_predict(args) -> int:
     if not result.converged:
         print("warning: EM did not converge within max_iters", file=sys.stderr)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "estimates.csv")
+        chosen_flags = ["0"] * len(matrix.configs)
+        chosen_flags[result.chosen] = "1"
+        columns = ([cfg.config_id for cfg in matrix.configs], map(repr, result.power.tolist()),
+                   map(repr, result.time.tolist()), map(repr, result.energy.tolist()),
+                   result.provenance, chosen_flags)
         with open(path, "w") as fh:
-            fh.write("config_id,power,time,energy,provenance,chosen\n")
-            columns = zip(matrix.configs, result.power.tolist(), result.time.tolist(),
-                          result.energy.tolist(), result.provenance)
-            for j, (cfg, p, t, e, source) in enumerate(columns):
-                fh.write(f"{cfg.config_id},{p!r},{t!r},{e!r},{source},{int(j == result.chosen)}\n")
+            fh.write("config_id,power,time,energy,provenance,chosen\n"
+                     + "\n".join(map(",".join, zip(*columns))) + "\n")
         print(f"estimates -> {path}")
     return EXIT_OK
 
@@ -355,6 +379,8 @@ def cmd_evaluate(args) -> int:
                               f"without {HOLISTIC} in --approaches")
     matrix = load_training(args.training)
     _require_training(matrix, args.training)
+    if args.out:
+        _out_directory(args.out)
     try:
         report = evaluate(
             matrix,

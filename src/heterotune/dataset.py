@@ -272,16 +272,20 @@ def _write_grid(path: str, apps: Sequence[ApplicationMeta], configs: Sequence[Na
 def _grid_error(path: str, rows: Sequence[tuple[int, str]],
                 columns: Sequence[str]) -> DataFormatError:
     """The error naming the first bad line of a grid body, given as (file
-    line number, line) pairs in file order: a wrong cell count, a bad app
-    id, or a cell that is neither ``NA`` nor a finite number."""
+    line number, line) pairs in file order: a wrong cell count, a bad or
+    repeated app id, or a cell that is neither ``NA`` nor a finite number."""
+    line_of: dict[int, int] = {}
     for r, line in rows:
         cells = line.split(",")
         if len(cells) != len(columns) + 1:
             return DataFormatError(f"{path}:{r}: expected {len(columns) + 1} cells, got {len(cells)}")
         try:
-            int(cells[0])
+            app_id = int(cells[0])
         except ValueError:
             return DataFormatError(f"{path}:{r}: bad app_id {cells[0]!r}")
+        if app_id in line_of:
+            return DataFormatError(f"{path}:{r}: app_id {app_id} repeats line {line_of[app_id]}")
+        line_of[app_id] = r
         for column, cell in zip(columns, cells[1:]):
             if cell == MISSING:
                 continue
@@ -297,8 +301,10 @@ def _grid_error(path: str, rows: Sequence[tuple[int, str]],
 def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[int], np.ndarray]:
     """App ids and values of one grid file; NaN at ``NA`` cells.
 
-    The body is split and converted in one pass; only a grid that fails it
-    is walked row by row, by ``_grid_error``, to name the first bad line.
+    Each row is converted straight into the value array, by ``float`` on
+    each cell; only a row that fails has its ``NA`` cells replaced and is
+    converted again.  A grid that still fails is walked row by row, by
+    ``_grid_error``, to name the first bad line.
     """
     lines = read_lines(path, "grid")
     if not lines:
@@ -312,19 +318,21 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
             f"{path}: config columns do not match the platform file "
             f"(got {len(header) - 1} columns, expected {len(expected)})"
         )
-    body, width = [line for _, line in lines[1:]], len(expected) + 1
+    values = np.empty((len(lines) - 1, len(expected)))
+    app_ids, n_missing = [], 0
     try:
-        if any(line.count(",") != width - 1 for line in body):
-            raise ValueError("wrong cell count")
-        joined = ",".join(body)
-        tokens = joined.split(",") if body else []
-        app_ids = [int(cell) for cell in tokens[::width]]
-        # a grid with no NA anywhere needs no token count
-        n_missing = tokens.count(MISSING) if MISSING in joined else 0
-        if n_missing:
-            tokens = [math.nan if cell == MISSING else cell for cell in tokens]
-        cells = np.fromiter(map(float, tokens), float, len(tokens)).reshape(len(body), width)
-        values = cells[:, 1:]
+        for r, (_, line) in enumerate(lines[1:]):
+            cells = line.split(",")
+            if len(cells) != len(expected) + 1:
+                raise ValueError("wrong cell count")
+            app_ids.append(int(cells[0]))
+            try:
+                values[r] = cells[1:]
+            except ValueError:
+                n_missing += cells.count(MISSING)
+                values[r] = [math.nan if cell == MISSING else cell for cell in cells[1:]]
+        if len(set(app_ids)) != len(app_ids):
+            raise ValueError("repeated app_id")
         if np.isfinite(values).sum() + n_missing != values.size:
             raise ValueError("non-finite value")
     except ValueError:

@@ -32,7 +32,7 @@ class PlatformKind(Enum):
     GPU = "gpu"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NativeConfig:
     """One operating point of one platform.
 
@@ -51,10 +51,12 @@ class NativeConfig:
     mem: int
     config_id: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        knob = "w" if self.kind is PlatformKind.GPU else "c"
-        object.__setattr__(self, "config_id",
-                           f"{self.platform}:{knob}{self.cores}:f{self.freq!r}:m{self.mem}")
+    def __init__(self, platform: str, kind: PlatformKind, cores: int, freq: float,
+                 mem: int) -> None:
+        # one dict update sets every field of the frozen instance
+        knob = "w" if kind is PlatformKind.GPU else "c"
+        self.__dict__.update(platform=platform, kind=kind, cores=cores, freq=freq, mem=mem,
+                             config_id=f"{platform}:{knob}{cores}:f{freq!r}:m{mem}")
 
     @property
     def workgroup_size(self) -> int:

@@ -858,6 +858,54 @@ def test_system_without_cpu_exits_parse(tmp_path, monkeypatch, capsys, command, 
     assert sorted(os.listdir(tmp_path)) == ["gpu-only.conf"]
 
 
+class TestUnusableOut:
+    """An --out that cannot be written exits 2, naming it, before the first
+    run or prediction."""
+
+    def test_benchmark(self, tmp_path, monkeypatch, capsys):
+        calls = count_runs(monkeypatch)
+        taken = tmp_path / "file"
+        taken.write_text("x")
+        assert main(["benchmark", "--profile", "ci", "--out", str(taken)]) == EXIT_PARSE
+        assert f"error: --out {taken} is not a usable directory" in capsys.readouterr().err
+        assert calls["n"] == 0
+
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_sample(self, training_dir, tmp_path, monkeypatch, capsys, where):
+        calls = count_runs(monkeypatch)
+        out = tmp_path / "missing" / "s.csv" if where == "missing-dir" else tmp_path
+        assert main(["sample", "--backend-data", str(training_dir / "manifest.conf"),
+                     "--cpu-cmd", "app:1", "--gpu-cmd", "app:1", "--out", str(out)]) == EXIT_PARSE
+        assert f"error: --out {out}" in capsys.readouterr().err
+        assert calls["n"] == 0
+        assert not (tmp_path / "missing").exists()
+
+    def test_predict(self, training_dir, tmp_path, monkeypatch, capsys):
+        manifest = str(training_dir / "manifest.conf")
+        sample = tmp_path / "s.csv"
+        assert main(["sample", "--backend-data", manifest, "--cpu-cmd", "app:2",
+                     "--gpu-cmd", "app:2", "--out", str(sample)]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "predict_best_config", lambda *a: pytest.fail("predicted"))
+        taken = tmp_path / "file"
+        taken.write_text("x")
+        assert main(["predict", "--training", manifest, "--sample", str(sample),
+                     "--out", str(taken)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --out {taken} is not a usable directory" in captured.err
+        assert taken.read_text() == "x"
+
+    def test_evaluate(self, training_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        taken = tmp_path / "file"
+        taken.write_text("x")
+        assert main(["evaluate", "--training", str(training_dir / "manifest.conf"),
+                     "--out", str(taken / "report")]) == EXIT_PARSE
+        assert f"error: --out {taken / 'report'} is not a usable directory" in \
+            capsys.readouterr().err
+
+
 class TestBackendErrors:
     def test_bad_app_selector_exits_backend(self, training_dir, tmp_path):
         rc = main([

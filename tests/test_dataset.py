@@ -237,6 +237,17 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match=re.escape(message)):
             load_training(manifest)
 
+    def test_repeated_grid_app_id_names_both_lines(self, tmp_path):
+        m = tiny_matrix(n_apps=3)
+        manifest = save_training(m, str(tmp_path / "t"))
+        time_file = tmp_path / "t" / "time.csv"
+        header, first, second, third = time_file.read_text().splitlines()
+        repeat = ",".join(["1"] + third.split(",")[1:])
+        time_file.write_text(f"{header}\n{first}\n\n{second}\n{repeat}\n")
+        message = f"{time_file}:5: app_id 1 repeats line 2"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_training(manifest)
+
 
 def reference_grid(path, columns):
     """A plain per-row, per-cell reading of a grid body: app ids and values,
@@ -249,9 +260,13 @@ def reference_grid(path, columns):
         if len(cells) != len(columns) + 1:
             raise DataFormatError(f"{path}:{r}: expected {len(columns) + 1} cells, got {len(cells)}")
         try:
-            ids.append(int(cells[0]))
+            app_id = int(cells[0])
         except ValueError:
             raise DataFormatError(f"{path}:{r}: bad app_id {cells[0]!r}") from None
+        if app_id in ids:
+            first = lines[1 + ids.index(app_id)][0]
+            raise DataFormatError(f"{path}:{r}: app_id {app_id} repeats line {first}")
+        ids.append(app_id)
         row = []
         for column, cell in zip(columns, cells[1:]):
             if cell == "NA":
@@ -268,9 +283,11 @@ def reference_grid(path, columns):
     return ids, np.array(rows, dtype=float).reshape(len(rows), len(columns))
 
 
-# cell tokens a corruption writes over a cell, and whole-row edits
-BAD_TOKENS = ("abc", "", "nan", "inf", "-inf", "1e400", "NaN", "-NA", "1.2.3")
-ROW_EDITS = ("short", "long", "bad-id", "fractional-id", "pad")
+# tokens a corruption writes over a cell, some of which float() accepts,
+# and whole-row edits
+BAD_TOKENS = ("abc", "", "nan", "inf", "-inf", "1e400", "NaN", "-NA", "1.2.3",
+              "1_0", " 1.5", "\u0661\u0662", "NA ", "1,5")
+ROW_EDITS = ("short", "long", "bad-id", "fractional-id", "pad", "repeat-id")
 
 
 @st.composite
@@ -278,7 +295,7 @@ def corrupted_grids(draw):
     """A CPU-only system and its power and time grids as rows of cells, NA
     at the same cells of both, then zero, one or two corruptions; and the
     body rows each grid has a blank line before (the row count for one
-    after the last)."""
+    after the last).  Only some rows hold NA cells."""
     cores, n_freq, ctl = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
     spec = PlatformSpec("gen-cpu", PlatformKind.CPU, cores, 10.0, 20.0, ctl,
                         (1.0, 1.5, 2.0)[:n_freq], 1.0)
@@ -287,13 +304,15 @@ def corrupted_grids(draw):
     positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
     grids = {"power.csv": [], "time.csv": []}
     for app_id in ids:
-        missing = draw(st.lists(st.booleans(), min_size=n_cfg, max_size=n_cfg))
+        missing = draw(st.lists(st.booleans(), min_size=n_cfg, max_size=n_cfg)
+                       if draw(st.booleans()) else st.just([False] * n_cfg))
         for rows in grids.values():
             values = draw(st.lists(positive, min_size=n_cfg, max_size=n_cfg))
             rows.append([str(app_id)] + ["NA" if m else repr(v) for m, v in zip(missing, values)])
     n_corruptions = draw(st.integers(0, 2)) if ids else 0
     for _ in range(n_corruptions):
-        cells = grids[draw(st.sampled_from(sorted(grids)))][draw(st.integers(0, len(ids) - 1))]
+        row = draw(st.integers(0, len(ids) - 1))
+        cells = grids[draw(st.sampled_from(sorted(grids)))][row]
         edit = draw(st.sampled_from(BAD_TOKENS + ROW_EDITS))
         at = draw(st.integers(1, max(len(cells) - 1, 1))) % len(cells)
         if edit == "short":
@@ -306,6 +325,8 @@ def corrupted_grids(draw):
             cells[0] = "1.5"
         elif edit == "pad":
             cells[at] = f" {cells[at]}  "
+        elif edit == "repeat-id":
+            cells[0] = str(ids[row - 1])   # the previous row's, or its own if alone
         else:
             cells[at] = edit
     blank_before = draw(st.lists(st.integers(0, len(ids)), max_size=3))
@@ -338,6 +359,13 @@ class TestGridParseProperty:
                 with pytest.raises(DataFormatError) as got:
                     load_training(manifest)
                 assert str(got.value) == str(exc)
+                return
+            one_grid = np.isnan(power) != np.isnan(time)
+            if one_grid.any():   # a token float() reads, written over an NA of one grid
+                i, j = np.argwhere(one_grid)[0]
+                message = f"cell unmeasured in only one grid at app {ids[i]}, config {columns[j]}"
+                with pytest.raises(DataFormatError, match=re.escape(message)):
+                    load_training(manifest)
                 return
             loaded = load_training(manifest)
             assert [a.app_id for a in loaded.apps] == ids

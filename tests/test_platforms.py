@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tempfile
 
@@ -264,6 +265,40 @@ class TestConfigurationEquivalence:
     def test_config_id_is_the_formula_on_generated_systems(self, system):
         # TestUnifySystemProperties checks their unified rows
         self.assert_ids_match_formula(system)
+
+    @staticmethod
+    def assert_settings_match_constructor(system):
+        for cfg in enumerate_configs(system):
+            built = NativeConfig(platform=cfg.platform, kind=cfg.kind, cores=cfg.cores,
+                                 freq=cfg.freq, mem=cfg.mem)
+            assert vars(built) == vars(cfg)   # every field, config_id too, and nothing else
+            assert built == cfg and hash(built) == hash(cfg) and repr(built) == repr(cfg)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_native_settings_equal_the_public_constructor(self, name):
+        self.assert_settings_match_constructor(SYSTEMS[name])
+
+    @given(cpu_gpu_systems())
+    def test_native_settings_equal_the_public_constructor_on_generated_systems(self, system):
+        self.assert_settings_match_constructor(system)
+
+    def test_fields_stay_frozen(self):
+        cfg = DEFAULT_GPU.native_settings[0]
+        for f in dataclasses.fields(NativeConfig):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(cfg, f.name)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CPU.native_settings[5], DEFAULT_GPU.native_settings[3]],
+                             ids=["cpu", "gpu"])
+    def test_replace_reformats_config_id(self, cfg):
+        moved = dataclasses.replace(cfg, cores=cfg.cores * 2, freq=2.25)
+        assert moved == NativeConfig(cfg.platform, cfg.kind, cfg.cores * 2, 2.25, cfg.mem)
+        knob = "w" if cfg.kind is PlatformKind.GPU else "c"
+        assert moved.config_id == f"{cfg.platform}:{knob}{cfg.cores * 2}:f2.25:m{cfg.mem}"
+        with pytest.raises(ValueError):   # derived, so never given
+            dataclasses.replace(cfg, config_id="x")
 
 
 class TestEnumerate:
