@@ -194,7 +194,7 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
     header gives each key of ``SAMPLE_HEADER`` once and no other key."""
     meta = {}
     body = []
-    for _, ln in read_lines(path, "sample file"):
+    for r, ln in read_lines(path, "sample file"):
         if ln.startswith("#"):
             try:
                 key, value = (part.strip() for part in ln[1:].split("=", 1))
@@ -206,32 +206,32 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
                 raise DataFormatError(f"{path}: header key {key!r} given twice")
             meta[key] = value
         else:
-            body.append(ln)
+            body.append((r, ln))
     for key in SAMPLE_HEADER:
         if key not in meta:
             raise DataFormatError(f"{path}: missing header key {key!r}")
-    if not body or body[0] != "config_id,power,time":
+    if not body or body[0][1] != "config_id,power,time":
         raise DataFormatError(f"{path}: missing 'config_id,power,time' header")
     col = {cfg.config_id: j for j, cfg in enumerate(matrix.configs)}
     idx, seen, power, time = [], set(), [], []
-    for r, ln in enumerate(body[1:], start=1):
+    for r, ln in body[1:]:
         cells = ln.split(",")
         if len(cells) != 3:
-            raise DataFormatError(f"{path}: row {r}: expected 3 cells")
+            raise DataFormatError(f"{path}:{r}: expected 3 cells")
         if cells[0] not in col:
-            raise DataFormatError(f"{path}: row {r}: unknown config {cells[0]!r}")
+            raise DataFormatError(f"{path}:{r}: unknown config {cells[0]!r}")
         if cells[0] in seen:
-            raise DataFormatError(f"{path}: row {r}: config {cells[0]!r} listed twice")
+            raise DataFormatError(f"{path}:{r}: config {cells[0]!r} listed twice")
         try:
             p, t = float(cells[1]), float(cells[2])
         except ValueError as exc:
-            raise DataFormatError(f"{path}: row {r}: {exc}") from exc
+            raise DataFormatError(f"{path}:{r}: {exc}") from exc
         if not (np.isfinite(p) and np.isfinite(t)):
-            raise DataFormatError(f"{path}: row {r}: non-finite value")
+            raise DataFormatError(f"{path}:{r}: non-finite value")
         if p <= 0:
-            raise DataFormatError(f"{path}: row {r}: non-positive power {p!r}")
+            raise DataFormatError(f"{path}:{r}: non-positive power {p!r}")
         if t <= 0:
-            raise DataFormatError(f"{path}: row {r}: non-positive time {t!r}")
+            raise DataFormatError(f"{path}:{r}: non-positive time {t!r}")
         idx.append(col[cells[0]])
         seen.add(cells[0])
         power.append(p)
@@ -508,6 +508,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:   # every reader raises DataFormatError, so this is a write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EstimatorError as exc:
         print(f"estimator error: {exc}", file=sys.stderr)

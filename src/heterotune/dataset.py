@@ -269,42 +269,16 @@ def _write_grid(path: str, apps: Sequence[ApplicationMeta], configs: Sequence[Na
             fh.write(str(app.app_id) + "," + ",".join(cells) + "\n")
 
 
-def _grid_error(path: str, rows: Sequence[tuple[int, str]],
-                columns: Sequence[str]) -> DataFormatError:
-    """The error naming the first bad line of a grid body, given as (file
-    line number, line) pairs in file order: a wrong cell count, a bad or
-    repeated app id, or a cell that is neither ``NA`` nor a finite number."""
-    line_of: dict[int, int] = {}
-    for r, line in rows:
-        cells = line.split(",")
-        if len(cells) != len(columns) + 1:
-            return DataFormatError(f"{path}:{r}: expected {len(columns) + 1} cells, got {len(cells)}")
-        try:
-            app_id = int(cells[0])
-        except ValueError:
-            return DataFormatError(f"{path}:{r}: bad app_id {cells[0]!r}")
-        if app_id in line_of:
-            return DataFormatError(f"{path}:{r}: app_id {app_id} repeats line {line_of[app_id]}")
-        line_of[app_id] = r
-        for column, cell in zip(columns, cells[1:]):
-            if cell == MISSING:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                return DataFormatError(f"{path}:{r}: column {column!r}: bad value {cell!r}")
-            if not math.isfinite(value):
-                return DataFormatError(f"{path}:{r}: column {column!r}: non-finite value")
-    raise AssertionError("grid has no bad line")
-
-
 def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[int], np.ndarray]:
     """App ids and values of one grid file; NaN at ``NA`` cells.
 
-    Each row is converted straight into the value array, by ``float`` on
-    each cell; only a row that fails has its ``NA`` cells replaced and is
-    converted again.  A grid that still fails is walked row by row, by
-    ``_grid_error``, to name the first bad line.
+    Rows are read and checked once, in file order, and the first bad line
+    is named: a wrong cell count, a bad or repeated app id, or a cell that
+    is neither ``NA`` nor a finite number.  Each row is converted straight
+    into the value array, by ``float`` on each cell; only a row that fails
+    is converted again with its ``NA`` cells as NaN.  A row is accepted when
+    its finite and ``NA`` cells fill it; otherwise it is walked cell by cell
+    to name its first bad cell.
     """
     lines = read_lines(path, "grid")
     if not lines:
@@ -319,25 +293,40 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
             f"(got {len(header) - 1} columns, expected {len(expected)})"
         )
     values = np.empty((len(lines) - 1, len(expected)))
-    app_ids, n_missing = [], 0
-    try:
-        for r, (_, line) in enumerate(lines[1:]):
-            cells = line.split(",")
-            if len(cells) != len(expected) + 1:
-                raise ValueError("wrong cell count")
-            app_ids.append(int(cells[0]))
+    line_of: dict[int, int] = {}
+    for row, (r, line) in zip(values, lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(expected) + 1:
+            raise DataFormatError(f"{path}:{r}: expected {len(expected) + 1} cells, "
+                                  f"got {len(cells)}")
+        try:
+            app_id = int(cells[0])
+        except ValueError:
+            raise DataFormatError(f"{path}:{r}: bad app_id {cells[0]!r}") from None
+        if app_id in line_of:
+            raise DataFormatError(f"{path}:{r}: app_id {app_id} repeats line {line_of[app_id]}")
+        line_of[app_id] = r
+        n_missing = 0
+        try:
+            row[:] = cells[1:]
+        except ValueError:
+            n_missing = cells.count(MISSING)
             try:
-                values[r] = cells[1:]
+                row[:] = [math.nan if cell == MISSING else cell for cell in cells[1:]]
             except ValueError:
-                n_missing += cells.count(MISSING)
-                values[r] = [math.nan if cell == MISSING else cell for cell in cells[1:]]
-        if len(set(app_ids)) != len(app_ids):
-            raise ValueError("repeated app_id")
-        if np.isfinite(values).sum() + n_missing != values.size:
-            raise ValueError("non-finite value")
-    except ValueError:
-        raise _grid_error(path, lines[1:], expected) from None
-    return app_ids, values
+                n_missing = -1   # a cell float() rejects: never accepted below
+        if np.count_nonzero(np.isfinite(row)) + n_missing != len(expected):
+            for column, cell in zip(expected, cells[1:]):
+                if cell == MISSING:
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataFormatError(f"{path}:{r}: column {column!r}: "
+                                          f"bad value {cell!r}") from None
+                if not math.isfinite(value):
+                    raise DataFormatError(f"{path}:{r}: column {column!r}: non-finite value")
+    return list(line_of), values
 
 
 def save_training(matrix: TrainingMatrix, directory: str, seed: int | None = None) -> str:

@@ -463,7 +463,7 @@ class TestPredict:
                    "--sample", str(bad)])
         assert rc == EXIT_PARSE
         err = capsys.readouterr().err
-        assert f"{bad}: row 16: " in err and what in err
+        assert f"{bad}:19: " in err and what in err
 
     def test_unmeasured_training_cell_exits_parse(self, training_dir, tmp_path, capsys):
         # the first unmeasured cell the estimator would read is named; the
@@ -904,6 +904,34 @@ class TestUnusableOut:
                      "--out", str(taken / "report")]) == EXIT_PARSE
         assert f"error: --out {taken / 'report'} is not a usable directory" in \
             capsys.readouterr().err
+
+
+class TestUnwritableOutFile:
+    """A write that fails inside a usable --out directory exits 2, naming
+    the file, instead of ending in a traceback."""
+
+    def test_benchmark(self, tmp_path, capsys):
+        (tmp_path / "power.csv").mkdir()
+        assert main(["benchmark", "--profile", "ci", "--out", str(tmp_path)]) == EXIT_PARSE
+        assert str(tmp_path / "power.csv") in capsys.readouterr().err
+
+    def test_predict(self, training_dir, tmp_path, capsys):
+        manifest = str(training_dir / "manifest.conf")
+        sample = tmp_path / "s.csv"
+        assert main(["sample", "--backend-data", manifest, "--cpu-cmd", "app:2",
+                     "--gpu-cmd", "app:2", "--out", str(sample)]) == EXIT_OK
+        out = tmp_path / "out"
+        (out / "estimates.csv").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["predict", "--training", manifest, "--sample", str(sample),
+                     "--out", str(out)]) == EXIT_PARSE
+        assert str(out / "estimates.csv") in capsys.readouterr().err
+
+    def test_evaluate(self, training_dir, tmp_path, capsys):
+        (tmp_path / "report.csv").mkdir()
+        assert main(["evaluate", "--training", str(training_dir / "manifest.conf"),
+                     "--approaches", "cpu-only", "--out", str(tmp_path)]) == EXIT_PARSE
+        assert str(tmp_path / "report.csv") in capsys.readouterr().err
 
 
 class TestBackendErrors:

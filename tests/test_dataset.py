@@ -249,6 +249,29 @@ class TestPersistence:
             load_training(manifest)
 
 
+    def test_non_finite_row_is_named_before_a_later_short_row(self, tmp_path):
+        # each row is checked before the next is read, finiteness included
+        m = tiny_matrix()
+        manifest = save_training(m, str(tmp_path / "t"))
+        self._edit_cell(tmp_path / "t", "power.csv", 1, 0, "inf")
+        power_file = tmp_path / "t" / "power.csv"
+        lines = power_file.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        power_file.write_text("\n".join(lines) + "\n")
+        message = f"power.csv:2: column {m.configs[0].config_id!r}: non-finite value"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_training(manifest)
+
+    def test_nan_token_beside_na_is_not_read_as_na(self, tmp_path):
+        m = tiny_matrix()
+        manifest = save_training(m, str(tmp_path / "t"))
+        for grid in ("power.csv", "time.csv"):
+            self._edit_cell(tmp_path / "t", grid, 1, 2, "NA")
+        self._edit_cell(tmp_path / "t", "power.csv", 1, 0, "nan")
+        message = f"power.csv:2: column {m.configs[0].config_id!r}: non-finite value"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_training(manifest)
+
 def reference_grid(path, columns):
     """A plain per-row, per-cell reading of a grid body: app ids and values,
     or the DataFormatError naming the first bad line."""
