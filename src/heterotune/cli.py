@@ -199,11 +199,11 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
             try:
                 key, value = (part.strip() for part in ln[1:].split("=", 1))
             except ValueError:
-                raise DataFormatError(f"{path}: bad header line {ln!r}") from None
+                raise DataFormatError(f"{path}:{r}: bad header line {ln!r}") from None
             if key not in SAMPLE_HEADER:
-                raise DataFormatError(f"{path}: unknown header key {key!r}")
+                raise DataFormatError(f"{path}:{r}: unknown header key {key!r}")
             if key in meta:
-                raise DataFormatError(f"{path}: header key {key!r} given twice")
+                raise DataFormatError(f"{path}:{r}: header key {key!r} given twice")
             meta[key] = value
         else:
             body.append((r, ln))

@@ -30,6 +30,11 @@ from .readers import read_lines, read_sections
 
 MISSING = "NA"
 
+# Each training file's manifest key and file name, in manifest order; ``apps``
+# is the one optional key.
+TRAINING_FILES = {"power": "power.csv", "time": "time.csv", "platforms": "system.conf",
+                  "apps": "apps.csv"}
+
 
 class PerfLimit(Enum):
     COMPUTATION = "computation"
@@ -97,14 +102,10 @@ class SamplePlan:
     sample_configs: tuple[int, ...]
     seed: int
 
-    def __post_init__(self) -> None:
-        if len(set(self.sample_configs)) != len(self.sample_configs):
-            raise ValueError("sample_configs must be distinct")
-
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Measured values at a plan's configurations for one application."""
+    """Measured values at distinct configurations of one application."""
 
     app_id: int
     config_indices: tuple[int, ...]
@@ -114,6 +115,8 @@ class SampleSet:
     def __post_init__(self) -> None:
         if not (len(self.config_indices) == len(self.power) == len(self.time)):
             raise ValueError("sample arrays must align with config_indices")
+        if len(set(self.config_indices)) != len(self.config_indices):
+            raise ValueError("config_indices must be distinct")
         if (np.asarray(self.power) <= 0).any() or (np.asarray(self.time) <= 0).any():
             raise ValueError("sample power and time must be positive")
 
@@ -334,20 +337,14 @@ def save_training(matrix: TrainingMatrix, directory: str, seed: int | None = Non
     returns the manifest path.  A ``seed``, that of a generated system, is
     recorded in the manifest."""
     os.makedirs(directory, exist_ok=True)
-    platform_file = os.path.join(directory, "system.conf")
-    save_system(matrix.system, platform_file)
-    _write_grid(os.path.join(directory, "power.csv"), matrix.apps, matrix.configs, matrix.power)
-    _write_grid(os.path.join(directory, "time.csv"), matrix.apps, matrix.configs, matrix.time)
-    lines = [
-        "[training]",
-        "power = power.csv",
-        "time = time.csv",
-        "platforms = system.conf",
-        "apps = apps.csv",
-    ]
+    path = {key: os.path.join(directory, name) for key, name in TRAINING_FILES.items()}
+    save_system(matrix.system, path["platforms"])
+    _write_grid(path["power"], matrix.apps, matrix.configs, matrix.power)
+    _write_grid(path["time"], matrix.apps, matrix.configs, matrix.time)
+    save_applications(matrix.apps, path["apps"])
+    lines = ["[training]"] + [f"{key} = {name}" for key, name in TRAINING_FILES.items()]
     if seed is not None:
         lines.append(f"seed = {seed}")
-    save_applications(matrix.apps, os.path.join(directory, "apps.csv"))
     manifest = os.path.join(directory, "manifest.conf")
     with open(manifest, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -360,8 +357,8 @@ def load_training(manifest_path: str) -> TrainingMatrix:
     if "training" not in sections:
         raise DataFormatError(f"{manifest_path}: missing [training] section")
     sec = sections["training"]
-    for key in ("power", "time", "platforms"):
-        if key not in sec:
+    for key in TRAINING_FILES:
+        if key != "apps" and key not in sec:
             raise DataFormatError(f"{manifest_path}: missing key {key!r}")
     base = os.path.dirname(os.path.abspath(manifest_path))
     rel = lambda p: os.path.join(base, p)

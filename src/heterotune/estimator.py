@@ -540,23 +540,21 @@ def predict_energy(
     time_row: np.ndarray,
     system: Sequence[PlatformSpec],
     observed_idx: Sequence[int] = (),
-    min_observed_time: float | None = None,
     converged: bool = True,
 ) -> PredictionResult:
     """Score every configuration's whole-system energy and pick the minimum.
 
-    Non-positive predicted times are clamped to a small fraction of the
-    smallest observed time and flagged rather than aborting the pipeline.
-    Ties resolve to the lowest configuration index.
+    Non-positive times, which come back from ``exp`` only on underflow, are
+    clamped to 1e-3 of the row's smallest positive time (1e-3 when none is
+    positive) and flagged rather than aborting the pipeline.  Ties resolve
+    to the lowest configuration index.
     """
     power_row = np.asarray(power_row, dtype=float).copy()
     time_row = np.asarray(time_row, dtype=float).copy()
-    clamped: list[int] = []
     bad = time_row <= 0
     if bad.any():
-        fallback = (min_observed_time if min_observed_time is not None else 1.0) * 1e-3
-        clamped = [int(i) for i in np.flatnonzero(bad)]
-        time_row[bad] = fallback
+        positive = time_row[time_row > 0]
+        time_row[bad] = (positive.min() if positive.size else 1.0) * 1e-3
     energy = total_energy_row(power_row, time_row, system)
     chosen = int(np.argmin(energy))
     obs = set(int(i) for i in observed_idx)
@@ -569,7 +567,7 @@ def predict_energy(
         energy=energy,
         chosen=chosen,
         provenance=provenance,
-        clamped=tuple(clamped),
+        clamped=tuple(int(i) for i in np.flatnonzero(bad)),
         converged=converged,
     )
 
@@ -598,9 +596,16 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
     whole-system energy minimization over every configuration of every
     platform.  Each log quantity's training rows are prepared once
     (``_block``) for both its rank choice and its fit.
+
+    Raises ValueError when ``matrix`` has no row or an unmeasured cell, or
+    holds the sampled application, whose own measured row it would train on.
     """
+    if matrix.n_apps == 0:
+        raise ValueError("no training rows")
     if not matrix.fully_observed:
         raise ValueError("training rows must be fully observed")
+    if any(a.app_id == samples.app_id for a in matrix.apps):
+        raise ValueError(f"app_id {samples.app_id} is a training row of the matrix")
     feats = feature_matrix(matrix)
     idx = samples.config_indices
     rows, converged = [], True
@@ -615,10 +620,4 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
         row[list(idx)] = sampled
         rows.append(row)
         converged = converged and state.converged
-    return predict_energy(
-        *rows,
-        matrix.system,
-        observed_idx=idx,
-        min_observed_time=float(np.min(matrix.time)),
-        converged=converged,
-    )
+    return predict_energy(*rows, matrix.system, observed_idx=idx, converged=converged)

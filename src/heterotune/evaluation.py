@@ -150,8 +150,9 @@ def evaluate(
     """Leave-one-application-out comparison of approaches over many seeded
     trials; deterministic given (matrix, seed, trials).
 
-    Before any prediction, raises ValueError when an approach cannot draw its
-    samples: ``gpu-only`` on a system without a GPU, or a count outside the
+    Before any prediction, raises ValueError when the matrix has an
+    unmeasured cell or, for an approach that predicts, one application, or
+    when an approach cannot draw its samples: ``gpu-only`` on a system without a GPU, or a count outside the
     range from the basis size of the configurations it draws from (the
     fewest samples a fit takes) to their number.
     """
@@ -164,6 +165,8 @@ def evaluate(
         raise ValueError(f"an approach is listed twice in {list(approaches)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if matrix.n_apps < 2 and any(a != BRUTE_FORCE for a in approaches):
+        raise ValueError(f"evaluation needs at least 2 applications, got {matrix.n_apps}")
     cpu = next(s.name for s in matrix.system if s.kind is PlatformKind.CPU)
     gpu = next((s.name for s in matrix.system if s.kind is PlatformKind.GPU), None)
     if GPU_ONLY in approaches and gpu is None:

@@ -29,6 +29,7 @@ from heterotune.cli import (
 )
 from heterotune.dataset import load_training, save_training
 from heterotune.errors import BackendError
+from heterotune.estimator import EstimatorParams
 from heterotune.evaluation import brute_force_best, measured_energy_row
 from heterotune.platforms import NativeConfig, PlatformKind, save_system
 from heterotune.synthetic import CI_SYSTEM, PROFILES, SyntheticSpec, generate_system
@@ -418,7 +419,9 @@ class TestPredict:
             assert rc == EXIT_OK
         else:
             assert rc == EXIT_PARSE
-            assert f"error: {sample}: " in capsys.readouterr().err
+            # the bad header line is named; a missing key has none
+            where = {"drop": "", "rename": ":1", "repeat": ":2", "extra": ":3"}[edit]
+            assert f"error: {sample}{where}: " in capsys.readouterr().err
 
     def test_known_app_uses_the_files_measurements(self, training_dir, tmp_path):
         # sampled cells come from the sample file, not from the matrix row
@@ -932,6 +935,103 @@ class TestUnwritableOutFile:
         assert main(["evaluate", "--training", str(training_dir / "manifest.conf"),
                      "--approaches", "cpu-only", "--out", str(tmp_path)]) == EXIT_PARSE
         assert str(tmp_path / "report.csv") in capsys.readouterr().err
+
+
+def edited_copy(training_dir, out, name, edit):
+    """A copy of a training set whose file ``name`` holds ``edit`` of its
+    lines; returns the manifest and the edited file."""
+    shutil.copytree(training_dir, out)
+    path = out / name
+    path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+    return str(out / "manifest.conf"), str(path)
+
+
+def replaced(k, line):
+    """An edit that replaces line ``k`` (from 0) with ``line(old)``."""
+    return lambda lines: lines[:k] + [line(lines[k])] + lines[k + 1:]
+
+
+class TestInputErrorsNameTheirFile:
+    """Each reader's errors exit 2 and name the file, and its line where the
+    error has one (``where``).  A training-set error names the edited file,
+    or the manifest when it is about the set as a whole."""
+
+    def _check(self, argv, capsys, path, where, what):
+        capsys.readouterr()
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{where}: ") and what in err, err
+
+    def _training(self, training_dir, tmp_path, capsys, name, edit, where, what,
+                  by_manifest=False):
+        manifest, path = edited_copy(training_dir, tmp_path / "t", name, edit)
+        self._check(["evaluate", "--training", manifest], capsys,
+                    manifest if by_manifest else path, where, what)
+
+    @pytest.mark.parametrize("edit, where, what", [
+        (lambda lines: ["# no key here"] + lines, ":1", "bad header line"),
+        (lambda lines: lines[:2] + lines[3:], "", "missing 'config_id,power,time' header"),
+        (replaced(3, lambda ln: ln + ",1"), ":4", "expected 3 cells"),
+        (replaced(3, lambda ln: "nowhere," + ln.split(",", 1)[1]), ":4",
+         "unknown config 'nowhere'"),
+        (replaced(4, lambda ln: ln.split(",")[0] + ",abc,1.0"), ":5",
+         "could not convert string to float: 'abc'"),
+        (replaced(0, lambda ln: "# app_id = two"), "", "bad header metadata"),
+    ], ids=["header-line", "column-header", "cell-count", "unknown-config", "bad-value",
+            "header-metadata"])
+    def test_sample_file(self, training_dir, tmp_path, capsys, edit, where, what):
+        manifest = str(training_dir / "manifest.conf")
+        sample = tmp_path / "s.csv"
+        assert main(["sample", "--backend-data", manifest, "--cpu-cmd", "app:2",
+                     "--gpu-cmd", "app:2", "--seed", "4", "--out", str(sample)]) == EXIT_OK
+        sample.write_text("".join(ln + "\n" for ln in edit(sample.read_text().splitlines())))
+        self._check(["predict", "--training", manifest, "--sample", str(sample)], capsys,
+                    sample, where, what)
+
+    @pytest.mark.parametrize("edit, what", [
+        (lambda lines: [], "empty grid file"),
+        (replaced(0, lambda ln: "id" + ln[len("app_id"):]), "header must start with 'app_id'"),
+    ], ids=["empty", "header"])
+    def test_grid(self, training_dir, tmp_path, capsys, edit, what):
+        self._training(training_dir, tmp_path, capsys, "power.csv", edit, "", what)
+
+    @pytest.mark.parametrize("name, edit, what", [
+        ("manifest.conf", replaced(0, lambda ln: "[train]"), "missing [training] section"),
+        ("manifest.conf", lambda lines: [ln for ln in lines if not ln.startswith("time")],
+         "missing key 'time'"),
+        ("time.csv", lambda lines: lines[:-1], "power/time grids disagree on app ids"),
+        ("apps.csv", lambda lines: lines[:-1], "apps file lacks ids [6]"),
+    ], ids=["no-section", "missing-key", "grids-disagree", "apps-lack-ids"])
+    def test_manifest(self, training_dir, tmp_path, capsys, name, edit, what):
+        self._training(training_dir, tmp_path, capsys, name, edit, "", what, by_manifest=True)
+
+    @pytest.mark.parametrize("edit, where, what", [
+        (replaced(0, lambda ln: "app_id,benchmark"), "", "bad or missing header"),
+        (replaced(2, lambda ln: ln.rsplit(",", 1)[0] + ",bogus"), ":3",
+         "'bogus' is not a valid PerfLimit"),
+    ], ids=["header", "row"])
+    def test_catalog(self, training_dir, tmp_path, capsys, edit, where, what):
+        self._training(training_dir, tmp_path, capsys, "apps.csv", edit, where, what)
+
+    @pytest.mark.parametrize("edit, what", [
+        (lambda lines: ["[extra]", "key = 1"] + lines, "unexpected section [extra]"),
+        (lambda lines: [ln for ln in lines if not ln.startswith("total_cores")],
+         "[platform ci-cpu] missing field 'total_cores'"),
+        (lambda lines: [], "no [platform ...] sections found"),
+    ], ids=["unexpected-section", "missing-field", "no-sections"])
+    def test_platform_file(self, training_dir, tmp_path, capsys, edit, what):
+        self._training(training_dir, tmp_path, capsys, "system.conf", edit, "", what)
+
+
+def test_predict_warns_when_em_does_not_converge(training_dir, tmp_path, capsys, monkeypatch):
+    manifest = str(training_dir / "manifest.conf")
+    sample = tmp_path / "s.csv"
+    assert main(["sample", "--backend-data", manifest, "--cpu-cmd", "app:2",
+                 "--gpu-cmd", "app:2", "--seed", "4", "--out", str(sample)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(EstimatorParams, "max_iters", 1)
+    assert main(["predict", "--training", manifest, "--sample", str(sample)]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: EM did not converge within max_iters\n"
 
 
 class TestBackendErrors:

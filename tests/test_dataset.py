@@ -6,12 +6,13 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 
 from heterotune.dataset import (
     DEFAULT_APPLICATIONS,
     ApplicationMeta,
     PerfLimit,
+    SamplePlan,
+    SampleSet,
     build_training_matrix,
     load_applications,
     load_training,
@@ -424,7 +425,9 @@ class TestSelectSamples:
                 counts[i] += 1
         expected = draws * n / n_configs
         chi2 = ((counts - expected) ** 2 / expected).sum()
-        threshold = stats.chi2.ppf(0.99, df=n_configs - 1)
+        # the 0.99 quantile of chi-square with n_configs - 1 = 39 degrees of
+        # freedom, scipy.stats.chi2.ppf(0.99, df=39)
+        threshold = 62.4281210161849
         assert chi2 < threshold
 
 
@@ -462,6 +465,15 @@ class TestMaskApplication:
         view, samples = mask_application(m, 1, plan)
         assert samples.power.size == 1
         assert 1 not in [a.app_id for a in view.apps]
+
+    def test_repeated_config_rejected(self):
+        # a sample set holds one measurement per configuration, however
+        # it is built; a repeated plan is caught when masking builds one
+        m = tiny_matrix()
+        with pytest.raises(ValueError, match="config_indices must be distinct"):
+            SampleSet(99, (0, 2, 0), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="config_indices must be distinct"):
+            mask_application(m, 1, SamplePlan(1, (2, 2), 0))
 
     def test_unknown_app_rejected(self):
         m = tiny_matrix()

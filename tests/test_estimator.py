@@ -487,8 +487,7 @@ def _composed_prediction(view, samples):
         row = np.exp(completed)
         row[list(idx)] = sampled
         rows.append(row)
-    return predict_energy(*rows, view.system, observed_idx=idx,
-                          min_observed_time=float(np.min(view.time)))
+    return predict_energy(*rows, view.system, observed_idx=idx)
 
 
 GPU_ONLY_HOST = (CI_SYSTEM[0], DEFAULT_SYSTEM[1])   # the GPU has 9 configurations
@@ -590,10 +589,15 @@ class TestPredictEnergy:
     def test_non_positive_time_clamped_and_flagged(self):
         system = tiny_system(0.0, 0.0)
         time = np.array([1.0, -0.5, 2.0])
-        r = predict_energy(np.full(3, 10.0), time, system, min_observed_time=1.0)
+        r = predict_energy(np.full(3, 10.0), time, system)
         assert r.clamped == (1,)
         assert r.time[1] == pytest.approx(1e-3)
         assert (r.time > 0).all()
+        # 1e-3 of the row's smallest positive time; 1e-3 when no time is positive
+        r = predict_energy(np.full(3, 10.0), np.array([4.0, 0.0, 2.0]), system)
+        assert r.clamped == (1,) and r.time[1] == 2e-3
+        r = predict_energy(np.full(2, 10.0), np.array([0.0, -1.0]), system[:1])
+        assert r.clamped == (0, 1) and (r.time == 1e-3).all()
 
     def test_provenance_flags(self):
         system = tiny_system(0.0, 0.0)
@@ -683,6 +687,22 @@ class TestPipeline:
             values[0] = 0.0
             with pytest.raises(ValueError, match="must be positive"):
                 dataclasses.replace(samples, **{name: values})
+
+    def test_training_set_without_rows_rejected(self, ci_system):
+        m = ci_system.matrix
+        _, samples = mask_application(m, 1, select_samples(m.n_configs, 15, seed=1))
+        empty = dataclasses.replace(m, apps=(), power=m.power[:0], time=m.time[:0])
+        with pytest.raises(ValueError, match="no training rows"):
+            predict_new_app(empty, samples)
+
+    def test_target_in_the_training_rows_rejected(self, ci_system):
+        # the target's own measured row would be fitted as training data
+        m = ci_system.matrix
+        view, samples = mask_application(m, 1, select_samples(m.n_configs, 15, seed=1))
+        with pytest.raises(ValueError, match="app_id 1 is a training row of the matrix"):
+            predict_new_app(m, samples)
+        assert predict_new_app(view, samples).chosen == \
+            predict_best_config(m, 1, select_samples(m.n_configs, 15, seed=1)).chosen
 
     def test_single_predictor_mode(self, ci_system):
         # one GPU platform's configurations get the [1, w, w^2] basis, so

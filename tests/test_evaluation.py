@@ -203,6 +203,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="fully observed"):
             evaluate(m)
 
+    def test_one_application_rejected_unless_only_brute_force(self):
+        # a held-out application is predicted from the others
+        m = small_matrix(np.array([[10.0, 5.0, 20.0]]), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="at least 2 applications, got 1"):
+            evaluate(m, approaches=(HOLISTIC, BRUTE_FORCE))
+        assert len(evaluate(m, approaches=(BRUTE_FORCE,)).records) == 1
+
     def test_unknown_approach_rejected(self, ci_system):
         with pytest.raises(ValueError, match="unknown approaches"):
             evaluate(ci_system.matrix, approaches=("magic",))
