@@ -192,7 +192,7 @@ def save_samples(path: str, samples: SampleSet, seed: int, configs) -> None:
 def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
     """Read a sample file back; returns the sample set and its seed.  The
     header gives each key of ``SAMPLE_HEADER`` once and no other key."""
-    meta = {}
+    meta = {}   # key -> (line, value)
     body = []
     for r, ln in read_lines(path, "sample file"):
         if ln.startswith("#"):
@@ -204,14 +204,15 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
                 raise DataFormatError(f"{path}:{r}: unknown header key {key!r}")
             if key in meta:
                 raise DataFormatError(f"{path}:{r}: header key {key!r} given twice")
-            meta[key] = value
+            meta[key] = (r, value)
         else:
             body.append((r, ln))
     for key in SAMPLE_HEADER:
         if key not in meta:
             raise DataFormatError(f"{path}: missing header key {key!r}")
     if not body or body[0][1] != "config_id,power,time":
-        raise DataFormatError(f"{path}: missing 'config_id,power,time' header")
+        where = f":{body[0][0]}" if body else ""
+        raise DataFormatError(f"{path}{where}: missing 'config_id,power,time' header")
     col = {cfg.config_id: j for j, cfg in enumerate(matrix.configs)}
     idx, seen, power, time = [], set(), [], []
     for r, ln in body[1:]:
@@ -236,10 +237,14 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
         seen.add(cells[0])
         power.append(p)
         time.append(t)
-    try:
-        app_id, seed = (int(meta[key]) for key in SAMPLE_HEADER)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: bad header metadata: {exc}") from exc
+    header = []
+    for key in SAMPLE_HEADER:
+        r, value = meta[key]
+        try:
+            header.append(int(value))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{r}: bad header metadata: {exc}") from exc
+    app_id, seed = header
     samples = SampleSet(
         app_id=app_id,
         config_indices=tuple(idx),

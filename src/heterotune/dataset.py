@@ -272,16 +272,57 @@ def _write_grid(path: str, apps: Sequence[ApplicationMeta], configs: Sequence[Na
             fh.write(str(app.app_id) + "," + ",".join(cells) + "\n")
 
 
+# A body holding one of these is read row by row, before any C attempt: "N"
+# begins every NA (and NaN) token, and a search for one character costs about
+# a hundredth of one for "NA"; numpy's C reader strips the separators
+# \x1c-\x1f around a number as whitespace where float() refuses it.
+_PER_ROW_ONLY = "N\x1c\x1d\x1e\x1f"
+
+
+def _read_clean_body(body: list[tuple[int, str]], n_columns: int) -> np.ndarray | None:
+    """The values of a grid body that holds only finite numbers, converted
+    in one pass by numpy's C text reader; None when the body needs the
+    per-row path.  With the characters of ``_PER_ROW_ONLY`` routed away,
+    any token the C reader accepts ``float`` accepts too, and reads as the
+    same double, so the two paths agree on every value."""
+    if not body or any(c in line for _, line in body for c in _PER_ROW_ONLY):
+        return None
+    value_parts = [line.partition(",")[2] for _, line in body]
+    if not all(value_parts):   # loadtxt skips an empty line, and warns when all are
+        return None
+    try:
+        values = np.loadtxt(value_parts, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(body), n_columns) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _add_app_id(path: str, r: int, token: str, line_of: dict[int, int]) -> None:
+    """Record line ``r``'s app id, or name a bad or repeated one."""
+    try:
+        app_id = int(token)
+    except ValueError:
+        raise DataFormatError(f"{path}:{r}: bad app_id {token!r}") from None
+    if app_id in line_of:
+        raise DataFormatError(f"{path}:{r}: app_id {app_id} repeats line {line_of[app_id]}")
+    line_of[app_id] = r
+
+
 def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[int], np.ndarray]:
     """App ids and values of one grid file; NaN at ``NA`` cells.
 
-    Rows are read and checked once, in file order, and the first bad line
-    is named: a wrong cell count, a bad or repeated app id, or a cell that
-    is neither ``NA`` nor a finite number.  Each row is converted straight
-    into the value array, by ``float`` on each cell; only a row that fails
-    is converted again with its ``NA`` cells as NaN.  A row is accepted when
-    its finite and ``NA`` cells fill it; otherwise it is walked cell by cell
-    to name its first bad cell.
+    The first bad line in file order is named: a wrong cell count, a bad or
+    repeated app id, or a cell that is neither ``NA`` nor a finite number.
+    A body of finite numbers only is converted in one pass by numpy's C
+    text reader, and its app ids are then read line by line.  Every other
+    body (one holding ``NA``, or one the C reader refuses) is read row by
+    row: each row is converted straight into the value array by ``float``
+    on each cell, and only a row that fails is converted again with its
+    ``NA`` cells as NaN.  A row is accepted when its finite and ``NA``
+    cells fill it; otherwise it is walked cell by cell to name its first
+    bad cell.
     """
     lines = read_lines(path, "grid")
     if not lines:
@@ -295,20 +336,20 @@ def _read_grid(path: str, expect_configs: Sequence[NativeConfig]) -> tuple[list[
             f"{path}: config columns do not match the platform file "
             f"(got {len(header) - 1} columns, expected {len(expected)})"
         )
-    values = np.empty((len(lines) - 1, len(expected)))
+    body = lines[1:]
     line_of: dict[int, int] = {}
-    for row, (r, line) in zip(values, lines[1:]):
+    values = _read_clean_body(body, len(expected))
+    if values is not None:
+        for r, line in body:
+            _add_app_id(path, r, line.partition(",")[0], line_of)
+        return list(line_of), values
+    values = np.empty((len(body), len(expected)))
+    for row, (r, line) in zip(values, body):
         cells = line.split(",")
         if len(cells) != len(expected) + 1:
             raise DataFormatError(f"{path}:{r}: expected {len(expected) + 1} cells, "
                                   f"got {len(cells)}")
-        try:
-            app_id = int(cells[0])
-        except ValueError:
-            raise DataFormatError(f"{path}:{r}: bad app_id {cells[0]!r}") from None
-        if app_id in line_of:
-            raise DataFormatError(f"{path}:{r}: app_id {app_id} repeats line {line_of[app_id]}")
-        line_of[app_id] = r
+        _add_app_id(path, r, cells[0], line_of)
         n_missing = 0
         try:
             row[:] = cells[1:]

@@ -970,13 +970,13 @@ class TestInputErrorsNameTheirFile:
 
     @pytest.mark.parametrize("edit, where, what", [
         (lambda lines: ["# no key here"] + lines, ":1", "bad header line"),
-        (lambda lines: lines[:2] + lines[3:], "", "missing 'config_id,power,time' header"),
+        (lambda lines: lines[:2] + lines[3:], ":3", "missing 'config_id,power,time' header"),
         (replaced(3, lambda ln: ln + ",1"), ":4", "expected 3 cells"),
         (replaced(3, lambda ln: "nowhere," + ln.split(",", 1)[1]), ":4",
          "unknown config 'nowhere'"),
         (replaced(4, lambda ln: ln.split(",")[0] + ",abc,1.0"), ":5",
          "could not convert string to float: 'abc'"),
-        (replaced(0, lambda ln: "# app_id = two"), "", "bad header metadata"),
+        (replaced(0, lambda ln: "# app_id = two"), ":1", "bad header metadata"),
     ], ids=["header-line", "column-header", "cell-count", "unknown-config", "bad-value",
             "header-metadata"])
     def test_sample_file(self, training_dir, tmp_path, capsys, edit, where, what):

@@ -2,10 +2,11 @@ import math
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heterotune.dataset import (
     DEFAULT_APPLICATIONS,
@@ -137,6 +138,8 @@ class TestPersistence:
         ("inf", "non-finite value"),
         ("-inf", "non-finite value"),
         ("1.2.3", "bad value '1.2.3'"),
+        # numpy's C reader strips \x1c-\x1f around a number; float() does not
+        ("1.5\x1c", "bad value '1.5\\x1c'"),
     ])
     def test_bad_grid_token_rejected(self, tmp_path, token, what):
         m = tiny_matrix()
@@ -164,6 +167,47 @@ class TestPersistence:
         power_file.write_text(f"{header}\n1,100,100\n2,100,100,100,100\n")
         with pytest.raises(DataFormatError, match="power.csv:2: expected 4 cells, got 3"):
             load_training(manifest)
+
+    @pytest.mark.parametrize("edit, got", [
+        (lambda cells: cells[:-1], 3),
+        (lambda cells: cells + ["1.0"], 5),
+        (lambda cells: cells[:1] + [""], 2),
+    ], ids=["short", "long", "id-only"])
+    def test_rows_all_of_one_wrong_width_rejected_at_the_first(self, tmp_path, edit, got):
+        # numpy's C reader reads such a body as a grid of another width, or,
+        # when the rows hold only app ids, as no data at all
+        manifest = save_training(tiny_matrix(), str(tmp_path / "t"))
+        power_file = tmp_path / "t" / "power.csv"
+        header, *rows = power_file.read_text().splitlines()
+        rows = [",".join(edit(row.split(","))) for row in rows]
+        power_file.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(DataFormatError, match=f"power.csv:2: expected 4 cells, got {got}"):
+            load_training(manifest)
+
+    def test_c_reader_reads_grids_without_na_only(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(a) or loadtxt(*a, **kw))
+        m = tiny_matrix()
+        manifest = save_training(m, str(tmp_path / "t"))
+        load_training(manifest)
+        assert len(calls) == 2
+        for grid in ("power.csv", "time.csv"):
+            self._edit_cell(tmp_path / "t", grid, 2, 0, "NA")
+        loaded = load_training(manifest)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(loaded.power[0], m.power[0])
+
+    def test_header_only_grids_load_without_warning(self, tmp_path):
+        # loadtxt warns on input with no data; an empty body never reaches it
+        manifest = save_training(tiny_matrix(), str(tmp_path / "t"))
+        for grid in ("power.csv", "time.csv"):
+            path = tmp_path / "t" / grid
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_training(manifest)
+        assert loaded.n_apps == 0 and loaded.power.shape == (0, 3)
 
     def test_na_cell_loads_as_nan(self, tmp_path):
         m = tiny_matrix()
@@ -308,9 +352,12 @@ def reference_grid(path, columns):
 
 
 # tokens a corruption writes over a cell, some of which float() accepts,
-# and whole-row edits
+# and whole-row edits; numpy's C reader refuses "1.5#2", "#" and '"1.5"'
+# only because it is given no comment or quote character, and would read
+# "1.5\x1c" as 1.5
 BAD_TOKENS = ("abc", "", "nan", "inf", "-inf", "1e400", "NaN", "-NA", "1.2.3",
-              "1_0", " 1.5", "\u0661\u0662", "NA ", "1,5")
+              "1_0", " 1.5", "\u0661\u0662", "NA ", "1,5", "1.5#2", "#", '"1.5"',
+              "1.5\x1c")
 ROW_EDITS = ("short", "long", "bad-id", "fractional-id", "pad", "repeat-id")
 
 
@@ -325,7 +372,8 @@ def corrupted_grids(draw):
                         (1.0, 1.5, 2.0)[:n_freq], 1.0)
     n_cfg = cores * n_freq * ctl
     ids = draw(st.lists(st.integers(1, 500), max_size=5, unique=True))
-    positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+    # every positive finite double, subnormals included
+    positive = st.floats(5e-324, 1.7e308, allow_nan=False, allow_infinity=False)
     grids = {"power.csv": [], "time.csv": []}
     for app_id in ids:
         missing = draw(st.lists(st.booleans(), min_size=n_cfg, max_size=n_cfg)
@@ -357,9 +405,18 @@ def corrupted_grids(draw):
     return (spec,), grids, blank_before
 
 
+# two repeat-id edits that swap the power grid's ids: each grid is valid alone
+SWAPPED_IDS = (
+    (PlatformSpec("gen-cpu", PlatformKind.CPU, 1, 10.0, 20.0, 1, (1.0,), 1.0),),
+    {"power.csv": [["2", "1.0"], ["1", "1.0"]], "time.csv": [["1", "1.0"], ["2", "1.0"]]},
+    [],
+)
+
+
 class TestGridParseProperty:
     @settings(max_examples=150, deadline=None)
     @given(corrupted_grids())
+    @example(SWAPPED_IDS)
     def test_load_matches_per_row_reference(self, case):
         system, grids, blank_before = case
         columns = [c.config_id for c in enumerate_configs(system)]
@@ -378,7 +435,9 @@ class TestGridParseProperty:
                          "platforms = system.conf\n")
             try:
                 ids, power = reference_grid(os.path.join(d, "power.csv"), columns)
-                _, time = reference_grid(os.path.join(d, "time.csv"), columns)
+                time_ids, time = reference_grid(os.path.join(d, "time.csv"), columns)
+                if time_ids != ids:
+                    raise DataFormatError(f"{manifest}: power/time grids disagree on app ids")
             except DataFormatError as exc:
                 with pytest.raises(DataFormatError) as got:
                     load_training(manifest)
