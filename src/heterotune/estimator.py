@@ -26,9 +26,10 @@ On the prediction path the rank K of each quantity's fit is chosen from
 the training rows by held-out-row completion error (``select_latent_dim``),
 with ``MAX_LATENT_DIM`` as its upper bound.  Columns are z-scored with
 training-view statistics before EM and restored after; sampled cells always
-pass through to the output unchanged.  Each quantity's training rows are
-z-scored and factored once (``_block``), and the rank choice and EM both
-start from that block.
+pass through to the output unchanged.  The log power and log time
+training rows are z-scored and factored together, as one stacked block
+(``_block``): one thin QR, one SVD and one batched rank choice serve both
+quantities, and each quantity's EM starts from its slice of that block.
 """
 
 from __future__ import annotations
@@ -156,26 +157,30 @@ def init_regression(
 
 
 def _row_space(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column mean of ``rows``; an orthonormal basis (D, r) of the span of
-    the rows less it, from the thin QR of their transpose; and the centred
-    rows' coordinates in it (n, r).
+    """Column mean of ``rows`` (..., n, D); an orthonormal basis (..., D, r)
+    of the span of the rows less it, from the thin QR of their transpose;
+    and the centred rows' coordinates in it (..., n, r).  Leading axes are
+    stacks of independent row sets.
 
     The centred rows sum to zero, so all but the last of them span that
     space (r = min(D, n - 1)); a single row, zero once centred, gets a basis
     of one column.
     """
-    mean = rows.mean(axis=0)
-    centred = rows - mean
-    basis, _ = np.linalg.qr((centred[:-1] if centred.shape[0] > 1 else centred).T)
+    mean = rows.mean(axis=-2)
+    centred = rows - mean[..., None, :]
+    spanning = centred[..., :-1, :] if centred.shape[-2] > 1 else centred
+    basis, _ = np.linalg.qr(np.swapaxes(spanning, -1, -2))
     return mean, basis, centred @ basis
 
 
 class _Block(NamedTuple):
-    """One quantity's fully observed training rows, prepared once for both
-    the rank choice and EM: ``rows`` scaled to zero column mean and unit
-    column variance by (``col_mean``, ``col_scale``; a constant column keeps
-    scale 1), their column ``mean``, and the ``basis`` and ``coords`` of
-    their ``_row_space``."""
+    """Fully observed training rows, prepared once for both the rank choice
+    and EM: ``rows`` scaled to zero column mean and unit column variance by
+    (``col_mean``, ``col_scale``; a constant column keeps scale 1), their
+    column ``mean``, the ``basis`` and ``coords`` of their ``_row_space``,
+    and the singular values ``sv`` and right singular vectors ``vt`` of
+    ``coords``.  Every field may carry leading axes, one entry per quantity
+    (``predict_new_app`` stacks log power and log time)."""
 
     rows: np.ndarray
     col_mean: np.ndarray
@@ -183,18 +188,23 @@ class _Block(NamedTuple):
     mean: np.ndarray
     basis: np.ndarray
     coords: np.ndarray
+    sv: np.ndarray
+    vt: np.ndarray
 
 
 def _block(rows: np.ndarray | _Block) -> _Block:
-    """``rows`` prepared as a ``_Block``; a block passes through."""
+    """``rows`` (..., n, D) prepared as a ``_Block``, every stacked row set
+    by one batched QR and SVD; a block passes through."""
     if isinstance(rows, _Block):
         return rows
     rows = np.asarray(rows, dtype=float)
-    col_mean = rows.mean(axis=0)
-    col_scale = rows.std(axis=0)
+    col_mean = rows.mean(axis=-2)
+    col_scale = rows.std(axis=-2)
     col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
-    Ys = (rows - col_mean) / col_scale
-    return _Block(Ys, col_mean, col_scale, *_row_space(Ys))
+    Ys = (rows - col_mean[..., None, :]) / col_scale[..., None, :]
+    mean, basis, coords = _row_space(Ys)
+    _, sv, vt = np.linalg.svd(coords, full_matrices=False)
+    return _Block(Ys, col_mean, col_scale, mean, basis, coords, sv, vt)
 
 
 def held_out_errors(
@@ -209,49 +219,55 @@ def held_out_errors(
     cells at ``observed_idx`` under the maximum-likelihood rank-K PPCA fit
     of the other rows: top eigenpairs (lam, V) of their covariance, sigma^2
     the mean discarded eigenvalue, loadings V (lam - sigma^2)^1/2, and the
-    posterior mean of the latent vector given the observed cells.
+    posterior mean of the latent vector given the observed cells.  Leading
+    axes of ``basis`` (..., D, r) and ``coords`` (..., n, r) are stacks of
+    independent row sets, which give errors (..., n, k_max).
 
     Every held-out fit lives in that row space, so all of it runs in
     ``basis``, which ``em_fit``'s initial fit also uses: the scatter of the
     other rows is the full scatter minus n/(n-1) times row i's share, one
-    batched (n-1)-square eigendecomposition gives every fit, and one
-    batched K x K solve every completion.  Residuals are formed as
-    vectors in that basis and squared under the Gram matrix of the
-    unsampled cells alone: expanding them into Gram entries of the rows, or
-    taking the unsampled part as the whole minus the sampled part, cancels
-    catastrophically when the rows are exactly low-rank or nearly every
-    cell is sampled.
+    batched (n-1)-square eigendecomposition gives every fit of every
+    stacked row set, and one batched K x K solve every completion.
+    Residuals are formed as vectors in that basis and squared under the
+    Gram matrix of the unsampled cells alone: expanding them into Gram
+    entries of the rows, or taking the unsampled part as the whole minus
+    the sampled part, cancels catastrophically when the rows are exactly
+    low-rank or nearly every cell is sampled.
     """
-    D, n = basis.shape[0], coords.shape[0]
+    D, n = basis.shape[-2], coords.shape[-2]
     obs = np.zeros(D, dtype=bool)
     obs[np.asarray(observed_idx, dtype=int)] = True
     shrink = n / (n - 1)
     # Held out row i: the others' scatter about their own mean, and row i
     # minus that mean (shrink * coords[i]), in that basis
-    scatter = coords.T @ coords - shrink * coords[:, :, None] * coords[:, None, :]
+    scatter = (np.swapaxes(coords, -1, -2) @ coords)[..., None, :, :] - (
+        shrink * coords[..., :, None] * coords[..., None, :])
     nu, Q = np.linalg.eigh(scatter)
-    lam = nu[:, :-k_max - 1:-1] / (n - 1)                   # top k_max, descending
-    Q = Q[:, :, :-k_max - 1:-1]
-    total = np.trace(scatter, axis1=1, axis2=2) / (n - 1)
+    lam = nu[..., :-k_max - 1:-1] / (n - 1)                 # top k_max, descending
+    Q = Q[..., :-k_max - 1:-1]
+    total = np.trace(scatter, axis1=-2, axis2=-1) / (n - 1)
     ranks = np.arange(1, k_max + 1)
-    s2 = (total[:, None] - np.cumsum(lam, axis=1)) / (D - ranks)
-    s2 = np.maximum(s2.T, SIGMA2_FLOOR)                     # (rank, n)
+    s2 = (total[..., None] - np.cumsum(lam, axis=-1)) / (D - ranks)
+    s2 = np.maximum(np.swapaxes(s2, -1, -2), SIGMA2_FLOOR)  # (..., rank, n)
     # Rank K is solved as rank k_max with loading columns K.. zero: the
     # loadings are basis @ B with B = Q (lam - s2)^1/2
-    scale = np.sqrt(np.maximum(lam - s2[:, :, None], 0.0))
-    B = Q * (scale * (ranks[None, :] <= ranks[:, None])[:, None, :])[:, :, None, :]
+    scale = np.sqrt(np.maximum(lam[..., None, :, :] - s2[..., None], 0.0))
+    kept = ranks[None, :] <= ranks[:, None]                 # (rank, k_max)
+    B = Q[..., None, :, :, :] * (scale * kept[:, None, :])[..., None, :]
     Bt = np.swapaxes(B, -1, -2)
-    gram_o = basis[obs].T @ basis[obs]
-    M = Bt @ gram_o @ B + s2[:, :, None, None] * np.eye(k_max)
-    z = np.linalg.solve(M, shrink * (Bt @ (coords @ gram_o)[:, :, None]))
-    resid = (shrink * coords[:, :, None] - B @ z)[..., 0]   # whole row, in the basis
-    gram_u = basis[~obs].T @ basis[~obs]
-    return ((resid @ gram_u) * resid).sum(axis=-1).T
+    # each Gram matrix from two fancy-indexed copies: matmul then runs
+    # gemm, where one shared copy would take syrk, whose bits differ
+    gram_o = np.swapaxes(basis[..., obs, :], -1, -2) @ basis[..., obs, :]
+    M = Bt @ gram_o[..., None, None, :, :] @ B + s2[..., None, None] * np.eye(k_max)
+    z = np.linalg.solve(M, shrink * (Bt @ (coords @ gram_o)[..., None, :, :, None]))
+    resid = (shrink * coords[..., None, :, :, None] - B @ z)[..., 0]   # whole row, in the basis
+    gram_u = np.swapaxes(basis[..., ~obs, :], -1, -2) @ basis[..., ~obs, :]
+    return np.swapaxes(((resid @ gram_u[..., None, :, :]) * resid).sum(axis=-1), -1, -2)
 
 
 def select_latent_dim(
     rows: np.ndarray | _Block, observed_idx: Sequence[int], k_max: int
-) -> int:
+) -> int | np.ndarray:
     """Latent rank for completing a row sampled at ``observed_idx`` from
     fully observed ``rows``.
 
@@ -260,21 +276,27 @@ def select_latent_dim(
     the rank is the smallest K whose summed error is within one standard
     error (the held-out rows' standard deviation times sqrt(n_rows)) of the
     minimum.  Columns are z-scored as in ``em_fit``: ``rows`` are raw rows,
-    or the ``_Block`` of them that ``predict_new_app`` also hands to
-    ``em_fit``.  ``k_max`` is an upper bound, further capped at n_rows - 2
-    (the rank a held-out fit of n_rows - 1 centred rows supports) and
-    n_configs - 1.
+    or their ``_Block``; ``predict_new_app`` passes the stacked block of
+    both quantities and hands each quantity's slice of it to ``em_fit``.
+    ``k_max`` is an upper bound, further capped at n_rows - 2 (the rank a
+    held-out fit of n_rows - 1 centred rows supports) and n_configs - 1.
+    Rows (n_rows, n_configs) give an int; a stack of row sets
+    (..., n_rows, n_configs) gives an int array (...), one rank per set.
     """
     block = _block(rows)
-    n, D = block.rows.shape
+    n, D = block.rows.shape[-2:]
     k_max = min(k_max, n - 2, D - 1)
     if k_max < 2:
-        return 1
-    errors = held_out_errors(block.basis, block.coords, observed_idx, k_max)
-    summed = errors.sum(axis=0)
-    best = int(np.argmin(summed))
-    se = errors[:, best].std(ddof=1) * np.sqrt(n)
-    return int(np.argmax(summed <= summed[best] + se)) + 1
+        ks = np.ones(block.rows.shape[:-2], dtype=int)
+    else:
+        errors = held_out_errors(block.basis, block.coords, observed_idx, k_max)
+        summed = errors.sum(axis=-2, keepdims=True)         # (..., 1, k_max)
+        best = summed.argmin(axis=-1, keepdims=True)
+        at_best = np.take_along_axis(errors, best, axis=-1)
+        cut = np.take_along_axis(summed, best, axis=-1) + (
+            at_best.std(axis=-2, ddof=1, keepdims=True) * np.sqrt(n))
+        ks = np.argmax(summed <= cut, axis=-1)[..., 0] + 1
+    return int(ks) if ks.ndim == 0 else ks
 
 
 def _block_loglik(
@@ -316,17 +338,17 @@ def _initial_parameters(
 
     Every row stacked then lies in the span of the centred training rows,
     so the fit runs in their ``_row_space`` coordinates, which the block
-    already holds: an SVD of the n_train x r coordinate matrix gives the
-    block's spectrum.  With the training rows C (summing to zero) and the
-    projected row a, the stacked scatter is C^T C + (n_train / N) a a^T,
-    and a lies in the block's top k right singular vectors, so one k x k
-    eigendecomposition gives the new top of the spectrum and the rest is
-    the block's.  The spectrum is padded with zeros to min(N, D) entries,
-    the eigenvalues of the N x D stacked rows.  sigma^2 is the
-    maximum-likelihood value, the mean of the D - K smallest eigenvalues of
-    the D x D covariance: the spectrum past K summed and divided by D - K,
-    so the zero eigenvalues past min(N, D) count in the mean, as in
-    ``held_out_errors``.  K then drops directions the spectrum cannot
+    already holds with their SVD (``sv``, ``vt``): the singular values of
+    the n_train x r coordinate matrix give the block's spectrum.  With the
+    training rows C (summing to zero) and the projected row a, the stacked
+    scatter is C^T C + (n_train / N) a a^T, and a lies in the block's top
+    k right singular vectors, so one k x k eigendecomposition gives the new
+    top of the spectrum and the rest is the block's.  The spectrum is
+    padded with zeros to min(N, D) entries, the eigenvalues of the N x D
+    stacked rows.  sigma^2 is the maximum-likelihood value, the mean of the
+    D - K smallest eigenvalues of the D x D covariance: the spectrum past K
+    summed and divided by D - K, so the zero eigenvalues past min(N, D)
+    count in the mean, as in ``held_out_errors``.  K then drops directions the spectrum cannot
     support: loading columns born at (near) zero norm otherwise collapse
     through |w|^2 ~ sigma^2, where the latent posterior of the partially
     observed row blows up.
@@ -334,8 +356,7 @@ def _initial_parameters(
     n_train, D = block.rows.shape
     N = n_train + 1
     K = max(1, min(latent_dim, D - 1, N - 1))
-    tr_mean, basis, P = block.mean, block.basis, block.coords
-    _, sv, vt = np.linalg.svd(P, full_matrices=False)
+    tr_mean, basis, sv, vt = block.mean, block.basis, block.sv, block.vt
     lam_tr = sv**2 / n_train
     k_proj = int(np.count_nonzero(lam_tr > max(1e-9 * lam_tr[0], 1e-12)))
     k = max(1, min(K, k_proj))
@@ -367,16 +388,16 @@ def em_fit(
     """Fit the factor model and complete the target row.
 
     ``training_rows`` are fully observed: raw rows, or their ``_Block``,
-    which then carries the z-scoring and the thin QR already done for the
-    rank choice; raw rows are prepared by the same ``_block``, so both give
-    the same fit bit for bit.  The target application enters with its
+    which then carries the z-scoring, thin QR and coordinate SVD already
+    done for the rank choice; raw rows are prepared by the same ``_block``,
+    so both give the same fit bit for bit.  The target application enters with its
     sampled cells (``observed_idx``/``observed_values``) plus the dense
     regression row used only to initialize parameters: they start at the
     PPCA fit of the training rows stacked with that row's projection onto
     their principal subspace (``_initial_parameters``).  It is taken in the
     orthonormal basis of the centred training rows that ``held_out_errors``
-    also uses, so past the block it costs an SVD of the n_train x r
-    coordinate matrix and a k x k eigendecomposition, and no SVD of a
+    also uses, so past the block, which holds the SVD of the n_train x r
+    coordinate matrix, it costs a k x k eigendecomposition, and no SVD of a
     D-column matrix.  Each iteration runs the E-step under the current
     parameters and conditional maximizations of mean, loadings and noise
     variance, so the observed-data log-likelihood never decreases.  The
@@ -524,7 +545,7 @@ def em_fit(
 
 
 def complete_row(
-    training_rows: np.ndarray,
+    training_rows: np.ndarray | _Block,
     observed_idx: Sequence[int],
     observed_values: Sequence[float],
     features: np.ndarray,
@@ -594,8 +615,9 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
     of the log power and log time rows, each at the latent rank that
     ``select_latent_dim`` picks for it (at most ``MAX_LATENT_DIM``), then
     whole-system energy minimization over every configuration of every
-    platform.  Each log quantity's training rows are prepared once
-    (``_block``) for both its rank choice and its fit.
+    platform.  The two quantities' training rows are prepared as one stacked
+    ``_block``, both ranks come from one ``select_latent_dim`` call on it,
+    and each quantity's fit takes its slice of the block.
 
     Raises ValueError when ``matrix`` has no row or an unmeasured cell, or
     holds the sampled application, whose own measured row it would train on.
@@ -608,13 +630,13 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
         raise ValueError(f"app_id {samples.app_id} is a training row of the matrix")
     feats = feature_matrix(matrix)
     idx = samples.config_indices
+    logs = _block(np.log([matrix.power, matrix.time]))
+    ks = select_latent_dim(logs, idx, MAX_LATENT_DIM)
     rows, converged = [], True
-    for quantity in ("power", "time"):
-        logs = _block(np.log(getattr(matrix, quantity)))
-        sampled = getattr(samples, quantity)
-        k = select_latent_dim(logs, idx, MAX_LATENT_DIM)
+    for q, sampled in enumerate((samples.power, samples.time)):
         state, completed = complete_row(
-            logs, idx, np.log(sampled), feats, EstimatorParams(latent_dim=k)
+            _Block(*(field[q] for field in logs)), idx, np.log(sampled), feats,
+            EstimatorParams(latent_dim=int(ks[q])),
         )
         row = np.exp(completed)
         row[list(idx)] = sampled

@@ -4,6 +4,7 @@ import functools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from heterotune import estimator
 from heterotune.dataset import (
@@ -494,9 +495,10 @@ GPU_ONLY_HOST = (CI_SYSTEM[0], DEFAULT_SYSTEM[1])   # the GPU has 9 configuratio
 
 
 class TestPreparedBlock:
-    """``predict_new_app`` z-scores and factors each quantity's training rows
-    once and hands that block to the rank choice and to EM; every result
-    must equal the one from raw arrays bit for bit."""
+    """``predict_new_app`` z-scores and factors log power and log time as
+    one stacked block, picks both ranks in one call and hands each
+    quantity's slice of the block to EM; every result must equal the one
+    from raw arrays bit for bit."""
 
     @settings(max_examples=30, deadline=None)
     @given(gpu_only=st.booleans(), seed=st.integers(0, 2**32 - 1),
@@ -535,19 +537,58 @@ class TestPreparedBlock:
             assert np.array_equal(c_raw, c_blk)
 
     def test_full_system_prediction_factors_each_quantity_once(self, monkeypatch):
-        # the rank choice and EM's start share one thin QR per quantity
+        # the rank choice and EM's start of both quantities share one
+        # stacked thin QR and one stacked SVD of the row-space coordinates
         m, _ = _system_and_features("full")
-        shapes = []
-        qr = np.linalg.qr
+        calls = []
+        for name in ("qr", "svd"):
+            def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
 
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(estimator.np.linalg, "qr", spy)
+            monkeypatch.setattr(estimator.np.linalg, name, spy)
         app = m.apps[0].app_id
         predict_best_config(m, app, select_samples(m.n_configs, 15, 1001, app))
-        assert shapes == [(m.n_configs, m.n_apps - 2)] * 2
+        n_train = m.n_apps - 1
+        assert calls == [("qr", (2, m.n_configs, n_train - 1)),
+                         ("svd", (2, n_train, n_train - 1))]
+
+
+class TestStackedHelpers:
+    """``_block``, ``held_out_errors`` and ``select_latent_dim`` on a stack of
+    two row sets give each set the bits of its own 2-D call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_train=st.integers(1, 8), D=st.integers(1, 12), data=st.data())
+    def test_stack_of_two_equals_per_quantity_calls(self, n_train, D, data):
+        # n_train <= 3 leaves k_max < 2 (rank 1 without a held-out fit), and
+        # D < n_train is the shape of the 9-column GPU-only fits.  Each set
+        # is low-rank plus noise, or arbitrary values (often repeated, so
+        # some columns are constant)
+        def row_set():
+            if data.draw(st.booleans()):
+                return rank_k_matrix(n_train, D, data.draw(st.integers(1, 4)),
+                                     data.draw(st.integers(0, 2**32 - 1)),
+                                     data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
+            return data.draw(hnp.arrays(float, (n_train, D),
+                                        elements=st.floats(-50.0, 50.0, allow_nan=False)))
+
+        rows = np.stack([row_set(), row_set()])
+        obs = data.draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=D, unique=True))
+        k_max = min(estimator.MAX_LATENT_DIM, n_train - 2, D - 1)
+        stacked = estimator._block(rows)
+        ks = select_latent_dim(stacked, obs, estimator.MAX_LATENT_DIM)
+        assert ks.shape == (2,)
+        if k_max >= 1:
+            errors = held_out_errors(stacked.basis, stacked.coords, obs, k_max)
+        for q in range(2):
+            single = estimator._block(rows[q])
+            for name, got, ref in zip(estimator._Block._fields, stacked, single):
+                assert got[q].shape == ref.shape and got[q].tobytes() == ref.tobytes(), name
+            assert ks[q] == select_latent_dim(rows[q], obs, estimator.MAX_LATENT_DIM)
+            if k_max >= 1:
+                ref = held_out_errors(single.basis, single.coords, obs, k_max)
+                assert errors[q].shape == ref.shape and errors[q].tobytes() == ref.tobytes()
 
 
 class TestPredictEnergy:
