@@ -28,8 +28,12 @@ with ``MAX_LATENT_DIM`` as its upper bound.  Columns are z-scored with
 training-view statistics before EM and restored after; sampled cells always
 pass through to the output unchanged.  The log power and log time
 training rows are z-scored and factored together, as one stacked block
-(``_block``): one thin QR, one SVD and one batched rank choice serve both
-quantities, and each quantity's EM starts from its slice of that block.
+(``_block``): one thin QR and one SVD of the row-space coordinates serve
+both quantities.  That SVD is the spectrum of both the rank choice and EM's
+start: each held-out fit of the rank choice is a rank-one downdate of it,
+so the choice for both quantities adds one batched ``eigvalsh`` of the
+held-out spectra and no eigendecomposition of its own, and each quantity's
+EM starts from its slice of the block.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from .platforms import PlatformKind, PlatformSpec
 SIGMA2_FLOOR = 1e-12
 MAX_LATENT_DIM = 5   # upper bound on the rank select_latent_dim picks
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -156,11 +162,15 @@ def init_regression(
     return row
 
 
-def _row_space(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_space(
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Column mean of ``rows`` (..., n, D); an orthonormal basis (..., D, r)
     of the span of the rows less it, from the thin QR of their transpose;
-    and the centred rows' coordinates in it (..., n, r).  Leading axes are
-    stacks of independent row sets.
+    the centred rows' coordinates in it (..., n, r); and the singular values
+    (..., r) and right singular vectors (..., r, r) of those coordinates,
+    so that the rows' scatter in the basis is vt^T diag(sv^2) vt.  Leading
+    axes are stacks of independent row sets.
 
     The centred rows sum to zero, so all but the last of them span that
     space (r = min(D, n - 1)); a single row, zero once centred, gets a basis
@@ -170,17 +180,21 @@ def _row_space(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     centred = rows - mean[..., None, :]
     spanning = centred[..., :-1, :] if centred.shape[-2] > 1 else centred
     basis, _ = np.linalg.qr(np.swapaxes(spanning, -1, -2))
-    return mean, basis, centred @ basis
+    coords = centred @ basis
+    _, sv, vt = np.linalg.svd(coords, full_matrices=False)
+    return mean, basis, coords, sv, vt
 
 
 class _Block(NamedTuple):
     """Fully observed training rows, prepared once for both the rank choice
     and EM: ``rows`` scaled to zero column mean and unit column variance by
-    (``col_mean``, ``col_scale``; a constant column keeps scale 1), their
-    column ``mean``, the ``basis`` and ``coords`` of their ``_row_space``,
-    and the singular values ``sv`` and right singular vectors ``vt`` of
-    ``coords``.  Every field may carry leading axes, one entry per quantity
-    (``predict_new_app`` stacks log power and log time)."""
+    (``col_mean``, ``col_scale``; a constant column keeps scale 1), and
+    their ``_row_space``: column ``mean``, ``basis``, ``coords`` and the
+    coordinates' singular values ``sv`` and right singular vectors ``vt``.
+    That one SVD is the spectrum both of the rank choice's held-out fits
+    and of EM's starting point.  Every field may carry leading axes, one
+    entry per quantity (``predict_new_app`` stacks log power and log
+    time)."""
 
     rows: np.ndarray
     col_mean: np.ndarray
@@ -202,67 +216,138 @@ def _block(rows: np.ndarray | _Block) -> _Block:
     col_scale = rows.std(axis=-2)
     col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
     Ys = (rows - col_mean[..., None, :]) / col_scale[..., None, :]
-    mean, basis, coords = _row_space(Ys)
-    _, sv, vt = np.linalg.svd(coords, full_matrices=False)
-    return _Block(Ys, col_mean, col_scale, mean, basis, coords, sv, vt)
+    return _Block(Ys, col_mean, col_scale, *_row_space(Ys))
 
 
 def held_out_errors(
-    basis: np.ndarray, coords: np.ndarray, observed_idx: Sequence[int], k_max: int
+    basis: np.ndarray,
+    coords: np.ndarray,
+    sv: np.ndarray,
+    vt: np.ndarray,
+    observed_idx: Sequence[int],
+    k_max: int,
 ) -> np.ndarray:
     """Held-out-row completion error of the PPCA model at each rank.
 
     The rows are given by their row space, as ``_row_space`` returns it:
     row i less the rows' column mean is ``coords[i] @ basis.T``, with
-    ``basis`` (D, r) orthonormal.  Entry (i, K-1) is the squared error at
-    the cells outside ``observed_idx`` when row i is completed from its
+    ``basis`` (D, r) orthonormal, and ``coords`` has singular values ``sv``
+    and right singular vectors ``vt``.  Entry (i, K-1) is the squared error
+    at the cells outside ``observed_idx`` when row i is completed from its
     cells at ``observed_idx`` under the maximum-likelihood rank-K PPCA fit
     of the other rows: top eigenpairs (lam, V) of their covariance, sigma^2
     the mean discarded eigenvalue, loadings V (lam - sigma^2)^1/2, and the
     posterior mean of the latent vector given the observed cells.  Leading
-    axes of ``basis`` (..., D, r) and ``coords`` (..., n, r) are stacks of
-    independent row sets, which give errors (..., n, k_max).
+    axes of ``basis`` (..., D, r), ``coords`` (..., n, r), ``sv`` (..., r)
+    and ``vt`` (..., r, r) are stacks of independent row sets, which give
+    errors (..., n, k_max).
 
-    Every held-out fit lives in that row space, so all of it runs in
-    ``basis``, which ``em_fit``'s initial fit also uses: the scatter of the
-    other rows is the full scatter minus n/(n-1) times row i's share, one
-    batched (n-1)-square eigendecomposition gives every fit of every
-    stacked row set, and one batched K x K solve every completion.
-    Residuals are formed as vectors in that basis and squared under the
-    Gram matrix of the unsampled cells alone: expanding them into Gram
-    entries of the rows, or taking the unsampled part as the whole minus
-    the sampled part, cancels catastrophically when the rows are exactly
-    low-rank or nearly every cell is sampled.
+    Every held-out fit lives in that row space.  The scatter of the other
+    rows is the full scatter less a rank-one term, S - n/(n-1) c_i c_i^T,
+    and the SVD gives the full one's eigenpairs (sv^2, vt), so each
+    held-out spectrum is a rank-one downdate (Bunch, Nielsen & Sorensen,
+    Numer. Math. 31, 1978): in S's eigenbasis it is diag(sv^2) - rho u u^T,
+    u = vt c_i, rho = n/(n-1).  One batched eigvalsh gives the eigenvalues
+    of every held-out row of every stacked set, and the eigenvector at a
+    root mu is y = (diag(sv^2) - mu)^-1 u, normalized.  The downdate is
+    first deflated as LAPACK's rank-one update (dlaed2) deflates it, with
+    tol = 8 eps sv_1^2.  A run of poles sv_j^2 each within 8 tol of the
+    next is a tied group: for each row, the group's eigenvectors are
+    reflected so that the row's coordinate lies on the group's first one,
+    and the group's others are then eigenpairs of the held-out scatter at
+    their own pole.  A first one whose coordinate moves the scatter by at
+    most tol (rho |u_G| |u| <= tol) is an eigenpair at its pole too.
+    Deflated poles are kept out of the eigvalsh by a diagonal entry below
+    the spectrum (-sv_1^2), so its top entries are exactly the roots, and
+    the top k_max of roots and deflated poles make the fit.  eigvalsh
+    places a root only to about eps sv_1^2, while a pole with a small
+    coordinate u_j holds its root within rho u_j^2 / h of it, so the
+    component along the root's nearest pole is taken from the secular
+    equation rho u^T y = 1, where that pole's term stands alone
+    (y_j = h / (rho u_j), h = 1 - rho sum_{k != j} u_k y_k), whenever
+    mu's distance d to that pole has d^2 < rho sv_1^2 u_j^2: there the
+    equation's error, about eps / h, is the smaller one.  That is the
+    accuracy LAPACK's dlaed4 keeps by working relative to the nearest pole.
+
+    The Gram products of the sampled cells are taken once per row, in the
+    top k_max eigenvectors Q: P = Q^T G_o Q and Q^T G_o c_i.  Rank K is
+    solved as rank k_max with loading columns K.. zero, so its K x K system
+    is P scaled by that rank's loading scales plus sigma^2 I, and every
+    rank's solve is one batched call.  Residuals are formed as vectors in
+    the basis and squared under the Gram matrix of the unsampled cells
+    alone: expanding them into Gram entries of the rows, or taking the
+    unsampled part as the whole minus the sampled part, cancels
+    catastrophically when the rows are exactly low-rank or nearly every
+    cell is sampled.
     """
-    D, n = basis.shape[-2], coords.shape[-2]
+    D, n, r = basis.shape[-2], coords.shape[-2], sv.shape[-1]
     obs = np.zeros(D, dtype=bool)
     obs[np.asarray(observed_idx, dtype=int)] = True
     shrink = n / (n - 1)
-    # Held out row i: the others' scatter about their own mean, and row i
-    # minus that mean (shrink * coords[i]), in that basis
-    scatter = (np.swapaxes(coords, -1, -2) @ coords)[..., None, :, :] - (
-        shrink * coords[..., :, None] * coords[..., None, :])
-    nu, Q = np.linalg.eigh(scatter)
-    lam = nu[..., :-k_max - 1:-1] / (n - 1)                 # top k_max, descending
-    Q = Q[..., :-k_max - 1:-1]
-    total = np.trace(scatter, axis1=-2, axis2=-1) / (n - 1)
+    d = sv**2                                               # poles, descending
+    tol = 8 * _EPS * d[..., None, :1]
+    u = coords @ vt.swapaxes(-1, -2)                        # (..., n, r)
+    u2 = u**2
+    norm2 = u2.sum(axis=-1, keepdims=True)
+    # tied groups of poles, each starting at a lead; ``same`` pairs members
+    lead = np.ones(d.shape, dtype=bool)
+    lead[..., 1:] = d[..., :-1] - d[..., 1:] > 8 * tol[..., 0, :]
+    group = lead.cumsum(axis=-1)
+    same = (group[..., :, None] == group[..., None, :]).astype(float)
+    # Householder reflection of each group onto its lead: the row's
+    # coordinates become ``ut`` (nonzero at leads only), and ``w`` (unit
+    # within each group) reflects eigenvectors into that basis
+    ut = lead[..., None, :] * -np.copysign(np.sqrt(u2 @ same), u)
+    w = u - ut
+    w /= np.sqrt(np.maximum(w**2 @ same, _TINY))
+    live = shrink * np.abs(ut) * np.sqrt(norm2) > tol      # poles not deflated
+    ul = live * ut
+    # the held-out scatters in that basis, deflated poles set below the
+    # spectrum; diagonals are written through a flat view
+    A = (-shrink * ul)[..., :, None] * ul[..., None, :]
+    A.reshape(A.shape[:-2] + (r * r,))[..., ::r + 1] += np.where(live, d[..., None, :],
+                                                                 -d[..., None, :1])
+    # candidates: deflated poles (indices < r), then the roots
+    cand = np.concatenate([np.where(live, -np.inf, d[..., None, :]), np.linalg.eigvalsh(A)],
+                          axis=-1)
+    order = (-cand).argsort(axis=-1, kind="stable")[..., :k_max, None]
+    lam = np.sort(cand, axis=-1)[..., :-k_max - 1:-1]       # top k_max, descending
+    # eigenvectors in the reflected basis: a unit vector at a deflated pole,
+    # (diag(sv^2) - mu)^-1 u at a root mu, its nearest pole's component
+    # from the secular equation when that is the more accurate; then
+    # reflected back
+    dist = d[..., None, None, :] - lam[..., :, None]
+    at_root = live[..., None, :] & (order >= r)
+    reach = np.where(at_root, np.abs(dist), np.inf)
+    near = np.arange(r) == reach.argmin(axis=-1)[..., None]
+    u_near = (ul[..., None, :] * near).sum(axis=-1, keepdims=True)
+    refine = near & (reach.min(axis=-1, keepdims=True)**2
+                     < shrink * d[..., None, None, :1] * u_near**2)
+    y = np.divide(ul[..., None, :], dist, out=(order == np.arange(r)).astype(float),
+                  where=at_root & ~refine)
+    h = 1 - shrink * (ul[..., None, :] * y).sum(axis=-1, keepdims=True)
+    y = np.divide(h, shrink * u_near, out=y, where=refine)
+    y /= np.sqrt((y * y).sum(axis=-1, keepdims=True))
+    y -= 2 * w[..., None, :] * ((w[..., None, :] * y) @ same[..., None, :, :])
+    Qt = y @ vt[..., None, :, :]                            # (..., n, k_max, r)
+    Q = Qt.swapaxes(-1, -2)
+    lam = lam / (n - 1)
+    total = (d.sum(axis=-1)[..., None] - shrink * norm2[..., 0]) / (n - 1)
     ranks = np.arange(1, k_max + 1)
-    s2 = (total[..., None] - np.cumsum(lam, axis=-1)) / (D - ranks)
-    s2 = np.maximum(np.swapaxes(s2, -1, -2), SIGMA2_FLOOR)  # (..., rank, n)
-    # Rank K is solved as rank k_max with loading columns K.. zero: the
-    # loadings are basis @ B with B = Q (lam - s2)^1/2
-    scale = np.sqrt(np.maximum(lam[..., None, :, :] - s2[..., None], 0.0))
-    kept = ranks[None, :] <= ranks[:, None]                 # (rank, k_max)
-    B = Q[..., None, :, :, :] * (scale * kept[:, None, :])[..., None, :]
-    Bt = np.swapaxes(B, -1, -2)
+    s2 = np.maximum((total[..., None] - lam.cumsum(axis=-1)) / (D - ranks), SIGMA2_FLOOR)
+    # loading scales (..., n, rank, k_max), zero past each rank
+    scale = np.sqrt(np.maximum(lam[..., None, :] - s2[..., None], 0.0)) * (ranks[:, None] >= ranks)
     # each Gram matrix from two fancy-indexed copies: matmul then runs
     # gemm, where one shared copy would take syrk, whose bits differ
-    gram_o = np.swapaxes(basis[..., obs, :], -1, -2) @ basis[..., obs, :]
-    M = Bt @ gram_o[..., None, None, :, :] @ B + s2[..., None, None] * np.eye(k_max)
-    z = np.linalg.solve(M, shrink * (Bt @ (coords @ gram_o)[..., None, :, :, None]))
-    resid = (shrink * coords[..., None, :, :, None] - B @ z)[..., 0]   # whole row, in the basis
-    gram_u = np.swapaxes(basis[..., ~obs, :], -1, -2) @ basis[..., ~obs, :]
-    return np.swapaxes(((resid @ gram_u[..., None, :, :]) * resid).sum(axis=-1), -1, -2)
+    gram_o = basis[..., obs, :].swapaxes(-1, -2) @ basis[..., obs, :]
+    P = Qt @ gram_o[..., None, :, :] @ Q
+    g = shrink * ((coords @ gram_o)[..., None, :] @ Q)
+    M = scale[..., :, None] * P[..., None, :, :] * scale[..., None, :]    # + sigma^2 I
+    M.reshape(M.shape[:-2] + (k_max * k_max,))[..., ::k_max + 1] += s2[..., None]
+    z = np.linalg.solve(M, (scale * g)[..., None])[..., 0]
+    resid = shrink * coords[..., None, :] - (scale * z) @ Qt   # whole row, in the basis
+    gram_u = basis[..., ~obs, :].swapaxes(-1, -2) @ basis[..., ~obs, :]
+    return ((resid @ gram_u[..., None, :, :]) * resid).sum(axis=-1)
 
 
 def select_latent_dim(
@@ -272,7 +357,8 @@ def select_latent_dim(
     fully observed ``rows``.
 
     Each row is held out in turn and completed from its cells at
-    ``observed_idx`` by the PPCA fit of the others (``held_out_errors``);
+    ``observed_idx`` by the PPCA fit of the others (``held_out_errors``,
+    which takes those fits from the block's SVD as rank-one downdates);
     the rank is the smallest K whose summed error is within one standard
     error (the held-out rows' standard deviation times sqrt(n_rows)) of the
     minimum.  Columns are z-scored as in ``em_fit``: ``rows`` are raw rows,
@@ -289,7 +375,8 @@ def select_latent_dim(
     if k_max < 2:
         ks = np.ones(block.rows.shape[:-2], dtype=int)
     else:
-        errors = held_out_errors(block.basis, block.coords, observed_idx, k_max)
+        errors = held_out_errors(block.basis, block.coords, block.sv, block.vt,
+                                 observed_idx, k_max)
         summed = errors.sum(axis=-2, keepdims=True)         # (..., 1, k_max)
         best = summed.argmin(axis=-1, keepdims=True)
         at_best = np.take_along_axis(errors, best, axis=-1)

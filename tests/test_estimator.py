@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -445,8 +446,10 @@ class TestSelectLatentDim:
         assert select_latent_dim(rows, _sampled_cells(40, 15, 5), 5) == 1
 
     @pytest.mark.parametrize("zscored", [True, False])
-    @pytest.mark.parametrize("shape, n_obs", [((17, 393), 15), ((6, 40), 15), ((9, 12), 4), ((12, 9), 3)])
+    @pytest.mark.parametrize("shape, n_obs", [((17, 393), 15), ((6, 40), 15), ((9, 12), 4),
+                                              ((12, 9), 3), ((17, 9), 4)])
     def test_row_space_errors_match_explicit_svd(self, shape, n_obs, zscored):
+        # (17, 9) is the GPU-only fit, whose row space is all 9 columns
         n, D = shape
         rng = np.random.default_rng(n * D)
         Ys = rng.standard_normal(shape) * rng.uniform(0.5, 3.0, D) + rng.standard_normal(D)
@@ -456,6 +459,73 @@ class TestSelectLatentDim:
         k_max = min(5, n - 2, D - 1)
         np.testing.assert_allclose(held_out_errors(*estimator._row_space(Ys)[1:], obs, k_max),
                                    naive_held_out_errors(Ys, obs, k_max), rtol=1e-8)
+
+    @pytest.mark.parametrize("pair", [0, 2])
+    def test_near_tied_spectrum_matches_explicit_svd(self, pair):
+        # two singular values 0.4 % apart: the held-out eigenvectors divide
+        # by each root's distance to the poles, and a root between these
+        # two lies within 0.8 % of both
+        n, D = 17, 60
+        rng = np.random.default_rng(7 + pair)
+        sv = np.array([9.0, 7.0, 5.0, 3.5, 2.0, 1.5, 1.0, 0.7, 0.5])
+        sv[pair + 1] = sv[pair] / 1.004
+        left = rng.standard_normal((n, sv.size))
+        left, _ = np.linalg.qr(left - left.mean(axis=0))     # centred, orthonormal columns
+        right, _ = np.linalg.qr(rng.standard_normal((D, sv.size)))
+        Ys = (left * sv) @ right.T + rng.standard_normal(D)
+        obs = _sampled_cells(D, 15, pair)
+        row_space = estimator._row_space(Ys)[1:]
+        np.testing.assert_allclose(row_space[2][:sv.size], sv, rtol=1e-12)
+        np.testing.assert_allclose(held_out_errors(*row_space, obs, 5),
+                                   naive_held_out_errors(Ys, obs, 5), rtol=1e-8)
+
+    @pytest.mark.parametrize("tiny", [1e-5, 1e-7, 1e-9, 1e-11])
+    def test_small_coordinate_matches_explicit_svd(self, tiny):
+        # row 0 barely touches the three smallest singular directions, so
+        # when it is held out a root sits within about tiny^2 of each of
+        # their poles, far closer than eigvalsh resolves
+        n, D = 9, 30
+        rng = np.random.default_rng(int(-np.log10(tiny)))
+        sv = np.array([9.0, 6.0, 4.0, 2.5, 1.5, 1.0, 0.6, 0.3])
+        low = rng.standard_normal((n, 3))
+        low[0] = 0.0
+        low[1:] -= low[1:].mean(axis=0)
+        rest = rng.standard_normal((n, 5))
+        left, _ = np.linalg.qr(np.hstack([low, rest - rest.mean(axis=0)]))
+        left = left[:, [3, 4, 5, 6, 7, 0, 1, 2]]        # zero in row 0 on the last three
+        left[0, 5:] = tiny
+        left[1:, 5:] -= tiny / (n - 1)
+        right, _ = np.linalg.qr(rng.standard_normal((D, sv.size)))
+        Ys = (left * sv) @ right.T + rng.standard_normal(D)
+        obs = _sampled_cells(D, 12, 3)
+        np.testing.assert_allclose(held_out_errors(*estimator._row_space(Ys)[1:], obs, 5),
+                                   naive_held_out_errors(Ys, obs, 5), rtol=1e-8)
+
+    @pytest.mark.parametrize("observed", [[0], [0, 1], [1, 2], [2, 0], [0, 1, 2]])
+    @pytest.mark.parametrize("order, columns",
+                             [(4, slice(1, 4)), (8, slice(1, 8)), (8, slice(1, 6))])
+    def test_two_level_factorial_blocks(self, order, columns, observed):
+        # Rows of a two-level factorial design (Hadamard columns, levels 2
+        # and 5): once z-scored every column is +-1 and the columns are
+        # orthogonal, so every singular value of the block is tied, and a
+        # held-out row's coordinate is spread over all of them.  The
+        # held-out fits rest on deflating those ties.
+        hadamard = np.ones((1, 1))
+        while hadamard.shape[0] < order:
+            hadamard = np.kron(hadamard, [[1.0, 1.0], [1.0, -1.0]])
+        rows = 3.5 + 1.5 * hadamard[:, columns]
+        n, D = rows.shape
+        block = estimator._block(rows)
+        assert np.ptp(block.sv) <= 1e-12 * block.sv[0]
+        k_max = min(5, n - 2, D - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = held_out_errors(*block[4:], observed, k_max)
+            k = select_latent_dim(rows, observed, 5)
+        assert errors.shape == (n, k_max) and np.isfinite(errors).all()
+        assert 1 <= k <= k_max
+        assert select_latent_dim(rows.copy(), list(observed), 5) == k
+        assert k == 1
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 20), D=st.integers(2, 60), rank=st.integers(1, 5),
@@ -538,10 +608,12 @@ class TestPreparedBlock:
 
     def test_full_system_prediction_factors_each_quantity_once(self, monkeypatch):
         # the rank choice and EM's start of both quantities share one
-        # stacked thin QR and one stacked SVD of the row-space coordinates
+        # stacked thin QR and one stacked SVD of the row-space coordinates;
+        # the held-out fits take their eigenvalues from one stacked eigvalsh
+        # and their eigenvectors from that SVD, so no eigh sees them
         m, _ = _system_and_features("full")
         calls = []
-        for name in ("qr", "svd"):
+        for name in ("qr", "svd", "eigh", "eigvalsh"):
             def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 calls.append((_name, np.shape(a)))
                 return _real(a, *args, **kwargs)
@@ -550,8 +622,14 @@ class TestPreparedBlock:
         app = m.apps[0].app_id
         predict_best_config(m, app, select_samples(m.n_configs, 15, 1001, app))
         n_train = m.n_apps - 1
-        assert calls == [("qr", (2, m.n_configs, n_train - 1)),
-                         ("svd", (2, n_train, n_train - 1))]
+        held_out = (2, n_train, n_train - 1, n_train - 1)
+        assert [c for c in calls if c[0] in ("qr", "svd")] == [
+            ("qr", (2, m.n_configs, n_train - 1)), ("svd", (2, n_train, n_train - 1))]
+        assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", held_out)]
+        # EM's own eigh calls are K x K, one fit at a time
+        eigh_shapes = [shape for name, shape in calls if name == "eigh"]
+        assert eigh_shapes and all(len(shape) == 2 for shape in eigh_shapes), eigh_shapes
+        assert held_out not in eigh_shapes
 
 
 class TestStackedHelpers:
@@ -580,14 +658,14 @@ class TestStackedHelpers:
         ks = select_latent_dim(stacked, obs, estimator.MAX_LATENT_DIM)
         assert ks.shape == (2,)
         if k_max >= 1:
-            errors = held_out_errors(stacked.basis, stacked.coords, obs, k_max)
+            errors = held_out_errors(*stacked[4:], obs, k_max)
         for q in range(2):
             single = estimator._block(rows[q])
             for name, got, ref in zip(estimator._Block._fields, stacked, single):
                 assert got[q].shape == ref.shape and got[q].tobytes() == ref.tobytes(), name
             assert ks[q] == select_latent_dim(rows[q], obs, estimator.MAX_LATENT_DIM)
             if k_max >= 1:
-                ref = held_out_errors(single.basis, single.coords, obs, k_max)
+                ref = held_out_errors(*single[4:], obs, k_max)
                 assert errors[q].shape == ref.shape and errors[q].tobytes() == ref.tobytes()
 
 
