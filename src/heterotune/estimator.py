@@ -38,6 +38,7 @@ EM starts from its slice of the block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Sequence
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .dataset import SamplePlan, SampleSet, TrainingMatrix, mask_application
 from .energy import total_energy_row
-from .errors import InsufficientSamplesError
+from .errors import EstimatorError, InsufficientSamplesError
 from .platforms import PlatformKind, PlatformSpec
 
 SIGMA2_FLOOR = 1e-12
@@ -53,6 +54,7 @@ MAX_LATENT_DIM = 5   # upper bound on the rank select_latent_dim picks
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_LOG_MAX = float(np.log(np.finfo(float).max))   # the largest log exp maps to a float
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def feature_matrix(matrix: TrainingMatrix) -> np.ndarray:
 
 def init_regression(
     observed_idx: Sequence[int],
-    observed_values: Sequence[float],
+    observed_values: Sequence[float] | np.ndarray,
     features: np.ndarray,
 ) -> np.ndarray:
     """Fill a row by least squares on the quadratic basis.
@@ -137,8 +139,12 @@ def init_regression(
     Fits the observed cells, evaluates at every configuration, then puts the
     measured values back at the observed cells.  A rank-deficient design
     (e.g. every sample on one memory setting) gets the minimum-norm
-    solution.  Raises InsufficientSamplesError when there are fewer
-    observations than basis functions.
+    solution.  ``observed_values`` (p,) give one row (n_configs,); a stack
+    (q, p) of values at the same cells gives q rows (q, n_configs), each
+    the bits of its own call, from one standardized design: every row is
+    solved by its own ``lstsq`` (a multi-column solve or product would
+    round differently).  Raises InsufficientSamplesError when there are
+    fewer observations than basis functions.
     """
     idx = np.asarray(observed_idx, dtype=int)
     y = np.asarray(observed_values, dtype=float)
@@ -155,11 +161,14 @@ def init_regression(
     sd = X[:, 1:].std(axis=0)
     sd = np.where(sd > 1e-12, sd, 1.0)
     Xc = (X[:, 1:] - mu) / sd
-    y_mean = y.mean()
-    beta, *_ = np.linalg.lstsq(Xc, y - y_mean, rcond=None)
-    row = y_mean + ((features[:, 1:] - mu) / sd) @ beta
-    row[idx] = y
-    return row
+    Fc = (features[:, 1:] - mu) / sd
+    rows = np.empty(y.shape[:-1] + (features.shape[0],))
+    for row, values in zip(rows.reshape(-1, rows.shape[-1]), y.reshape(-1, y.shape[-1])):
+        y_mean = values.mean()
+        beta, *_ = np.linalg.lstsq(Xc, values - y_mean, rcond=None)
+        row[:] = y_mean + Fc @ beta
+    rows[..., idx] = y
+    return rows
 
 
 def _row_space(
@@ -386,29 +395,6 @@ def select_latent_dim(
     return int(ks) if ks.ndim == 0 else ks
 
 
-def _block_loglik(
-    rows: np.ndarray,
-    rows_w: np.ndarray,
-    W: np.ndarray,
-    lam: np.ndarray,
-    V: np.ndarray,
-    s2: float,
-) -> float:
-    """Gaussian log-likelihood of ``rows`` under covariance W W^T + s2 I.
-
-    ``rows_w`` is ``rows @ W`` and (lam, V) are the nonzero eigenpairs of
-    W^T W, so ``W V lam^-1/2`` is an orthonormal basis of the loadings' span.
-    The residual off that basis is formed explicitly, not as |r|^2 - |r u|^2,
-    which cancels catastrophically as sigma^2 collapses."""
-    n, d = rows.shape
-    scale = V / np.sqrt(lam)
-    proj = rows_w @ scale                      # (n, k) coordinates in the basis
-    perp = rows - proj @ (W @ scale).T
-    quad = (proj**2 / (lam + s2)).sum() + (perp**2).sum() / s2
-    logdet = np.log(lam + s2).sum() + (d - lam.size) * np.log(s2)
-    return -0.5 * (n * (d * _LOG_2PI + logdet) + quad)
-
-
 def _initial_parameters(
     block: _Block, init_s: np.ndarray, latent_dim: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
@@ -503,6 +489,15 @@ def em_fit(
     ``max_iters`` is a safety bound; reaching it is flagged on the returned
     state, not raised.  A collapsing noise variance is clamped at
     SIGMA2_FLOOR (and flagged), which keeps the noiseless case well-posed.
+
+    At these sizes (K <= 5, D <= 393) an iteration costs its count of numpy
+    calls more than its arithmetic, so each is taken once: the E-step and
+    the stop test's log-likelihood share every row's coordinates along the
+    loadings' eigenvectors, the M-step's two normal matrices are written
+    into one preallocated stack and inverted by one batched call, and the
+    noise variance's latent-covariance terms come from the loadings' K x K
+    Gram matrices.  Each normal matrix's inverse has the bits of its own
+    call.
     """
     params = params or EstimatorParams()
     block = _block(training_rows)
@@ -518,45 +513,58 @@ def em_fit(
 
     mu, W, s2, K = _initial_parameters(block, init_s, params.latent_dim)
     k_obs = min(K, obs.size)       # W_o^T W_o has no more nonzero eigenvalues
-    ys_sum = Ys.sum(axis=0)
     n_cells = n_train * D + obs.size   # cells the likelihood sees
     floored = s2 <= SIGMA2_FLOOR
+    # The M-step's two normal matrices, of the intercept-augmented [1, z]
+    # over the training rows and over them plus the target, share one stack
+    # and one batched inverse; the moments of the intercept, and the
+    # regression targets' intercept columns, stay fixed.
+    G = np.empty((2, K + 1, K + 1))
+    G[:, 0, 0] = n_train, N
+    B = np.empty((D, K + 1))
+    B[:, 0] = Ys.sum(axis=0)
+    B_o = np.empty((obs.size, K + 1))
+    B_o[:, 0] = B[obs, 0] + y_obs
 
     def statistics(W, mu, s2):
         """Observed-data log-likelihood and E-step posteriors at (W, mu, s2).
 
         The stop test at these parameters and the next iteration's E-step
-        share them.  Both come from the K x K eigendecompositions of W^T W
-        and W_o^T W_o, so no SVD or inverse is needed."""
+        share them.  Both come from the K x K eigendecompositions (lam, V)
+        of W^T W and W_o^T W_o, so no SVD or inverse is needed: a row's
+        coordinates along the loadings' eigenvectors, P = r W V, give its
+        quadratic form in the loadings' span, P^2 / (lam (lam + s2)), and
+        its latent posterior mean (P / (lam + s2)) V^T.  The residual off
+        that span is formed explicitly, not as |r|^2 - P^2 / lam, which
+        cancels catastrophically as sigma^2 collapses."""
         Dc = Ys - mu
-        Dc_w = Dc @ W
         lam, V = np.linalg.eigh(W.T @ W)
+        WV = W @ V
+        P = Dc @ WV                                  # (n_train, K)
         Wo = W[obs]
         r_o = y_obs - mu[obs]
-        r_o_w = r_o @ Wo
         lam_o, V_o = np.linalg.eigh(Wo.T @ Wo)
+        WoV = Wo @ V_o
+        P_o = r_o @ WoV
         # W_o can have lower rank than k_obs (it is zero when the sampled
-        # columns carry no loading, as with one training row): keep only
-        # eigenpairs that do not vanish (eigh sorts them ascending)
+        # columns carry no loading, as with one training row): its span, in
+        # the likelihood, has only the eigenpairs that do not vanish (eigh
+        # sorts them ascending)
         top = slice(max(K - k_obs, int(np.searchsorted(lam_o, 0.0, side="right"))), K)
-        ll = _block_loglik(Dc, Dc_w, W, lam, V, s2) + _block_loglik(
-            r_o[None, :], r_o_w[None, :], Wo, lam_o[top], V_o[:, top], s2
-        )
-        Minv = (V / (lam + s2)) @ V.T
-        Mo_inv = (V_o / (lam_o + s2)) @ V_o.T
-        m_dense = Dc_w @ Minv                        # (n_train, K)
-        m_t = Mo_inv @ r_o_w
-        # posterior latent covariances: summed over the training rows, and
-        # the target's
-        return float(ll), (m_dense, m_t, n_train * s2 * Minv, s2 * Mo_inv)
-
-    def normal_matrix(n_rows, sum_z, sum_zz):
-        """(K+1)-square second moments of the intercept-augmented [1, z]."""
-        out = np.empty((K + 1, K + 1))
-        out[0, 0] = n_rows
-        out[0, 1:] = out[1:, 0] = sum_z
-        out[1:, 1:] = sum_zz
-        return out
+        lam_t, P_t = lam_o[top], P_o[top]
+        ls, ls_o = lam + s2, lam_o + s2
+        ls_t = ls_o[top]
+        perp = Dc - (P / lam) @ WV.T
+        perp_o = r_o - (P_t / lam_t) @ WoV[:, top].T
+        quad = ((P**2 / (lam * ls)).sum() + (P_t**2 / (lam_t * ls_t)).sum()
+                + ((perp**2).sum() + (perp_o**2).sum()) / s2)
+        logdet = (n_train * np.log(ls).sum() + np.log(ls_t).sum()
+                  + (n_train * (D - K) + obs.size - lam_t.size) * math.log(s2))
+        Vs, Vs_o = V / ls, V_o / ls_o
+        # posterior means, and latent covariances summed over the training
+        # rows and the target's
+        return -0.5 * float(n_cells * _LOG_2PI + logdet + quad), (
+            P @ Vs.T, P_o @ Vs_o.T, n_train * s2 * (Vs @ V.T), s2 * (Vs_o @ V_o.T))
 
     ll, post = statistics(W, mu, s2)
     ll_hist = [ll]
@@ -564,11 +572,6 @@ def em_fit(
     it = 0
     for it in range(1, params.max_iters + 1):
         m_dense, m_t, sz_train, sz_t = post
-
-        sum_train = m_dense.sum(axis=0)
-        A_train = sz_train + m_dense.T @ m_dense
-        sum_m = sum_train + m_t
-        A = A_train + sz_t + m_t[:, None] * m_t
 
         # Joint M-step over (mu, W) via the intercept-augmented latent
         # vector [1, z]; decoupled conditional updates of mean and loadings
@@ -578,22 +581,26 @@ def em_fit(
         # unsampled cells would add them to the missing data, and when a
         # factor is carried by the target alone its unsampled loadings would
         # then grow only ~3 % per iteration (120-170 iterations on `ci`).
-        B = np.empty((D, K + 1))
-        B[:, 0] = ys_sum
+        sum_train = m_dense.sum(axis=0, out=G[0, 0, 1:])
+        sum_m = np.add(sum_train, m_t, out=G[1, 0, 1:])
+        G[:, 1:, 0] = G[:, 0, 1:]
+        A_train = np.add(sz_train, m_dense.T @ m_dense, out=G[0, 1:, 1:])
+        A = np.add(A_train + sz_t, m_t[:, None] * m_t, out=G[1, 1:, 1:])
+        inv = np.linalg.inv(G)
         B[:, 1:] = Ys.T @ m_dense
-        sol = B @ np.linalg.inv(normal_matrix(n_train, sum_train, A_train))
-        B_o = B[obs]
-        B_o[:, 0] += y_obs
-        B_o[:, 1:] += y_obs[:, None] * m_t
-        sol[obs] = B_o @ np.linalg.inv(normal_matrix(N, sum_m, A))
+        sol = B @ inv[0]
+        np.add(B[obs, 1:], y_obs[:, None] * m_t, out=B_o[:, 1:])
+        sol[obs] = B_o @ inv[1]
         mu_new, W_new = sol[:, 0], sol[:, 1:]
 
-        # CM step for the isotropic noise variance over the observed cells
+        # CM step for the isotropic noise variance over the observed cells;
+        # the latent covariances enter through the loadings' K x K Gram
+        # matrices
         Wo_new = W_new[obs]
         R = Ys - mu_new - m_dense @ W_new.T
         r_t = y_obs - mu_new[obs] - Wo_new @ m_t
-        total = (R**2).sum() + (W_new * (W_new @ sz_train)).sum()
-        total += (r_t**2).sum() + (Wo_new * (Wo_new @ sz_t)).sum()
+        total = ((R**2).sum() + ((W_new.T @ W_new) * sz_train).sum()
+                 + (r_t**2).sum() + ((Wo_new.T @ Wo_new) * sz_t).sum())
         s2_new = total / n_cells
         if s2_new <= SIGMA2_FLOOR:
             s2_new = SIGMA2_FLOOR
@@ -603,7 +610,7 @@ def em_fit(
         # implies into (mu, W).  The folded model gives rows the same
         # distribution as the expanded one, so s2 needs no update.
         m_bar = sum_m / N
-        L = np.linalg.cholesky(A / N - np.outer(m_bar, m_bar))
+        L = np.linalg.cholesky(A / N - m_bar[:, None] * m_bar)
         mu_new = mu_new + W_new @ m_bar
         W_new = W_new @ L
 
@@ -665,16 +672,15 @@ def predict_energy(
         time_row[bad] = (positive.min() if positive.size else 1.0) * 1e-3
     energy = total_energy_row(power_row, time_row, system)
     chosen = int(np.argmin(energy))
-    obs = set(int(i) for i in observed_idx)
-    provenance = tuple(
-        "observed-sample" if j in obs else "predicted" for j in range(energy.size)
-    )
+    provenance = ["predicted"] * energy.size
+    for j in observed_idx:
+        provenance[j] = "observed-sample"
     return PredictionResult(
         power=power_row,
         time=time_row,
         energy=energy,
         chosen=chosen,
-        provenance=provenance,
+        provenance=tuple(provenance),
         clamped=tuple(int(i) for i in np.flatnonzero(bad)),
         converged=converged,
     )
@@ -702,12 +708,18 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
     of the log power and log time rows, each at the latent rank that
     ``select_latent_dim`` picks for it (at most ``MAX_LATENT_DIM``), then
     whole-system energy minimization over every configuration of every
-    platform.  The two quantities' training rows are prepared as one stacked
-    ``_block``, both ranks come from one ``select_latent_dim`` call on it,
-    and each quantity's fit takes its slice of the block.
+    platform.  The two quantities are carried as one stack wherever their
+    steps are independent of each other: their training rows are prepared
+    as one ``_block``, both ranks come from one ``select_latent_dim`` call
+    on it, both regression rows from one ``init_regression`` call, and both
+    completions are mapped back through one ``exp``, the sampled cells
+    passed through.  Each quantity's ``em_fit`` takes its slice of the
+    block.
 
     Raises ValueError when ``matrix`` has no row or an unmeasured cell, or
-    holds the sampled application, whose own measured row it would train on.
+    holds the sampled application, whose own measured row it would train on,
+    and EstimatorError when a completed log lies beyond ``exp``'s range (the
+    training rows then support no finite estimate from these samples).
     """
     if matrix.n_apps == 0:
         raise ValueError("no training rows")
@@ -715,18 +727,27 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
         raise ValueError("training rows must be fully observed")
     if any(a.app_id == samples.app_id for a in matrix.apps):
         raise ValueError(f"app_id {samples.app_id} is a training row of the matrix")
-    feats = feature_matrix(matrix)
     idx = samples.config_indices
     logs = _block(np.log([matrix.power, matrix.time]))
     ks = select_latent_dim(logs, idx, MAX_LATENT_DIM)
-    rows, converged = [], True
-    for q, sampled in enumerate((samples.power, samples.time)):
-        state, completed = complete_row(
-            _Block(*(field[q] for field in logs)), idx, np.log(sampled), feats,
-            EstimatorParams(latent_dim=int(ks[q])),
-        )
-        row = np.exp(completed)
-        row[list(idx)] = sampled
-        rows.append(row)
+    sampled = np.array([samples.power, samples.time], dtype=float)
+    log_sampled = np.log(sampled)
+    initial = init_regression(idx, log_sampled, feature_matrix(matrix))
+    completed = np.empty_like(initial)
+    converged = True
+    for q in range(2):
+        state, completed[q] = em_fit(_Block(*(field[q] for field in logs)), idx,
+                                     log_sampled[q], initial[q],
+                                     EstimatorParams(latent_dim=int(ks[q])))
         converged = converged and state.converged
+    beyond = np.argwhere(~(completed <= _LOG_MAX))
+    if beyond.size:
+        q, j = beyond[0]
+        raise EstimatorError(
+            f"log {('power', 'time')[q]} completed to {completed[q, j]:.4g} at configuration "
+            f"{matrix.configs[j].config_id}, beyond exp's range: the training rows "
+            "support no finite estimate from these samples"
+        )
+    rows = np.exp(completed)
+    rows[:, idx] = sampled
     return predict_energy(*rows, matrix.system, observed_idx=idx, converged=converged)

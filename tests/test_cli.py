@@ -26,8 +26,9 @@ from heterotune.cli import (
     _require_training,
     build_parser,
     main,
+    save_samples,
 )
-from heterotune.dataset import load_training, save_training
+from heterotune.dataset import load_training, mask_application, save_training, select_samples
 from heterotune.errors import BackendError
 from heterotune.estimator import EstimatorParams
 from heterotune.evaluation import brute_force_best, measured_energy_row
@@ -518,6 +519,25 @@ class TestPredict:
         rc = main(["predict", "--training", str(training_dir / "manifest.conf"),
                    "--sample", str(few)])
         assert rc == EXIT_ESTIMATOR
+
+    def test_completion_beyond_exp_range_exits_estimator(self, tmp_path, capsys):
+        # three applications whose two training rows barely vary in some
+        # columns: EM completes app 0's log time past exp's range from these
+        # ten samples (tests/test_estimator.py pins the same draw)
+        m = generate_system(SyntheticSpec(n_apps=3, platforms=CI_SYSTEM, rank=3,
+                                          noise_sd=0.0, seed=52298)).matrix
+        manifest = save_training(m, str(tmp_path / "training"))
+        app = m.apps[0].app_id
+        _, samples = mask_application(m, app, select_samples(m.n_configs, 10, 0, app))
+        sample = tmp_path / "s.csv"
+        save_samples(str(sample), samples, 0, m.configs)
+        capsys.readouterr()
+        rc = main(["predict", "--training", manifest, "--sample", str(sample)])
+        assert rc == EXIT_ESTIMATOR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"estimator error: log time completed to \S+ at configuration "
+                            r"\S+, beyond exp's range: .*\n", err), err
 
 
 class TestRun:

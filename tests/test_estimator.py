@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from heterotune.dataset import (
     mask_application,
     select_samples,
 )
-from heterotune.errors import InsufficientSamplesError
+from heterotune.errors import EstimatorError, InsufficientSamplesError
 from heterotune.estimator import (
     SIGMA2_FLOOR,
     EstimatorParams,
@@ -174,6 +176,37 @@ class TestInitRegression:
         assert np.isfinite(fitted).all()
         np.testing.assert_array_equal(fitted[obs], values)
 
+    @settings(max_examples=100, deadline=None)
+    @given(profile=st.sampled_from(["ci", "full", "gpu"]), deficient=st.booleans(),
+           extra=st.integers(-2, 20), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_stack_equals_per_row_calls(self, profile, deficient, extra, seed, data):
+        # a (2, p) stack of values gives each row the bits of its own call,
+        # and below the basis size both refuse it alike.  Counts from two
+        # under the basis size up, the basis size itself included; a
+        # deficient draw takes every sample from one memory setting of the
+        # 10-function basis (rank 6)
+        m, feats = _system_and_features("ci" if profile == "ci" else "full")
+        if profile == "gpu":
+            feats = feature_matrix(m.select_configs(m.platform_config_indices("quadro-k620")))
+        pool = np.arange(feats.shape[0])
+        if deficient and profile != "gpu":
+            pool = np.flatnonzero(feats[:, 3] == feats[0, 3])
+        n = min(feats.shape[1] + extra, pool.size)
+        obs = np.sort(np.random.default_rng(seed).choice(pool, n, replace=False))
+        values = data.draw(hnp.arrays(float, (2, n), elements=st.floats(-50.0, 50.0)))
+        if n < feats.shape[1]:
+            messages = set()
+            for v in (values, values[0], values[1]):
+                with pytest.raises(InsufficientSamplesError) as refused:
+                    init_regression(obs, v, feats)
+                messages.add(str(refused.value))
+            assert len(messages) == 1, messages
+            return
+        stacked = init_regression(obs, values, feats)
+        assert stacked.shape == (2, feats.shape[0])
+        for q in range(2):
+            assert stacked[q].tobytes() == init_regression(obs, values[q], feats).tobytes()
+
 
 def direct_loglik(state, training_rows, obs, observed_values):
     """Observed-data Gaussian log-likelihood at a fit's (W, mu, sigma^2),
@@ -191,6 +224,41 @@ def direct_loglik(state, training_rows, obs, observed_values):
         _, logdet = np.linalg.slogdet(c)
         quad = (r * np.linalg.solve(c, r.T).T).sum()
         total -= 0.5 * (r.shape[0] * (r.shape[1] * np.log(2 * np.pi) + logdet) + quad)
+    return total
+
+
+def exact_loglik(state, training_rows, obs, observed_values):
+    """``direct_loglik`` with C = W W^T + sigma^2 I formed and eliminated in
+    exact rational arithmetic (Gaussian elimination, C = L D L^T): its log
+    determinant is the sum of the pivots' logs and each row's quadratic
+    form sum_k (L^-1 r)_k^2 / d_k, so only the final logs and the sum
+    round.  It holds where sigma^2 is floored and float64's C is
+    near-singular."""
+    W, mu = state.loadings, state.mean
+    col_mean = training_rows.mean(axis=0)
+    col_scale = training_rows.std(axis=0)
+    col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
+    rows = (training_rows - col_mean) / col_scale - mu
+    y = (observed_values - col_mean[obs]) / col_scale[obs] - mu[obs]
+    Wf = [[Fraction(v) for v in row] for row in W.tolist()]
+    s2 = Fraction(state.noise_var)
+    total = 0.0
+    for r, cells in ((rows, range(mu.size)), (y[None, :], obs)):
+        cells = [int(i) for i in cells]
+        C = [[sum((a * b for a, b in zip(Wf[i], Wf[j])), s2 if i == j else Fraction(0))
+              for j in cells] for i in cells]
+        R = [[Fraction(v) for v in row] for row in r.tolist()]
+        logdet, quad = 0.0, Fraction(0)
+        for k in range(len(cells)):
+            pivot = C[k][k]
+            logdet += math.log(pivot)
+            for i in range(k + 1, len(cells)):
+                f = C[i][k] / pivot
+                C[i] = [a - f * b for a, b in zip(C[i], C[k])]
+                for row in R:
+                    row[i] -= f * row[k]
+            quad += sum(row[k] ** 2 for row in R) / pivot
+        total -= 0.5 * (len(R) * (len(cells) * math.log(2 * math.pi) + logdet) + float(quad))
     return total
 
 
@@ -217,6 +285,39 @@ class TestEmFit:
             assert state.ll_history[-1] == pytest.approx(
                 direct_loglik(state, rows, idx, values), rel=1e-9
             )
+
+    def test_loglik_history_matches_dense_gaussian(self, monkeypatch):
+        # every entry of ll_history, each against the dense covariance at
+        # that iteration's parameters, which a fit capped at that iteration
+        # returns.  Four fits of 12 columns: noisy; exact rank 2 at K = 2,
+        # where sigma^2 floors; one training row (K = 1, floored too); and 2
+        # sampled cells under 3 latent factors, where W_o^T W_o is singular.
+        # At a floored sigma^2 float64's C is itself off (by up to 2e-6 in
+        # the log-likelihood here), so there only the exact reference binds
+        Y = rank_k_matrix(7, 12, 2, seed=4, noise_sd=0.1)
+        exact = rank_k_matrix(7, 12, 2, seed=5)
+        obs = np.array([0, 3, 5, 8, 11])
+        cases = (
+            ("noisy", Y[:-1], obs, Y[-1][obs], 3, False),
+            ("floored", exact[:-1], obs, exact[-1][obs], 2, True),
+            ("one row", Y[:1], obs, Y[-1][obs], 1, True),
+            ("singular W_o", Y[:-1], obs[:2], Y[-1][obs[:2]], 3, False),
+        )
+        for name, rows, idx, values, k, floored in cases:
+            init = np.tile(values.mean(), rows.shape[1])
+            fit, _ = em_fit(rows, idx, values, init, EstimatorParams(latent_dim=k))
+            assert fit.n_iters > 1 and fit.sigma2_floored == floored, name
+            assert fit.loadings.shape[1] == k, name
+            for cap in range(fit.n_iters + 1):
+                monkeypatch.setattr(EstimatorParams, "max_iters", cap)
+                state, _ = em_fit(rows, idx, values, init, EstimatorParams(latent_dim=k))
+                assert np.array_equal(state.ll_history, fit.ll_history[:cap + 1]), name
+                ll = state.ll_history[-1]
+                assert ll == pytest.approx(exact_loglik(state, rows, idx, values),
+                                           rel=1e-10, abs=0), (name, cap)
+                if not floored:
+                    assert ll == pytest.approx(direct_loglik(state, rows, idx, values),
+                                               rel=1e-10, abs=0), (name, cap)
 
     def test_floored_loglik_finite_and_non_decreasing(self, ci_noiseless):
         # noiseless log powers and times floor sigma^2, where a dense C is
@@ -545,20 +646,45 @@ class TestSelectLatentDim:
 
 
 def _composed_prediction(view, samples):
-    """``predict_new_app`` spelled out in public calls on raw arrays: the
-    rank choice, the completion at that rank, ``exp`` with the sampled
+    """``predict_new_app`` spelled out in public calls on raw arrays, one
+    quantity at a time: the rank choice, the completion at that rank, a
+    completed log beyond ``exp``'s range refused, ``exp`` with the sampled
     cells passed through, and the energy argmin."""
     feats, idx = feature_matrix(view), samples.config_indices
     rows = []
+    completions = []
     for quantity in ("power", "time"):
         logs, sampled = np.log(getattr(view, quantity)), getattr(samples, quantity)
         k = select_latent_dim(logs, idx, estimator.MAX_LATENT_DIM)
         state, completed = complete_row(logs, idx, np.log(sampled), feats,
                                         EstimatorParams(latent_dim=k))
+        completions.append(completed)
+    for quantity, completed, sampled in zip(("power", "time"), completions,
+                                            (samples.power, samples.time)):
+        beyond = np.flatnonzero(~(completed <= np.log(np.finfo(float).max)))
+        if beyond.size:
+            raise EstimatorError(quantity, view.configs[beyond[0]].config_id)
         row = np.exp(completed)
         row[list(idx)] = sampled
         rows.append(row)
     return predict_energy(*rows, view.system, observed_idx=idx)
+
+
+def _outcome(predict, view, samples):
+    """A prediction, or the EstimatorError that refused it."""
+    try:
+        return predict(view, samples)
+    except EstimatorError as exc:
+        return exc
+
+
+def _assert_refused(outcome, quantity, config_id):
+    """``outcome`` is the refusal of a completed log beyond exp's range,
+    naming ``quantity`` and the first configuration past that range."""
+    assert isinstance(outcome, EstimatorError), outcome
+    message = str(outcome)
+    assert message.startswith(f"log {quantity} completed to "), message
+    assert f" at configuration {config_id}, beyond exp's range" in message, message
 
 
 GPU_ONLY_HOST = (CI_SYSTEM[0], DEFAULT_SYSTEM[1])   # the GPU has 9 configurations
@@ -589,10 +715,14 @@ class TestPreparedBlock:
         plan = select_samples(m.n_configs, data.draw(st.integers(n_samples, m.n_configs)),
                               plan_seed, target_app=app)
         view, samples = mask_application(m, app, plan)
-        got, ref = predict_new_app(view, samples), _composed_prediction(view, samples)
-        for name in ("power", "time", "energy"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-        assert got.chosen == ref.chosen
+        got, ref = _outcome(predict_new_app, view, samples), _outcome(_composed_prediction,
+                                                                     view, samples)
+        if isinstance(ref, EstimatorError):
+            _assert_refused(got, *ref.args)
+        else:
+            for name in ("power", "time", "energy"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            assert got.chosen == ref.chosen
 
         feats, idx = feature_matrix(view), samples.config_indices
         for quantity in ("power", "time"):
@@ -606,21 +736,49 @@ class TestPreparedBlock:
             assert s_raw.n_iters == s_blk.n_iters
             assert np.array_equal(c_raw, c_blk)
 
+    def test_three_app_draw_beyond_exp_range_is_refused(self):
+        # a draw of the test above: with two training rows that barely vary
+        # in some columns (col_scale 2e-4), the sampled log time z-scores to
+        # about 1e4 and EM completes log time far past exp's range.  Both
+        # paths refuse it rather than score infinite energies
+        spec = SyntheticSpec(n_apps=3, platforms=CI_SYSTEM, rank=3, noise_sd=0.0, seed=52298)
+        m = generate_system(spec).matrix
+        app = m.apps[0].app_id
+        view, samples = mask_application(m, app, select_samples(m.n_configs, 10, 0, app))
+        assert np.log(view.time).std(axis=0).min() < 1e-3
+        ref = _outcome(_composed_prediction, view, samples)
+        assert isinstance(ref, EstimatorError) and ref.args[0] == "time"
+        _assert_refused(_outcome(predict_new_app, view, samples), *ref.args)
+
     def test_full_system_prediction_factors_each_quantity_once(self, monkeypatch):
         # the rank choice and EM's start of both quantities share one
         # stacked thin QR and one stacked SVD of the row-space coordinates;
         # the held-out fits take their eigenvalues from one stacked eigvalsh
         # and their eigenvectors from that SVD, so no eigh sees them
+        # and each EM iteration inverts both of its normal matrices in one
+        # batched call
         m, _ = _system_and_features("full")
         calls = []
-        for name in ("qr", "svd", "eigh", "eigvalsh"):
+        for name in ("qr", "svd", "eigh", "eigvalsh", "inv"):
             def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 calls.append((_name, np.shape(a)))
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(estimator.np.linalg, name, spy)
+        fits = []
+
+        def recording_em_fit(*args, **kwargs):
+            state, completed = em_fit(*args, **kwargs)
+            fits.append(state)
+            return state, completed
+
+        monkeypatch.setattr(estimator, "em_fit", recording_em_fit)
         app = m.apps[0].app_id
         predict_best_config(m, app, select_samples(m.n_configs, 15, 1001, app))
+        K = [state.loadings.shape[1] for state in fits]
+        assert len(fits) == 2 and all(state.n_iters >= 1 for state in fits)
+        assert [c for c in calls if c[0] == "inv"] == [
+            ("inv", (2, k + 1, k + 1)) for k, state in zip(K, fits) for _ in range(state.n_iters)]
         n_train = m.n_apps - 1
         held_out = (2, n_train, n_train - 1, n_train - 1)
         assert [c for c in calls if c[0] in ("qr", "svd")] == [
