@@ -336,6 +336,9 @@ def held_out_errors(
                   where=at_root & ~refine)
     h = 1 - shrink * (ul[..., None, :] * y).sum(axis=-1, keepdims=True)
     y = np.divide(h, shrink * u_near, out=y, where=refine)
+    # normalized after scaling by a power of two, which changes no bit but
+    # keeps y * y finite when the poles are near underflow (sv^2 subnormal)
+    y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=-1, keepdims=True))[1])
     y /= np.sqrt((y * y).sum(axis=-1, keepdims=True))
     y -= 2 * w[..., None, :] * ((w[..., None, :] * y) @ same[..., None, :, :])
     Qt = y @ vt[..., None, :, :]                            # (..., n, k_max, r)

@@ -826,6 +826,19 @@ class TestStackedHelpers:
                 ref = held_out_errors(*single[4:], obs, k_max)
                 assert errors[q].shape == ref.shape and errors[q].tobytes() == ref.tobytes()
 
+    def test_poles_near_underflow(self):
+        # one cell of 7e-157 leaves sv^2 subnormal; normalizing the root's
+        # eigenvector must not overflow (warnings are errors here)
+        tiny = np.zeros((3, 2))
+        tiny[0, 0] = 7.05593218e-157
+        rows = np.stack([np.zeros((3, 2)), tiny])
+        stacked = estimator._block(rows)
+        errors = held_out_errors(*stacked[4:], [0], 1)
+        assert np.isfinite(errors).all()
+        for q in range(2):
+            ref = held_out_errors(*estimator._block(rows[q])[4:], [0], 1)
+            assert errors[q].tobytes() == ref.tobytes()
+
 
 class TestPredictEnergy:
     def test_picks_smaller_of_two(self):
