@@ -33,7 +33,11 @@ both quantities.  That SVD is the spectrum of both the rank choice and EM's
 start: each held-out fit of the rank choice is a rank-one downdate of it,
 so the choice for both quantities adds one batched ``eigvalsh`` of the
 held-out spectra and no eigendecomposition of its own, and each quantity's
-EM starts from its slice of the block.
+EM starts from its slice of the block.  The rank choice also takes each
+stacked set's own sampled cells, so ``evaluation.evaluate`` prepares the
+blocks of several applications' training views at once and picks all their
+ranks in one call, every set with the bits of its own call; each
+prediction then takes its slice (``Prepared``).
 """
 
 from __future__ import annotations
@@ -228,6 +232,39 @@ def _block(rows: np.ndarray | _Block) -> _Block:
     return _Block(Ys, col_mean, col_scale, *_row_space(Ys))
 
 
+def _per_set_cells(observed_idx: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-set sampled-cell indices (..., p) as indices into the rows of
+    ``basis`` (..., D, r) flattened to (-1, r): for each set (the leading
+    axes of both, broadcast), its sampled cells (..., p) and the others
+    (..., D - p), each in ascending order.  Raises ValueError when the sets
+    sample different numbers of distinct cells."""
+    D = basis.shape[-2]
+    sampled = np.zeros(observed_idx.shape[:-1] + (D,), dtype=bool)
+    np.put_along_axis(sampled, observed_idx, True, axis=-1)
+    counts = sampled.sum(axis=-1)
+    p = int(counts.flat[0])
+    if (counts != p).any():
+        raise ValueError("every stacked set must sample the same number of distinct cells")
+    # a stable sort puts each set's unsampled cells first, then its sampled
+    # ones, each run ascending
+    lead = np.broadcast_shapes(observed_idx.shape[:-1], basis.shape[:-2])
+    rows = sampled.argsort(axis=-1, kind="stable") + D * np.arange(math.prod(lead)).reshape(
+        lead + (1,))
+    return rows[..., D - p:], rows[..., :D - p]
+
+
+def _gram(basis: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """basis^T basis over the rows ``cells`` picks from ``basis`` (..., D, r):
+    a boolean mask (D,) shared by every stacked set, or per-set rows from
+    ``_per_set_cells``.  Each factor is its own indexed copy: matmul then
+    runs gemm, where one shared copy would take syrk, whose bits differ,
+    and every set gets the bits of its own call."""
+    if cells.dtype == bool:
+        return basis[..., cells, :].swapaxes(-1, -2) @ basis[..., cells, :]
+    flat = basis.reshape(-1, basis.shape[-1])
+    return np.take(flat, cells, axis=0).swapaxes(-1, -2) @ np.take(flat, cells, axis=0)
+
+
 def held_out_errors(
     basis: np.ndarray,
     coords: np.ndarray,
@@ -249,7 +286,12 @@ def held_out_errors(
     posterior mean of the latent vector given the observed cells.  Leading
     axes of ``basis`` (..., D, r), ``coords`` (..., n, r), ``sv`` (..., r)
     and ``vt`` (..., r, r) are stacks of independent row sets, which give
-    errors (..., n, k_max).
+    errors (..., n, k_max).  ``observed_idx`` is one list of cells (p,)
+    that every set shares, or each set's own cells (..., p), whose leading
+    axes broadcast against the sets' (``evaluation.evaluate`` passes
+    (apps, 1, p) for a stack of both quantities of several applications).
+    Either way each set's cells are taken in ascending order, so every set
+    of a stack gets the bits of its own call on its own cells.
 
     Every held-out fit lives in that row space.  The scatter of the other
     rows is the full scatter less a rank-one term, S - n/(n-1) c_i c_i^T,
@@ -290,8 +332,13 @@ def held_out_errors(
     cell is sampled.
     """
     D, n, r = basis.shape[-2], coords.shape[-2], sv.shape[-1]
-    obs = np.zeros(D, dtype=bool)
-    obs[np.asarray(observed_idx, dtype=int)] = True
+    idx = np.asarray(observed_idx, dtype=int)
+    if idx.ndim == 1:
+        obs = np.zeros(D, dtype=bool)
+        obs[idx] = True
+        cells, others = obs, ~obs
+    else:
+        cells, others = _per_set_cells(idx, basis)
     shrink = n / (n - 1)
     d = sv**2                                               # poles, descending
     tol = 8 * _EPS * d[..., None, :1]
@@ -349,16 +396,14 @@ def held_out_errors(
     s2 = np.maximum((total[..., None] - lam.cumsum(axis=-1)) / (D - ranks), SIGMA2_FLOOR)
     # loading scales (..., n, rank, k_max), zero past each rank
     scale = np.sqrt(np.maximum(lam[..., None, :] - s2[..., None], 0.0)) * (ranks[:, None] >= ranks)
-    # each Gram matrix from two fancy-indexed copies: matmul then runs
-    # gemm, where one shared copy would take syrk, whose bits differ
-    gram_o = basis[..., obs, :].swapaxes(-1, -2) @ basis[..., obs, :]
+    gram_o = _gram(basis, cells)
     P = Qt @ gram_o[..., None, :, :] @ Q
     g = shrink * ((coords @ gram_o)[..., None, :] @ Q)
     M = scale[..., :, None] * P[..., None, :, :] * scale[..., None, :]    # + sigma^2 I
     M.reshape(M.shape[:-2] + (k_max * k_max,))[..., ::k_max + 1] += s2[..., None]
     z = np.linalg.solve(M, (scale * g)[..., None])[..., 0]
     resid = shrink * coords[..., None, :] - (scale * z) @ Qt   # whole row, in the basis
-    gram_u = basis[..., ~obs, :].swapaxes(-1, -2) @ basis[..., ~obs, :]
+    gram_u = _gram(basis, others)
     return ((resid @ gram_u[..., None, :, :]) * resid).sum(axis=-1)
 
 
@@ -380,6 +425,8 @@ def select_latent_dim(
     held-out fit of n_rows - 1 centred rows supports) and n_configs - 1.
     Rows (n_rows, n_configs) give an int; a stack of row sets
     (..., n_rows, n_configs) gives an int array (...), one rank per set.
+    ``observed_idx`` is shared by every set, or per set (..., p), as in
+    ``held_out_errors``; each set's rank is the one its own call gives.
     """
     block = _block(rows)
     n, D = block.rows.shape[-2:]
@@ -689,22 +736,40 @@ def predict_energy(
     )
 
 
+class Prepared(NamedTuple):
+    """What ``predict_new_app`` derives from the training view and the
+    sampled cells before its fits: ``logs``, the ``_block`` of the view's
+    log power and log time rows, (2, n_apps, n_configs); ``ranks`` (2,),
+    the ranks ``select_latent_dim`` picks on it for the sampled cells; and
+    ``features``, the view's ``feature_matrix``.  A caller that predicts
+    many applications of one matrix (``evaluation.evaluate``) prepares them
+    in stacks and hands each prediction its slice."""
+
+    logs: _Block
+    ranks: np.ndarray
+    features: np.ndarray
+
+
 def predict_best_config(
     matrix: TrainingMatrix,
     app_id: int,
     plan: SamplePlan,
+    prepared: Prepared | None = None,
 ) -> PredictionResult:
     """End-to-end holistic prediction for one application of the matrix.
 
     Leave-one-application-out masking, then ``predict_new_app`` on the
-    masked view; masking keeps every configuration, so the features and the
-    scored system are the matrix's own.
+    masked view, with ``prepared`` when given; masking keeps every
+    configuration, so the features and the scored system are the matrix's
+    own.
     """
     view, samples = mask_application(matrix, app_id, plan)
-    return predict_new_app(view, samples)
+    return predict_new_app(view, samples, prepared)
 
 
-def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionResult:
+def predict_new_app(
+    matrix: TrainingMatrix, samples: SampleSet, prepared: Prepared | None = None
+) -> PredictionResult:
     """Prediction for an application whose row is not in ``matrix``.
 
     Every training row participates: regression-initialized EM completion
@@ -717,12 +782,15 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
     on it, both regression rows from one ``init_regression`` call, and both
     completions are mapped back through one ``exp``, the sampled cells
     passed through.  Each quantity's ``em_fit`` takes its slice of the
-    block.
+    block.  ``prepared`` carries the block, both ranks and the features
+    when the caller has them already (see ``Prepared``); they are trusted
+    to be this view's and these cells', and only their shapes are checked.
 
     Raises ValueError when ``matrix`` has no row or an unmeasured cell, or
     holds the sampled application, whose own measured row it would train on,
-    and EstimatorError when a completed log lies beyond ``exp``'s range (the
-    training rows then support no finite estimate from these samples).
+    or when ``prepared`` does not fit the view's shape, and EstimatorError
+    when a completed log lies beyond ``exp``'s range (the training rows then
+    support no finite estimate from these samples).
     """
     if matrix.n_apps == 0:
         raise ValueError("no training rows")
@@ -731,11 +799,19 @@ def predict_new_app(matrix: TrainingMatrix, samples: SampleSet) -> PredictionRes
     if any(a.app_id == samples.app_id for a in matrix.apps):
         raise ValueError(f"app_id {samples.app_id} is a training row of the matrix")
     idx = samples.config_indices
-    logs = _block(np.log([matrix.power, matrix.time]))
-    ks = select_latent_dim(logs, idx, MAX_LATENT_DIM)
+    if prepared is None:
+        logs = _block(np.log([matrix.power, matrix.time]))
+        prepared = Prepared(logs, select_latent_dim(logs, idx, MAX_LATENT_DIM),
+                            feature_matrix(matrix))
+    elif (prepared.logs.rows.shape != (2, matrix.n_apps, matrix.n_configs)
+          or np.shape(prepared.ranks) != (2,) or len(prepared.features) != matrix.n_configs):
+        raise ValueError(f"prepared block {prepared.logs.rows.shape}, ranks "
+                         f"{np.shape(prepared.ranks)} and {len(prepared.features)} feature rows do "
+                         f"not fit a view of {matrix.n_apps} x {matrix.n_configs}")
+    logs, ks, features = prepared
     sampled = np.array([samples.power, samples.time], dtype=float)
     log_sampled = np.log(sampled)
-    initial = init_regression(idx, log_sampled, feature_matrix(matrix))
+    initial = init_regression(idx, log_sampled, features)
     completed = np.empty_like(initial)
     converged = True
     for q in range(2):

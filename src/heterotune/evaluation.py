@@ -15,9 +15,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import TrainingMatrix, select_samples
+from .dataset import SamplePlan, TrainingMatrix, select_samples
 from .energy import total_energy_row
-from .estimator import PredictionResult, feature_matrix, predict_best_config
+from .estimator import (
+    MAX_LATENT_DIM,
+    Prepared,
+    PredictionResult,
+    _block,
+    _Block,
+    feature_matrix,
+    predict_best_config,
+    select_latent_dim,
+)
 from .platforms import PlatformKind
 
 HOLISTIC = "holistic"
@@ -30,6 +39,12 @@ APPROACHES = (HOLISTIC, CPU_ONLY, GPU_ONLY, BRUTE_FORCE)
 DEFAULT_HOLISTIC_SAMPLES = 15
 CPU_SAMPLES = 15   # sampling runs of the CPU-only baseline
 GPU_SAMPLES = 3    # sampling runs of the GPU-only baseline
+
+# Applications whose rank choices ``evaluate`` prepares as one stack.  On
+# the full profile each one stacked adds about 0.7 MB to evaluate's peak
+# memory, mostly the held-out fits' temporaries; stacks of six were about
+# 4 % faster than stacks of three, for 2 MB more.
+_STACK = 3
 
 
 def measured_energy_row(matrix: TrainingMatrix, app_id: int) -> np.ndarray:
@@ -140,6 +155,39 @@ class EvaluationReport:
                     fh.write(f"{app}," + ",".join(cells) + "\n")
 
 
+def _sub_seed(seed: int, trial: int, a_idx: int, approach: str) -> int:
+    """The sampling seed of one (trial, application, approach) prediction."""
+    return int(np.random.SeedSequence(
+        [seed, trial, a_idx, APPROACHES.index(approach)]).generate_state(1)[0])
+
+
+def _stack_picks(
+    pool: TrainingMatrix,
+    logs: np.ndarray,
+    features: np.ndarray,
+    stack: range,
+    plans: Sequence[Sequence[SamplePlan]],
+) -> list[list[int]]:
+    """Chosen column of ``pool`` for each plan of ``plans`` (trials, apps),
+    whose column i samples application ``stack[i]`` of ``pool``.
+
+    The applications' training views, ``logs`` (2, n_apps, n_configs) less
+    each one's row, are prepared as one ``_block`` for every trial, and one
+    ``select_latent_dim`` call per trial picks the ranks of all of them;
+    each prediction then takes its slice (``Prepared``) through
+    ``predict_best_config``."""
+    block = _block(np.stack([np.delete(logs, a, axis=1) for a in stack]))
+    picks = []
+    for trial_plans in plans:
+        cells = np.array([plan.sample_configs for plan in trial_plans])[:, None, :]
+        ranks = select_latent_dim(block, cells, MAX_LATENT_DIM)
+        picks.append([
+            predict_best_config(pool, plan.target_app, plan,
+                                Prepared(_Block(*(f[i] for f in block)), ranks[i], features)).chosen
+            for i, plan in enumerate(trial_plans)])
+    return picks
+
+
 def evaluate(
     matrix: TrainingMatrix,
     approaches: Sequence[str] = APPROACHES,
@@ -150,11 +198,27 @@ def evaluate(
     """Leave-one-application-out comparison of approaches over many seeded
     trials; deterministic given (matrix, seed, trials).
 
+    Each predicting approach draws on a pool of configurations: the whole
+    matrix (holistic) or one platform's columns (the single-platform
+    baselines, each prediction as ``single_platform_baseline`` makes it).
+    A pool's sub-matrix, log rows and features are taken once per call.
+    Its applications are predicted in stacks of ``_STACK``, stack by stack
+    and, within a stack, trial by trial: the stack's training views (the
+    pool less each application's row) are prepared as one ``_block`` for
+    every trial, one ``select_latent_dim`` call per trial picks all the
+    stack's ranks from each application's own samples, and each prediction
+    then runs through ``predict_best_config`` with its slice.  The holistic
+    predictions run on ``matrix`` itself, in application order when
+    ``trials`` is 1.  Records keep (trial, application, approach) order,
+    approaches in the order given, and each equals the record of one
+    prediction at a time with the same sub-seed.
+
     Before any prediction, raises ValueError when the matrix has an
     unmeasured cell or, for an approach that predicts, one application, or
-    when an approach cannot draw its samples: ``gpu-only`` on a system without a GPU, or a count outside the
-    range from the basis size of the configurations it draws from (the
-    fewest samples a fit takes) to their number.
+    when an approach cannot draw its samples: ``gpu-only`` on a system
+    without a GPU, or a count outside the range from the basis size of the
+    configurations it draws from (the fewest samples a fit takes) to their
+    number.
     """
     if not matrix.fully_observed:
         raise ValueError("evaluation needs a fully observed matrix")
@@ -179,14 +243,35 @@ def evaluate(
         GPU_ONLY: (gpu, GPU_SAMPLES),
         BRUTE_FORCE: (None, 0),
     }
+    # each predicting approach's pool of configurations (the whole matrix,
+    # or one platform's columns), its columns in the matrix and its features
+    pools = {}
     for approach in [a for a in approaches if a != BRUTE_FORCE]:
         platform, n = draws[approach]
-        pool = (matrix if platform is None
-                else matrix.select_configs(matrix.platform_config_indices(platform)))
-        minimum = feature_matrix(pool).shape[1]
+        cols = (range(matrix.n_configs) if platform is None
+                else matrix.platform_config_indices(platform))
+        pool = matrix if platform is None else matrix.select_configs(cols)
+        features = feature_matrix(pool)
+        minimum = features.shape[1]
         if not minimum <= n <= pool.n_configs:
             raise ValueError(f"{approach}: {n} samples must lie between the estimator minimum "
                              f"{minimum} and the {pool.n_configs} configurations it draws from")
+        pools[approach] = pool, np.array(cols), features
+
+    # picks[approach][trial, a_idx]: a column of the matrix
+    picks = {}
+    for approach, (pool, cols, features) in pools.items():
+        n = draws[approach][1]
+        plans = [[select_samples(pool.n_configs, n, _sub_seed(seed, trial, a_idx, approach),
+                                 app.app_id) for a_idx, app in enumerate(pool.apps)]
+                 for trial in range(trials)]
+        logs = np.log([pool.power, pool.time])
+        chosen = np.empty((trials, pool.n_apps), dtype=int)
+        for start in range(0, pool.n_apps, _STACK):
+            stack = slice(start, start + _STACK)
+            chosen[:, stack] = _stack_picks(pool, logs, features, range(pool.n_apps)[stack],
+                                            [row[stack] for row in plans])
+        picks[approach] = cols[chosen]
 
     energy_rows = [measured_energy_row(matrix, app.app_id) for app in matrix.apps]
     records: list[TrialRecord] = []
@@ -196,17 +281,8 @@ def evaluate(
             opt_idx = int(np.argmin(energies))   # the brute-force pick
             opt_energy = float(energies[opt_idx])
             for approach in approaches:
-                sub_seed = int(np.random.SeedSequence(
-                    [seed, trial, a_idx, APPROACHES.index(approach)]
-                ).generate_state(1)[0])
-                platform, n = draws[approach]
-                if approach == BRUTE_FORCE:
-                    chosen = opt_idx
-                elif platform is None:
-                    plan = select_samples(matrix.n_configs, n, sub_seed, app.app_id)
-                    chosen = predict_best_config(matrix, app.app_id, plan).chosen
-                else:
-                    chosen, _ = single_platform_baseline(matrix, app.app_id, platform, n, sub_seed)
+                n = draws[approach][1]
+                chosen = opt_idx if approach == BRUTE_FORCE else int(picks[approach][trial, a_idx])
                 e = float(energies[chosen])
                 records.append(
                     TrialRecord(

@@ -750,6 +750,27 @@ class TestPreparedBlock:
         assert isinstance(ref, EstimatorError) and ref.args[0] == "time"
         _assert_refused(_outcome(predict_new_app, view, samples), *ref.args)
 
+    def test_prepared_argument_equals_own_preparation_and_is_shape_checked(self):
+        m, feats = _system_and_features("ci")
+        app = m.apps[2].app_id
+        plan = select_samples(m.n_configs, 15, 7, app)
+        view, samples = mask_application(m, app, plan)
+        logs = estimator._block(np.log([view.power, view.time]))
+        prepared = estimator.Prepared(
+            logs, select_latent_dim(logs, samples.config_indices, estimator.MAX_LATENT_DIM), feats)
+        own = predict_new_app(view, samples)
+        for got in (predict_new_app(view, samples, prepared),
+                    predict_best_config(m, app, plan, prepared)):
+            for name in ("power", "time", "energy"):
+                assert np.array_equal(getattr(got, name), getattr(own, name)), name
+            assert (got.chosen, got.converged) == (own.chosen, own.converged)
+        # a block of another view, one rank, or another matrix's features
+        other = estimator._block(np.log([view.power[1:], view.time[1:]]))
+        for wrong in (prepared._replace(logs=other), prepared._replace(ranks=prepared.ranks[:1]),
+                      prepared._replace(features=feats[1:])):
+            with pytest.raises(ValueError, match="do not fit a view of 5 x 40"):
+                predict_new_app(view, samples, wrong)
+
     def test_full_system_prediction_factors_each_quantity_once(self, monkeypatch):
         # the rank choice and EM's start of both quantities share one
         # stacked thin QR and one stacked SVD of the row-space coordinates;
@@ -825,6 +846,53 @@ class TestStackedHelpers:
             if k_max >= 1:
                 ref = held_out_errors(*single[4:], obs, k_max)
                 assert errors[q].shape == ref.shape and errors[q].tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_sets=st.integers(1, 4), n_train=st.integers(1, 10), D=st.integers(1, 12),
+           per_quantity=st.booleans(), data=st.data())
+    def test_per_set_cells_equal_each_sets_own_call(self, n_sets, n_train, D, per_quantity,
+                                                    data):
+        # a stack (n_sets, 2) of row sets, each with its own sampled cells,
+        # drawn unsorted: shared by both quantities of a set (n_sets, 1, p),
+        # as evaluate passes them, or one list per quantity (n_sets, 2, p).
+        # n_train = 1 leaves k_max < 2, D < n_train is the shape of the
+        # 9-column GPU-only pool, and orthogonal rows of equal norm (an
+        # identity block) tie every singular value
+        def row_set():
+            kind = data.draw(st.sampled_from(["low-rank", "arbitrary", "tied"]))
+            if kind == "low-rank":
+                return rank_k_matrix(n_train, D, data.draw(st.integers(1, 4)),
+                                     data.draw(st.integers(0, 2**32 - 1)),
+                                     data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
+            if kind == "tied":
+                return 2.0 + data.draw(st.sampled_from([0.5, 3.0])) * np.eye(n_train, D)
+            return data.draw(hnp.arrays(float, (n_train, D),
+                                        elements=st.floats(-50.0, 50.0, allow_nan=False)))
+
+        rows = np.array([[row_set(), row_set()] for _ in range(n_sets)])
+        p = data.draw(st.integers(1, D))
+        cells = np.array([[data.draw(st.permutations(range(D)))[:p]
+                           for _ in range(2 if per_quantity else 1)] for _ in range(n_sets)])
+        k_max = min(estimator.MAX_LATENT_DIM, n_train - 2, D - 1)
+        stacked = estimator._block(rows)
+        ks = select_latent_dim(stacked, cells, estimator.MAX_LATENT_DIM)
+        assert ks.shape == (n_sets, 2)
+        if k_max >= 1:
+            errors = held_out_errors(*stacked[4:], cells, k_max)
+            assert errors.shape == (n_sets, 2, n_train, k_max)
+        for i in range(n_sets):
+            for q in range(2):
+                own = list(cells[i, q if per_quantity else 0])
+                single = estimator._block(rows[i, q])
+                assert ks[i, q] == select_latent_dim(single, own, estimator.MAX_LATENT_DIM)
+                if k_max >= 1:
+                    ref = held_out_errors(*single[4:], own, k_max)
+                    assert errors[i, q].tobytes() == ref.tobytes(), (i, q)
+
+    def test_sets_sampling_different_numbers_of_cells_rejected(self):
+        block = estimator._block(rank_k_matrix(6, 8, 2, 0)[None].repeat(2, axis=0))
+        with pytest.raises(ValueError, match="same number of distinct cells"):
+            held_out_errors(*block[4:], [[0, 1, 2], [3, 4, 4]], 2)
 
     def test_poles_near_underflow(self):
         # one cell of 7e-157 leaves sv^2 subnormal; normalizing the root's

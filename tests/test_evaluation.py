@@ -7,18 +7,22 @@ from heterotune import evaluation
 from heterotune.dataset import DEFAULT_APPLICATIONS, build_training_matrix, select_samples
 from heterotune.energy import static_power_mw
 from heterotune.evaluation import (
+    APPROACHES,
     BRUTE_FORCE,
     CPU_ONLY,
     CPU_SAMPLES,
+    DEFAULT_HOLISTIC_SAMPLES,
     GPU_ONLY,
     GPU_SAMPLES,
     HOLISTIC,
+    TrialRecord,
     brute_force_best,
     evaluate,
     measured_energy_row,
     single_platform_baseline,
 )
-from heterotune.estimator import EstimatorParams
+from heterotune.estimator import EstimatorParams, predict_best_config
+from heterotune.platforms import PlatformKind
 from heterotune.synthetic import CI_SYSTEM, PROFILES, SyntheticSpec, generate_system
 
 from conftest import tiny_system
@@ -110,8 +114,6 @@ class TestSinglePlatformBaseline:
         energies = measured_energy_row(m, app_id)
         cpu_chosen, _ = single_platform_baseline(m, app_id, "xeon-e5-2650lv3", 15, seed=1)
         plan = select_samples(m.n_configs, 15, seed=1, target_app=app_id)
-        from heterotune.estimator import predict_best_config
-
         holistic_chosen = predict_best_config(m, app_id, plan).chosen
         cpu_gap = energies[cpu_chosen] - opt_e
         holistic_gap = energies[holistic_chosen] - opt_e
@@ -254,3 +256,80 @@ class TestEvaluate:
         (record,) = evaluate(m, approaches=(BRUTE_FORCE,)).records
         assert (record.chosen, record.gap_pct) == (0, 0.0)
         assert brute_force_best(m, 1)[0] == record.chosen
+
+
+def _one_prediction_at_a_time(matrix, approaches, trials, seed):
+    """``evaluate``'s records spelled out in public calls, one prediction at
+    a time: (trial, application, approach) draws its samples with the
+    sub-seed of SeedSequence([seed, trial, application index, approach
+    index])."""
+    platform = {kind: next((s.name for s in matrix.system if s.kind is kind), None)
+                for kind in PlatformKind}
+    records = []
+    for trial in range(trials):
+        for a_idx, app in enumerate(matrix.apps):
+            energies = measured_energy_row(matrix, app.app_id)
+            best = float(energies.min())
+            for approach in approaches:
+                sub_seed = int(np.random.SeedSequence(
+                    [seed, trial, a_idx, APPROACHES.index(approach)]).generate_state(1)[0])
+                if approach == BRUTE_FORCE:
+                    n, chosen = 0, brute_force_best(matrix, app.app_id)[0]
+                elif approach == HOLISTIC:
+                    n = DEFAULT_HOLISTIC_SAMPLES
+                    plan = select_samples(matrix.n_configs, n, sub_seed, app.app_id)
+                    chosen = predict_best_config(matrix, app.app_id, plan).chosen
+                else:
+                    kind, n = ((PlatformKind.CPU, CPU_SAMPLES) if approach == CPU_ONLY
+                               else (PlatformKind.GPU, GPU_SAMPLES))
+                    chosen, _ = single_platform_baseline(matrix, app.app_id, platform[kind], n,
+                                                         sub_seed)
+                e = float(energies[chosen])
+                records.append(TrialRecord(app.app_id, trial, approach, chosen,
+                                           matrix.configs[chosen].config_id, e,
+                                           (e - best) / best * 100.0, n))
+    return tuple(records)
+
+
+class TestStackedEvaluate:
+    """``evaluate`` prepares the rank choices of its applications in stacks;
+    its records must be those of one public prediction at a time."""
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    @pytest.mark.parametrize("spec, approaches", [
+        (PROFILES["ci"], APPROACHES),
+        # the 18 x 393 full-size system, approaches in a non-default order
+        (PROFILES["full"], (GPU_ONLY, BRUTE_FORCE, HOLISTIC, CPU_ONLY)),
+        # application counts that leave a partial stack
+        (SyntheticSpec(n_apps=7, platforms=CI_SYSTEM, rank=3, noise_sd=0.05, seed=5),
+         (CPU_ONLY, HOLISTIC, GPU_ONLY)),
+        (SyntheticSpec(n_apps=2, platforms=CI_SYSTEM, rank=2, noise_sd=0.05, seed=9), APPROACHES),
+    ], ids=["ci", "full", "7-apps", "2-apps"])
+    def test_records_equal_one_prediction_at_a_time(self, spec, approaches, trials):
+        m = generate_system(spec).matrix
+        report = evaluate(m, approaches=approaches, trials=trials, seed=4)
+        assert report.records == _one_prediction_at_a_time(m, approaches, trials, seed=4)
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_each_prediction_goes_once_through_predict_best_config(self, ci_system, monkeypatch,
+                                                                   trials):
+        # a caller that wraps evaluation.predict_best_config (the benchmark
+        # times each call) sees every prediction once, the holistic ones on
+        # the matrix itself, and for one trial in application order
+        calls = []
+        real = evaluation.predict_best_config
+
+        def recording(matrix, app_id, plan, *args):
+            calls.append((matrix, app_id))
+            return real(matrix, app_id, plan, *args)
+
+        monkeypatch.setattr(evaluation, "predict_best_config", recording)
+        m = ci_system.matrix
+        report = evaluate(m, trials=trials, seed=1)
+        predicting = [r for r in report.records if r.approach != BRUTE_FORCE]
+        assert len(calls) == len(predicting)
+        holistic = [app for matrix, app in calls if matrix is m]
+        assert sorted(holistic) == sorted(r.app_id for r in report.records
+                                          if r.approach == HOLISTIC)
+        if trials == 1:
+            assert holistic == [app.app_id for app in m.apps]
