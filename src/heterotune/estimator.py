@@ -24,20 +24,21 @@ mapped back through ``exp``.  Fitting proceeds in two stages per quantity:
 
 On the prediction path the rank K of each quantity's fit is chosen from
 the training rows by held-out-row completion error (``select_latent_dim``),
-with ``MAX_LATENT_DIM`` as its upper bound.  Columns are z-scored with
-training-view statistics before EM and restored after; sampled cells always
-pass through to the output unchanged.  The log power and log time
-training rows are z-scored and factored together, as one stacked block
-(``_block``): one thin QR and one SVD of the row-space coordinates serve
-both quantities.  That SVD is the spectrum of both the rank choice and EM's
-start: each held-out fit of the rank choice is a rank-one downdate of it,
-so the choice for both quantities adds one batched ``eigvalsh`` of the
-held-out spectra and no eigendecomposition of its own, and each quantity's
-EM starts from its slice of the block.  The rank choice also takes each
-stacked set's own sampled cells, so ``evaluation.evaluate`` prepares the
-blocks of several applications' training views at once and picks all their
-ranks in one call, every set with the bits of its own call; each
-prediction then takes its slice (``Prepared``).
+with ``MAX_LATENT_DIM`` as its upper bound.  Columns are centred on the
+training rows' mean before EM and restored after, not scaled: a change of
+units shifts a log column, which centring absorbs.  Sampled cells always
+pass through unchanged.  The log power and log time training rows are
+centred and factored together, as one stacked block (``_block``): one thin
+QR and one SVD of the row-space coordinates serve both quantities.  That
+SVD is the spectrum of both the rank choice and EM's start: each held-out
+fit of the rank choice is a rank-one downdate of it, so the choice for both
+quantities adds one batched ``eigvalsh`` of the held-out spectra and no
+eigendecomposition of its own, and each quantity's EM starts from its slice
+of the block.  The rank choice also takes each stacked set's own sampled
+cells, so ``evaluation.evaluate`` prepares the blocks of several
+applications' training views at once and picks all their ranks in one
+call, every set with the bits of its own call; each prediction then takes
+its slice (``Prepared``).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class EstimatorParams:
 
 @dataclass
 class EstimatorState:
-    """Fitted factor-model parameters, in the z-scored column space."""
+    """Fitted factor-model parameters, in the training rows' centred columns."""
 
     loadings: np.ndarray          # (n_configs, K)
     mean: np.ndarray              # (n_configs,)
@@ -200,9 +201,8 @@ def _row_space(
 
 class _Block(NamedTuple):
     """Fully observed training rows, prepared once for both the rank choice
-    and EM: ``rows`` scaled to zero column mean and unit column variance by
-    (``col_mean``, ``col_scale``; a constant column keeps scale 1), and
-    their ``_row_space``: column ``mean``, ``basis``, ``coords`` and the
+    and EM: ``rows`` less their column mean ``col_mean``, and their
+    ``_row_space``: column ``mean``, ``basis``, ``coords`` and the
     coordinates' singular values ``sv`` and right singular vectors ``vt``.
     That one SVD is the spectrum both of the rank choice's held-out fits
     and of EM's starting point.  Every field may carry leading axes, one
@@ -211,7 +211,6 @@ class _Block(NamedTuple):
 
     rows: np.ndarray
     col_mean: np.ndarray
-    col_scale: np.ndarray
     mean: np.ndarray
     basis: np.ndarray
     coords: np.ndarray
@@ -226,18 +225,16 @@ def _block(rows: np.ndarray | _Block) -> _Block:
         return rows
     rows = np.asarray(rows, dtype=float)
     col_mean = rows.mean(axis=-2)
-    col_scale = rows.std(axis=-2)
-    col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
-    Ys = (rows - col_mean[..., None, :]) / col_scale[..., None, :]
-    return _Block(Ys, col_mean, col_scale, *_row_space(Ys))
+    centred = rows - col_mean[..., None, :]
+    return _Block(centred, col_mean, *_row_space(centred))
 
 
 def _per_set_cells(observed_idx: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-set sampled-cell indices (..., p) as indices into the rows of
-    ``basis`` (..., D, r) flattened to (-1, r): for each set (the leading
-    axes of both, broadcast), its sampled cells (..., p) and the others
-    (..., D - p), each in ascending order.  Raises ValueError when the sets
-    sample different numbers of distinct cells."""
+    """Sampled-cell indices (..., p), or one list (p,) every set shares, as
+    indices into the rows of ``basis`` (..., D, r) flattened to (-1, r): for
+    each set (the leading axes of both, broadcast), its distinct sampled
+    cells (..., p) and the others (..., D - p), each in ascending order.
+    Raises ValueError when the sets sample different numbers of cells."""
     D = basis.shape[-2]
     sampled = np.zeros(observed_idx.shape[:-1] + (D,), dtype=bool)
     np.put_along_axis(sampled, observed_idx, True, axis=-1)
@@ -254,13 +251,10 @@ def _per_set_cells(observed_idx: np.ndarray, basis: np.ndarray) -> tuple[np.ndar
 
 
 def _gram(basis: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """basis^T basis over the rows ``cells`` picks from ``basis`` (..., D, r):
-    a boolean mask (D,) shared by every stacked set, or per-set rows from
-    ``_per_set_cells``.  Each factor is its own indexed copy: matmul then
-    runs gemm, where one shared copy would take syrk, whose bits differ,
-    and every set gets the bits of its own call."""
-    if cells.dtype == bool:
-        return basis[..., cells, :].swapaxes(-1, -2) @ basis[..., cells, :]
+    """basis^T basis over the rows ``cells`` (from ``_per_set_cells``) picks
+    from ``basis`` (..., D, r).  Each factor is its own indexed copy: matmul
+    then runs gemm, where one shared copy would take syrk, whose bits
+    differ, and every set gets the bits of its own call."""
     flat = basis.reshape(-1, basis.shape[-1])
     return np.take(flat, cells, axis=0).swapaxes(-1, -2) @ np.take(flat, cells, axis=0)
 
@@ -332,13 +326,7 @@ def held_out_errors(
     cell is sampled.
     """
     D, n, r = basis.shape[-2], coords.shape[-2], sv.shape[-1]
-    idx = np.asarray(observed_idx, dtype=int)
-    if idx.ndim == 1:
-        obs = np.zeros(D, dtype=bool)
-        obs[idx] = True
-        cells, others = obs, ~obs
-    else:
-        cells, others = _per_set_cells(idx, basis)
+    cells, others = _per_set_cells(np.asarray(observed_idx, dtype=int), basis)
     shrink = n / (n - 1)
     d = sv**2                                               # poles, descending
     tol = 8 * _EPS * d[..., None, :1]
@@ -418,7 +406,7 @@ def select_latent_dim(
     which takes those fits from the block's SVD as rank-one downdates);
     the rank is the smallest K whose summed error is within one standard
     error (the held-out rows' standard deviation times sqrt(n_rows)) of the
-    minimum.  Columns are z-scored as in ``em_fit``: ``rows`` are raw rows,
+    minimum.  Columns are centred as in ``em_fit``: ``rows`` are raw rows,
     or their ``_Block``; ``predict_new_app`` passes the stacked block of
     both quantities and hands each quantity's slice of it to ``em_fit``.
     ``k_max`` is an upper bound, further capped at n_rows - 2 (the rank a
@@ -449,7 +437,7 @@ def _initial_parameters(
     block: _Block, init_s: np.ndarray, latent_dim: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """``em_fit``'s starting point (mu, W, sigma^2, K): the maximum-likelihood
-    PPCA fit (Tipping & Bishop, JRSS-B 61(3), 1999) of the z-scored training
+    PPCA fit (Tipping & Bishop, JRSS-B 61(3), 1999) of the centred training
     rows of ``block`` stacked with the regression row ``init_s``.
 
     The raw regression row carries misfit in directions no training row
@@ -511,7 +499,7 @@ def em_fit(
     """Fit the factor model and complete the target row.
 
     ``training_rows`` are fully observed: raw rows, or their ``_Block``,
-    which then carries the z-scoring, thin QR and coordinate SVD already
+    which then carries the centring, thin QR and coordinate SVD already
     done for the rank choice; raw rows are prepared by the same ``_block``,
     so both give the same fit bit for bit.  The target application enters with its
     sampled cells (``observed_idx``/``observed_values``) plus the dense
@@ -551,15 +539,15 @@ def em_fit(
     """
     params = params or EstimatorParams()
     block = _block(training_rows)
-    Ys, col_mean, col_scale = block.rows, block.col_mean, block.col_scale
+    Ys, col_mean = block.rows, block.col_mean
     n_train, D = Ys.shape
     obs = np.asarray(observed_idx, dtype=int)
     y_obs_raw = np.asarray(observed_values, dtype=float)
     N = n_train + 1
 
-    # the target row in the training rows' z-scored columns
-    y_obs = (y_obs_raw - col_mean[obs]) / col_scale[obs]
-    init_s = (np.asarray(initial_row, dtype=float) - col_mean) / col_scale
+    # the target row in the training rows' centred columns
+    y_obs = y_obs_raw - col_mean[obs]
+    init_s = np.asarray(initial_row, dtype=float) - col_mean
 
     mu, W, s2, K = _initial_parameters(block, init_s, params.latent_dim)
     k_obs = min(K, obs.size)       # W_o^T W_o has no more nonzero eigenvalues
@@ -673,7 +661,7 @@ def em_fit(
 
     # the posterior under the final parameters gives the completion
     m_t = post[1]
-    completed = (W @ m_t + mu) * col_scale + col_mean
+    completed = W @ m_t + mu + col_mean
     completed[obs] = y_obs_raw
 
     state = EstimatorState(
@@ -790,7 +778,7 @@ def predict_new_app(
     holds the sampled application, whose own measured row it would train on,
     or when ``prepared`` does not fit the view's shape, and EstimatorError
     when a completed log lies beyond ``exp``'s range (the training rows then
-    support no finite estimate from these samples).
+    support no finite estimate from these samples) or an energy overflows.
     """
     if matrix.n_apps == 0:
         raise ValueError("no training rows")
@@ -829,4 +817,10 @@ def predict_new_app(
         )
     rows = np.exp(completed)
     rows[:, idx] = sampled
-    return predict_energy(*rows, matrix.system, observed_idx=idx, converged=converged)
+    with np.errstate(over="ignore"):
+        result = predict_energy(*rows, matrix.system, observed_idx=idx, converged=converged)
+    if np.isinf(result.energy).any():
+        j = int(np.isinf(result.energy).argmax())
+        raise EstimatorError(f"energy at configuration {matrix.configs[j].config_id} overflows: "
+                             f"time {result.time[j]:.4g} s at power {result.power[j]:.4g} mW")
+    return result

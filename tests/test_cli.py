@@ -520,24 +520,44 @@ class TestPredict:
                    "--sample", str(few)])
         assert rc == EXIT_ESTIMATOR
 
-    def test_completion_beyond_exp_range_exits_estimator(self, tmp_path, capsys):
-        # three applications whose two training rows barely vary in some
-        # columns: EM completes app 0's log time past exp's range from these
-        # ten samples (tests/test_estimator.py pins the same draw)
-        m = generate_system(SyntheticSpec(n_apps=3, platforms=CI_SYSTEM, rank=3,
-                                          noise_sd=0.0, seed=52298)).matrix
+    @staticmethod
+    def _refused_with_time(tmp_path, capsys, spec, n_samples, time_of_first):
+        """``heterotune predict`` on app 0 of ``spec``'s system from
+        ``n_samples`` samples (plan seed 0), its first sampled time replaced
+        by ``time_of_first(time)``, exits 3 with nothing on stdout; returns
+        stderr and the first sampled configuration."""
+        m = generate_system(spec).matrix
         manifest = save_training(m, str(tmp_path / "training"))
         app = m.apps[0].app_id
-        _, samples = mask_application(m, app, select_samples(m.n_configs, 10, 0, app))
+        _, samples = mask_application(m, app, select_samples(m.n_configs, n_samples, 0, app))
+        time = samples.time.copy()
+        time[0] = time_of_first(time[0])
         sample = tmp_path / "s.csv"
-        save_samples(str(sample), samples, 0, m.configs)
+        save_samples(str(sample), dataclasses.replace(samples, time=time), 0, m.configs)
         capsys.readouterr()
         rc = main(["predict", "--training", manifest, "--sample", str(sample)])
-        assert rc == EXIT_ESTIMATOR
         out, err = capsys.readouterr()
+        assert rc == EXIT_ESTIMATOR
         assert out == ""
+        return err, m.configs[samples.config_indices[0]].config_id
+
+    def test_completion_beyond_exp_range_exits_estimator(self, tmp_path, capsys):
+        # three applications whose two training rows barely vary in some
+        # columns, and one sampled time 1e300 times its measured value: EM
+        # completes app 0's log time past exp's range from these ten
+        # samples (tests/test_estimator.py pins the same draw)
+        spec = SyntheticSpec(n_apps=3, platforms=CI_SYSTEM, rank=3, noise_sd=0.0, seed=52298)
+        err, _ = self._refused_with_time(tmp_path, capsys, spec, 10, lambda t: t * 1e300)
         assert re.fullmatch(r"estimator error: log time completed to \S+ at configuration "
                             r"\S+, beyond exp's range: .*\n", err), err
+
+    def test_overflowing_energy_exits_estimator(self, tmp_path, capsys):
+        # a sampled time of 1e307 s is finite, but its energy is not; no
+        # overflow warning escapes (warnings are errors here)
+        err, config_id = self._refused_with_time(tmp_path, capsys, PROFILES["ci"], 15,
+                                                 lambda t: 1e307)
+        assert err.startswith(f"estimator error: energy at configuration {config_id} "
+                              "overflows: "), err
 
 
 class TestRun:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from heterotune.dataset import (
     select_samples,
 )
 from heterotune.errors import EstimatorError, InsufficientSamplesError
+from heterotune.evaluation import brute_force_best
 from heterotune.estimator import (
     SIGMA2_FLOOR,
     EstimatorParams,
@@ -210,15 +212,13 @@ class TestInitRegression:
 
 def direct_loglik(state, training_rows, obs, observed_values):
     """Observed-data Gaussian log-likelihood at a fit's (W, mu, sigma^2),
-    from the dense covariance C = W W^T + sigma^2 I in columns z-scored
-    with the training rows' statistics, as em_fit scores them."""
+    from the dense covariance C = W W^T + sigma^2 I in columns centred on
+    the training rows' mean, as em_fit scores them."""
     W, mu = state.loadings, state.mean
     C = W @ W.T + state.noise_var * np.eye(mu.size)
     col_mean = training_rows.mean(axis=0)
-    col_scale = training_rows.std(axis=0)
-    col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
-    rows = (training_rows - col_mean) / col_scale - mu
-    y = (observed_values - col_mean[obs]) / col_scale[obs] - mu[obs]
+    rows = training_rows - col_mean - mu
+    y = observed_values - col_mean[obs] - mu[obs]
     total = 0.0
     for r, c in ((rows, C), (y[None, :], C[np.ix_(obs, obs)])):
         _, logdet = np.linalg.slogdet(c)
@@ -236,10 +236,8 @@ def exact_loglik(state, training_rows, obs, observed_values):
     near-singular."""
     W, mu = state.loadings, state.mean
     col_mean = training_rows.mean(axis=0)
-    col_scale = training_rows.std(axis=0)
-    col_scale = np.where(col_scale > 1e-12, col_scale, 1.0)
-    rows = (training_rows - col_mean) / col_scale - mu
-    y = (observed_values - col_mean[obs]) / col_scale[obs] - mu[obs]
+    rows = training_rows - col_mean - mu
+    y = observed_values - col_mean[obs] - mu[obs]
     Wf = [[Fraction(v) for v in row] for row in W.tolist()]
     s2 = Fraction(state.noise_var)
     total = 0.0
@@ -451,7 +449,8 @@ class TestInitialParameters:
         mu_ref, W_ref, s2_ref, K_ref = naive_initial_parameters(block.rows, init_s, latent_dim)
         assert K == K_ref == W.shape[1]
         assert s2 == pytest.approx(s2_ref, rel=1e-9)
-        # loadings' signs are arbitrary; the z-scored columns set the unit
+        # loadings' signs are arbitrary; the reference's largest entry sets
+        # the unit
         for got, ref in ((mu, mu_ref), (W @ W.T, W_ref @ W_ref.T)):
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(ref).max()))
 
@@ -511,6 +510,11 @@ def naive_held_out_errors(Ys, obs, k_max):
     return errors
 
 
+def _row_space_of(block):
+    """The fields of a ``_Block`` that ``held_out_errors`` takes."""
+    return block.basis, block.coords, block.sv, block.vt
+
+
 def _sampled_cells(n_cols, n_obs, seed):
     return np.sort(np.random.default_rng(seed).choice(n_cols, n_obs, replace=False))
 
@@ -532,30 +536,27 @@ class TestSelectLatentDim:
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_noisy_rank_never_under_picked(self, rank):
-        # Additive noise is heteroscedastic once columns are z-scored, and on
-        # a few draws one extra component lowers the held-out error by more
-        # than a standard error; the rule never drops a planted component.
+        # the rule neither drops a planted component nor adds one
         picks = [select_latent_dim(rank_k_matrix(17, 393, rank, seed, noise_sd=0.05),
                                    _sampled_cells(393, 15, seed + 100), 5)
                  for seed in range(20)]
-        assert set(picks) <= {rank, rank + 1}
-        assert picks.count(rank) >= 17
+        assert picks == [rank] * 20
 
     @pytest.mark.parametrize("n_train", [1, 2, 3])
     def test_too_few_rows_give_rank_one(self, n_train):
         rows = rank_k_matrix(n_train, 40, 1, seed=4, noise_sd=0.1)
         assert select_latent_dim(rows, _sampled_cells(40, 15, 5), 5) == 1
 
-    @pytest.mark.parametrize("zscored", [True, False])
+    @pytest.mark.parametrize("centred", [True, False])
     @pytest.mark.parametrize("shape, n_obs", [((17, 393), 15), ((6, 40), 15), ((9, 12), 4),
                                               ((12, 9), 3), ((17, 9), 4)])
-    def test_row_space_errors_match_explicit_svd(self, shape, n_obs, zscored):
+    def test_row_space_errors_match_explicit_svd(self, shape, n_obs, centred):
         # (17, 9) is the GPU-only fit, whose row space is all 9 columns
         n, D = shape
         rng = np.random.default_rng(n * D)
         Ys = rng.standard_normal(shape) * rng.uniform(0.5, 3.0, D) + rng.standard_normal(D)
-        if zscored:
-            Ys = (Ys - Ys.mean(axis=0)) / Ys.std(axis=0)
+        if centred:
+            Ys = Ys - Ys.mean(axis=0)
         obs = _sampled_cells(D, n_obs, D)
         k_max = min(5, n - 2, D - 1)
         np.testing.assert_allclose(held_out_errors(*estimator._row_space(Ys)[1:], obs, k_max),
@@ -607,7 +608,7 @@ class TestSelectLatentDim:
                              [(4, slice(1, 4)), (8, slice(1, 8)), (8, slice(1, 6))])
     def test_two_level_factorial_blocks(self, order, columns, observed):
         # Rows of a two-level factorial design (Hadamard columns, levels 2
-        # and 5): once z-scored every column is +-1 and the columns are
+        # and 5): once centred every column is +-1.5 and the columns are
         # orthogonal, so every singular value of the block is tied, and a
         # held-out row's coordinate is spread over all of them.  The
         # held-out fits rest on deflating those ties.
@@ -621,7 +622,7 @@ class TestSelectLatentDim:
         k_max = min(5, n - 2, D - 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            errors = held_out_errors(*block[4:], observed, k_max)
+            errors = held_out_errors(*_row_space_of(block), observed, k_max)
             k = select_latent_dim(rows, observed, 5)
         assert errors.shape == (n, k_max) and np.isfinite(errors).all()
         assert 1 <= k <= k_max
@@ -634,15 +635,16 @@ class TestSelectLatentDim:
            seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_pick_in_range_deterministic_and_unit_free(self, n, D, rank, noise_sd, latent_dim,
                                                        seed, data):
+        # the rows are logs, so a change of one column's units is a shift
         rows = rank_k_matrix(n, D, min(rank, n, D), seed, noise_sd)
         obs = _sampled_cells(D, data.draw(st.integers(1, D)), seed)
         k = select_latent_dim(rows, obs, latent_dim)
         assert 1 <= k <= max(1, min(latent_dim, n - 2, D - 1))
         assert select_latent_dim(rows.copy(), obs.copy(), latent_dim) == k
         col = data.draw(st.integers(0, D - 1))
-        rescaled = rows.copy()
-        rescaled[:, col] *= data.draw(st.sampled_from([1e-3, 0.5, 7.0, 1e4]))
-        assert select_latent_dim(rescaled, obs, latent_dim) == k
+        shifted = rows.copy()
+        shifted[:, col] += np.log(data.draw(st.sampled_from([1e-3, 0.5, 7.0, 1e4])))
+        assert select_latent_dim(shifted, obs, latent_dim) == k
 
 
 def _composed_prediction(view, samples):
@@ -691,7 +693,7 @@ GPU_ONLY_HOST = (CI_SYSTEM[0], DEFAULT_SYSTEM[1])   # the GPU has 9 configuratio
 
 
 class TestPreparedBlock:
-    """``predict_new_app`` z-scores and factors log power and log time as
+    """``predict_new_app`` centres and factors log power and log time as
     one stacked block, picks both ranks in one call and hands each
     quantity's slice of the block to EM; every result must equal the one
     from raw arrays bit for bit."""
@@ -736,19 +738,53 @@ class TestPreparedBlock:
             assert s_raw.n_iters == s_blk.n_iters
             assert np.array_equal(c_raw, c_blk)
 
-    def test_three_app_draw_beyond_exp_range_is_refused(self):
-        # a draw of the test above: with two training rows that barely vary
-        # in some columns (col_scale 2e-4), the sampled log time z-scores to
-        # about 1e4 and EM completes log time far past exp's range.  Both
-        # paths refuse it rather than score infinite energies
+    @staticmethod
+    def _three_app_draw():
+        """A draw of the test above whose two training rows barely vary in
+        some columns (a log time spread of 2e-4), with its ten samples."""
         spec = SyntheticSpec(n_apps=3, platforms=CI_SYSTEM, rank=3, noise_sd=0.0, seed=52298)
         m = generate_system(spec).matrix
         app = m.apps[0].app_id
         view, samples = mask_application(m, app, select_samples(m.n_configs, 10, 0, app))
         assert np.log(view.time).std(axis=0).min() < 1e-3
+        return m, view, samples
+
+    def test_three_app_draw_completes_to_the_brute_force_optimum(self):
+        # centred, not scaled, columns leave the sampled log times where
+        # they are, so nothing puts them thousands of spreads out; every
+        # energy is finite and positive, with no warning (warnings are
+        # errors here)
+        m, view, samples = self._three_app_draw()
+        got = predict_new_app(view, samples)
+        assert np.isfinite(got.energy).all() and (got.energy > 0).all()
+        assert got.chosen == brute_force_best(m, samples.app_id)[0]
+
+    def test_three_app_draw_beyond_exp_range_is_refused(self):
+        # the draw above with one sampled time 1e300 times its measured
+        # value: EM completes log time past exp's range, and both paths
+        # refuse it rather than score infinite energies
+        _, view, samples = self._three_app_draw()
+        time = samples.time.copy()
+        time[0] *= 1e300
+        samples = dataclasses.replace(samples, time=time)
         ref = _outcome(_composed_prediction, view, samples)
         assert isinstance(ref, EstimatorError) and ref.args[0] == "time"
         _assert_refused(_outcome(predict_new_app, view, samples), *ref.args)
+
+    def test_overflowing_energy_is_refused(self):
+        # every completed log is in exp's range, but a sampled time of
+        # 1e307 s times its power overflows; that configuration is named
+        # and no overflow warning escapes (warnings are errors here)
+        m, _ = _system_and_features("ci")
+        app = m.apps[0].app_id
+        view, samples = mask_application(m, app, select_samples(m.n_configs, 15, 0, app))
+        time = samples.time.copy()
+        time[0] = 1e307
+        samples = dataclasses.replace(samples, time=time)
+        config_id = m.configs[samples.config_indices[0]].config_id
+        with pytest.raises(EstimatorError,
+                           match=f"^energy at configuration {re.escape(config_id)} overflows: "):
+            predict_new_app(view, samples)
 
     def test_prepared_argument_equals_own_preparation_and_is_shape_checked(self):
         m, feats = _system_and_features("ci")
@@ -837,14 +873,14 @@ class TestStackedHelpers:
         ks = select_latent_dim(stacked, obs, estimator.MAX_LATENT_DIM)
         assert ks.shape == (2,)
         if k_max >= 1:
-            errors = held_out_errors(*stacked[4:], obs, k_max)
+            errors = held_out_errors(*_row_space_of(stacked), obs, k_max)
         for q in range(2):
             single = estimator._block(rows[q])
             for name, got, ref in zip(estimator._Block._fields, stacked, single):
                 assert got[q].shape == ref.shape and got[q].tobytes() == ref.tobytes(), name
             assert ks[q] == select_latent_dim(rows[q], obs, estimator.MAX_LATENT_DIM)
             if k_max >= 1:
-                ref = held_out_errors(*single[4:], obs, k_max)
+                ref = held_out_errors(*_row_space_of(single), obs, k_max)
                 assert errors[q].shape == ref.shape and errors[q].tobytes() == ref.tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -878,7 +914,7 @@ class TestStackedHelpers:
         ks = select_latent_dim(stacked, cells, estimator.MAX_LATENT_DIM)
         assert ks.shape == (n_sets, 2)
         if k_max >= 1:
-            errors = held_out_errors(*stacked[4:], cells, k_max)
+            errors = held_out_errors(*_row_space_of(stacked), cells, k_max)
             assert errors.shape == (n_sets, 2, n_train, k_max)
         for i in range(n_sets):
             for q in range(2):
@@ -886,13 +922,13 @@ class TestStackedHelpers:
                 single = estimator._block(rows[i, q])
                 assert ks[i, q] == select_latent_dim(single, own, estimator.MAX_LATENT_DIM)
                 if k_max >= 1:
-                    ref = held_out_errors(*single[4:], own, k_max)
+                    ref = held_out_errors(*_row_space_of(single), own, k_max)
                     assert errors[i, q].tobytes() == ref.tobytes(), (i, q)
 
     def test_sets_sampling_different_numbers_of_cells_rejected(self):
         block = estimator._block(rank_k_matrix(6, 8, 2, 0)[None].repeat(2, axis=0))
         with pytest.raises(ValueError, match="same number of distinct cells"):
-            held_out_errors(*block[4:], [[0, 1, 2], [3, 4, 4]], 2)
+            held_out_errors(*_row_space_of(block), [[0, 1, 2], [3, 4, 4]], 2)
 
     def test_poles_near_underflow(self):
         # one cell of 7e-157 leaves sv^2 subnormal; normalizing the root's
@@ -901,10 +937,10 @@ class TestStackedHelpers:
         tiny[0, 0] = 7.05593218e-157
         rows = np.stack([np.zeros((3, 2)), tiny])
         stacked = estimator._block(rows)
-        errors = held_out_errors(*stacked[4:], [0], 1)
+        errors = held_out_errors(*_row_space_of(stacked), [0], 1)
         assert np.isfinite(errors).all()
         for q in range(2):
-            ref = held_out_errors(*estimator._block(rows[q])[4:], [0], 1)
+            ref = held_out_errors(*_row_space_of(estimator._block(rows[q])), [0], 1)
             assert errors[q].tobytes() == ref.tobytes()
 
 
@@ -989,8 +1025,6 @@ class TestPipeline:
             assert result.chosen in gpu_cols
 
     def test_full_plan_equals_brute_force(self, ci_system):
-        from heterotune.evaluation import brute_force_best
-
         m = ci_system.matrix
         app = m.apps[1].app_id
         plan = select_samples(m.n_configs, m.n_configs, seed=0, target_app=app)
