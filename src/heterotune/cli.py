@@ -12,8 +12,9 @@ implement ``run(descriptor, config) -> RunMeasurement`` as
 Exit codes: 0 success, 2 input/parse failure, 3 estimator failure,
 4 backend failure.  Each command takes only the flags it reads.  A
 command's flags may also be supplied through a run manifest file
-(``--manifest``) holding ``key = value`` lines; explicit flags win, and a
-key that names no flag of the command is rejected.
+(``--manifest``) holding ``key = value`` lines and no section header;
+explicit flags win, and a key that names no flag of the command is
+rejected.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .energy import total_energy_row
 from .estimator import feature_matrix, predict_best_config, predict_new_app
 from .evaluation import APPROACHES, DEFAULT_HOLISTIC_SAMPLES, HOLISTIC, evaluate
 from .platforms import PlatformKind, load_system
-from .readers import read_lines, read_sections
+from .readers import read_lines
 from .synthetic import PROFILES
 
 EXIT_OK = 0
@@ -488,7 +489,9 @@ def _splice_manifest(argv: list[str]) -> list[str]:
     """Insert a run manifest's ``key = value`` lines as ``--key=value``
     tokens right after the command name.  The command's parser then
     converts, validates or rejects them, and explicit flags, parsed later,
-    win."""
+    win.  Lines starting with ``#`` or ``;`` are comments; a section
+    header, a line without ``=`` or a key given twice is a DataFormatError
+    naming the file's line."""
     if not any(arg == "--manifest" or arg.startswith("--manifest=") for arg in argv):
         return argv
     pre = argparse.ArgumentParser(prog="heterotune", add_help=False, allow_abbrev=False)
@@ -496,9 +499,20 @@ def _splice_manifest(argv: list[str]) -> list[str]:
     path = pre.parse_known_args(argv[1:])[0].manifest
     if path is None:
         return argv
-    keys = read_sections(path, "manifest", implied="run")["run"]
-    tokens = [f"--{key.strip().replace('_', '-')}={value}" for key, value in keys.items()]
-    return argv[:1] + tokens + argv[1:]
+    tokens = {}
+    for r, ln in read_lines(path, "manifest"):
+        if ln[0] in "#;":
+            continue
+        if ln.startswith("["):
+            raise DataFormatError(f"{path}: line {r}: a run manifest has no sections, got {ln!r}")
+        key, sep, value = ln.partition("=")
+        flag = key.strip().replace("_", "-")
+        if not sep or not flag:
+            raise DataFormatError(f"{path}: line {r}: expected key = value, got {ln!r}")
+        if flag in tokens:
+            raise DataFormatError(f"{path}: line {r}: key {key.strip()!r} given twice")
+        tokens[flag] = f"--{flag}={value.strip()}"
+    return argv[:1] + list(tokens.values()) + argv[1:]
 
 
 def main(argv: list[str] | None = None) -> int:

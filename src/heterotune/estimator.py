@@ -28,8 +28,9 @@ with ``MAX_LATENT_DIM`` as its upper bound.  Columns are centred on the
 training rows' mean before EM and restored after, not scaled: a change of
 units shifts a log column, which centring absorbs.  Sampled cells always
 pass through unchanged.  The log power and log time training rows are
-centred and factored together, as one stacked block (``_block``): one thin
-QR and one SVD of the row-space coordinates serve both quantities.  That
+centred and factored together, as one stacked block (``_block``): one
+centring, one thin QR and one SVD of the row-space coordinates serve both
+quantities.  That
 SVD is the spectrum of both the rank choice and EM's start: each held-out
 fit of the rank choice is a rank-one downdate of it, so the choice for both
 quantities adds one batched ``eigvalsh`` of the held-out spectra and no
@@ -176,41 +177,19 @@ def init_regression(
     return rows
 
 
-def _row_space(
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Column mean of ``rows`` (..., n, D); an orthonormal basis (..., D, r)
-    of the span of the rows less it, from the thin QR of their transpose;
-    the centred rows' coordinates in it (..., n, r); and the singular values
-    (..., r) and right singular vectors (..., r, r) of those coordinates,
-    so that the rows' scatter in the basis is vt^T diag(sv^2) vt.  Leading
-    axes are stacks of independent row sets.
-
-    The centred rows sum to zero, so all but the last of them span that
-    space (r = min(D, n - 1)); a single row, zero once centred, gets a basis
-    of one column.
-    """
-    mean = rows.mean(axis=-2)
-    centred = rows - mean[..., None, :]
-    spanning = centred[..., :-1, :] if centred.shape[-2] > 1 else centred
-    basis, _ = np.linalg.qr(np.swapaxes(spanning, -1, -2))
-    coords = centred @ basis
-    _, sv, vt = np.linalg.svd(coords, full_matrices=False)
-    return mean, basis, coords, sv, vt
-
-
 class _Block(NamedTuple):
     """Fully observed training rows, prepared once for both the rank choice
-    and EM: ``rows`` less their column mean ``col_mean``, and their
-    ``_row_space``: column ``mean``, ``basis``, ``coords`` and the
-    coordinates' singular values ``sv`` and right singular vectors ``vt``.
-    That one SVD is the spectrum both of the rank choice's held-out fits
-    and of EM's starting point.  Every field may carry leading axes, one
-    entry per quantity (``predict_new_app`` stacks log power and log
-    time)."""
+    and EM: ``rows`` less their column ``mean``, which ``em_fit`` restores;
+    an orthonormal ``basis`` (..., D, r) of the span of those centred rows;
+    their coordinates ``coords`` (..., n, r) in it, so that ``rows`` is
+    ``coords @ basis.T``; and the coordinates' singular values ``sv``
+    (..., r) and right singular vectors ``vt`` (..., r, r), so that the
+    rows' scatter in the basis is vt^T diag(sv^2) vt.  That one SVD is the
+    spectrum both of the rank choice's held-out fits and of EM's starting
+    point.  Every field may carry leading axes, one entry per row set
+    (``predict_new_app`` stacks log power and log time)."""
 
     rows: np.ndarray
-    col_mean: np.ndarray
     mean: np.ndarray
     basis: np.ndarray
     coords: np.ndarray
@@ -220,13 +199,23 @@ class _Block(NamedTuple):
 
 def _block(rows: np.ndarray | _Block) -> _Block:
     """``rows`` (..., n, D) prepared as a ``_Block``, every stacked row set
-    by one batched QR and SVD; a block passes through."""
+    by one centring, one batched thin QR and one batched SVD; a block
+    passes through.
+
+    The centred rows sum to zero, so all but the last of them span their
+    space (r = min(D, n - 1)), and the basis comes from the thin QR of
+    their transpose; a single row, zero once centred, gets a basis of one
+    column."""
     if isinstance(rows, _Block):
         return rows
     rows = np.asarray(rows, dtype=float)
-    col_mean = rows.mean(axis=-2)
-    centred = rows - col_mean[..., None, :]
-    return _Block(centred, col_mean, *_row_space(centred))
+    mean = rows.mean(axis=-2)
+    centred = rows - mean[..., None, :]
+    spanning = centred[..., :-1, :] if centred.shape[-2] > 1 else centred
+    basis, _ = np.linalg.qr(np.swapaxes(spanning, -1, -2))
+    coords = centred @ basis
+    _, sv, vt = np.linalg.svd(coords, full_matrices=False)
+    return _Block(centred, mean, basis, coords, sv, vt)
 
 
 def _per_set_cells(observed_idx: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,34 +249,28 @@ def _gram(basis: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def held_out_errors(
-    basis: np.ndarray,
-    coords: np.ndarray,
-    sv: np.ndarray,
-    vt: np.ndarray,
-    observed_idx: Sequence[int],
-    k_max: int,
+    rows: np.ndarray | _Block, observed_idx: Sequence[int], k_max: int
 ) -> np.ndarray:
     """Held-out-row completion error of the PPCA model at each rank.
 
-    The rows are given by their row space, as ``_row_space`` returns it:
-    row i less the rows' column mean is ``coords[i] @ basis.T``, with
-    ``basis`` (D, r) orthonormal, and ``coords`` has singular values ``sv``
-    and right singular vectors ``vt``.  Entry (i, K-1) is the squared error
-    at the cells outside ``observed_idx`` when row i is completed from its
-    cells at ``observed_idx`` under the maximum-likelihood rank-K PPCA fit
-    of the other rows: top eigenpairs (lam, V) of their covariance, sigma^2
-    the mean discarded eigenvalue, loadings V (lam - sigma^2)^1/2, and the
-    posterior mean of the latent vector given the observed cells.  Leading
-    axes of ``basis`` (..., D, r), ``coords`` (..., n, r), ``sv`` (..., r)
-    and ``vt`` (..., r, r) are stacks of independent row sets, which give
-    errors (..., n, k_max).  ``observed_idx`` is one list of cells (p,)
+    ``rows`` are fully observed: raw rows, prepared by ``_block``, or
+    their ``_Block``, as ``select_latent_dim`` passes them.  Entry (i, K-1)
+    is the squared error at the cells outside ``observed_idx`` when row i
+    is completed from its cells at ``observed_idx`` under the
+    maximum-likelihood rank-K PPCA fit of the other rows: top eigenpairs
+    (lam, V) of their covariance, sigma^2 the mean discarded eigenvalue,
+    loadings V (lam - sigma^2)^1/2, and the posterior mean of the latent
+    vector given the observed cells.  Leading axes of ``rows``
+    (..., n, D) are stacks of independent row sets, which give errors
+    (..., n, k_max).  ``observed_idx`` is one list of cells (p,)
     that every set shares, or each set's own cells (..., p), whose leading
     axes broadcast against the sets' (``evaluation.evaluate`` passes
     (apps, 1, p) for a stack of both quantities of several applications).
     Either way each set's cells are taken in ascending order, so every set
     of a stack gets the bits of its own call on its own cells.
 
-    Every held-out fit lives in that row space.  The scatter of the other
+    Every held-out fit lives in the block's row space, where centred row i
+    is ``coords[i]`` in the orthonormal ``basis``.  The scatter of the other
     rows is the full scatter less a rank-one term, S - n/(n-1) c_i c_i^T,
     and the SVD gives the full one's eigenpairs (sv^2, vt), so each
     held-out spectrum is a rank-one downdate (Bunch, Nielsen & Sorensen,
@@ -325,6 +308,8 @@ def held_out_errors(
     catastrophically when the rows are exactly low-rank or nearly every
     cell is sampled.
     """
+    block = _block(rows)
+    basis, coords, sv, vt = block.basis, block.coords, block.sv, block.vt
     D, n, r = basis.shape[-2], coords.shape[-2], sv.shape[-1]
     cells, others = _per_set_cells(np.asarray(observed_idx, dtype=int), basis)
     shrink = n / (n - 1)
@@ -422,8 +407,7 @@ def select_latent_dim(
     if k_max < 2:
         ks = np.ones(block.rows.shape[:-2], dtype=int)
     else:
-        errors = held_out_errors(block.basis, block.coords, block.sv, block.vt,
-                                 observed_idx, k_max)
+        errors = held_out_errors(block, observed_idx, k_max)
         summed = errors.sum(axis=-2, keepdims=True)         # (..., 1, k_max)
         best = summed.argmin(axis=-1, keepdims=True)
         at_best = np.take_along_axis(errors, best, axis=-1)
@@ -448,31 +432,31 @@ def _initial_parameters(
     stacked (k = K, or fewer when the block has lower rank).
 
     Every row stacked then lies in the span of the centred training rows,
-    so the fit runs in their ``_row_space`` coordinates, which the block
-    already holds with their SVD (``sv``, ``vt``): the singular values of
-    the n_train x r coordinate matrix give the block's spectrum.  With the
-    training rows C (summing to zero) and the projected row a, the stacked
-    scatter is C^T C + (n_train / N) a a^T, and a lies in the block's top
-    k right singular vectors, so one k x k eigendecomposition gives the new
-    top of the spectrum and the rest is the block's.  The spectrum is
-    padded with zeros to min(N, D) entries, the eigenvalues of the N x D
-    stacked rows.  sigma^2 is the maximum-likelihood value, the mean of the
-    D - K smallest eigenvalues of the D x D covariance: the spectrum past K
-    summed and divided by D - K, so the zero eigenvalues past min(N, D)
-    count in the mean, as in ``held_out_errors``.  K then drops directions the spectrum cannot
-    support: loading columns born at (near) zero norm otherwise collapse
-    through |w|^2 ~ sigma^2, where the latent posterior of the partially
-    observed row blows up.
+    so the fit runs in their coordinates in the block's ``basis``, which
+    the block holds with their SVD (``sv``, ``vt``): the singular values
+    of the n_train x r coordinate matrix give the block's spectrum.  With
+    the training rows C (summing to zero) and the projected row a, the
+    stacked scatter is C^T C + (n_train / N) a a^T, and a lies in the
+    block's top k right singular vectors, so one k x k eigendecomposition
+    gives the new top of the spectrum and the rest is the block's.  The
+    spectrum is padded with zeros to min(N, D) entries, the eigenvalues of
+    the N x D stacked rows.  sigma^2 is the maximum-likelihood value, the
+    mean of the D - K smallest eigenvalues of the D x D covariance: the
+    spectrum past K summed and divided by D - K, so the zero eigenvalues
+    past min(N, D) count in the mean, as in ``held_out_errors``.  K then
+    drops directions the spectrum cannot support: loading columns born at
+    (near) zero norm otherwise collapse through |w|^2 ~ sigma^2, where the
+    latent posterior of the partially observed row blows up.
     """
     n_train, D = block.rows.shape
     N = n_train + 1
     K = max(1, min(latent_dim, D - 1, N - 1))
-    tr_mean, basis, sv, vt = block.mean, block.basis, block.sv, block.vt
+    basis, sv, vt = block.basis, block.sv, block.vt
     lam_tr = sv**2 / n_train
     k_proj = int(np.count_nonzero(lam_tr > max(1e-9 * lam_tr[0], 1e-12)))
     k = max(1, min(K, k_proj))
     top = basis @ vt[:k].T                      # (D, k), the top right singular vectors
-    a = (init_s - tr_mean) @ top                # the projected row, in them
+    a = init_s @ top                            # the projected row, in them
     nu, Q = np.linalg.eigh(np.diag(sv[:k] ** 2) + (n_train / N) * np.outer(a, a))
     # a rank-one raise of the top k eigenvalues interlaces with the rest, so
     # the spectrum stays in descending order
@@ -480,7 +464,7 @@ def _initial_parameters(
     lam[:k] = nu[::-1]
     lam[k:sv.size] = sv[k:] ** 2
     lam /= N
-    mu = tr_mean + top @ a / N
+    mu = top @ a / N
     s2 = max(float(lam[K:].sum()) / (D - K), SIGMA2_FLOOR)
     # every direction past k is below the support threshold, so K <= k
     supported = lam[:K] - s2 > max(1e-9 * lam[0], 1e-10)
@@ -539,7 +523,7 @@ def em_fit(
     """
     params = params or EstimatorParams()
     block = _block(training_rows)
-    Ys, col_mean = block.rows, block.col_mean
+    Ys, col_mean = block.rows, block.mean
     n_train, D = Ys.shape
     obs = np.asarray(observed_idx, dtype=int)
     y_obs_raw = np.asarray(observed_values, dtype=float)

@@ -9,18 +9,15 @@ import configparser
 from .errors import DataFormatError
 
 
-def read_sections(path: str, what: str, implied: str | None = None) -> dict[str, dict[str, str]]:
-    """Sections of a case-sensitive ``key = value`` file, in file order.
-
-    With ``implied``, the file's leading keys belong to a section of that
-    name without a header line.  ``what`` names the file in errors.
-    """
-    parser = configparser.ConfigParser()
+def read_sections(path: str, what: str) -> dict[str, dict[str, str]]:
+    """Sections of a case-sensitive ``key = value`` file, in file order,
+    each value read literally (``%`` is an ordinary character).  ``what``
+    names the file in errors."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str   # keys are case-sensitive
     try:
         with open(path) as fh:
-            text = fh.read()
-        parser.read_string(f"[{implied}]\n{text}" if implied else text, source=path)
+            parser.read_file(fh, source=path)
         return {name: dict(parser[name]) for name in parser.sections()}
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc

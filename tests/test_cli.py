@@ -768,6 +768,21 @@ class TestManifestAndParams:
                    "--sample", str(tmp_path / "s.csv"), "--manifest", str(run_manifest)])
         assert rc == EXIT_PARSE
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("trials = 2\n[extra]\nseed = 7\n", 2, "a run manifest has no sections, got '[extra]'"),
+        ("[run]\ntrials = 2\n", 1, "a run manifest has no sections, got '[run]'"),
+        ("# repeated\ntrials = 2\n\ntrials = 3\n", 4, "key 'trials' given twice"),
+    ], ids=["extra-section", "run-section", "repeated-key"])
+    def test_manifest_section_or_repeated_key_rejected(self, training_dir, tmp_path, capsys,
+                                                       text, line, message):
+        # a key under a section header is not silently dropped
+        run_manifest = tmp_path / "run.conf"
+        run_manifest.write_text(text)
+        rc = main(["evaluate", "--training", str(training_dir / "manifest.conf"),
+                   "--manifest", str(run_manifest)])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {run_manifest}: line {line}: {message}\n"
+
     def test_help_exits_ok(self, capsys):
         assert main(["predict", "--help"]) == EXIT_OK
         assert "--training" in capsys.readouterr().out

@@ -510,11 +510,6 @@ def naive_held_out_errors(Ys, obs, k_max):
     return errors
 
 
-def _row_space_of(block):
-    """The fields of a ``_Block`` that ``held_out_errors`` takes."""
-    return block.basis, block.coords, block.sv, block.vt
-
-
 def _sampled_cells(n_cols, n_obs, seed):
     return np.sort(np.random.default_rng(seed).choice(n_cols, n_obs, replace=False))
 
@@ -559,7 +554,7 @@ class TestSelectLatentDim:
             Ys = Ys - Ys.mean(axis=0)
         obs = _sampled_cells(D, n_obs, D)
         k_max = min(5, n - 2, D - 1)
-        np.testing.assert_allclose(held_out_errors(*estimator._row_space(Ys)[1:], obs, k_max),
+        np.testing.assert_allclose(held_out_errors(Ys, obs, k_max),
                                    naive_held_out_errors(Ys, obs, k_max), rtol=1e-8)
 
     @pytest.mark.parametrize("pair", [0, 2])
@@ -576,9 +571,8 @@ class TestSelectLatentDim:
         right, _ = np.linalg.qr(rng.standard_normal((D, sv.size)))
         Ys = (left * sv) @ right.T + rng.standard_normal(D)
         obs = _sampled_cells(D, 15, pair)
-        row_space = estimator._row_space(Ys)[1:]
-        np.testing.assert_allclose(row_space[2][:sv.size], sv, rtol=1e-12)
-        np.testing.assert_allclose(held_out_errors(*row_space, obs, 5),
+        np.testing.assert_allclose(estimator._block(Ys).sv[:sv.size], sv, rtol=1e-12)
+        np.testing.assert_allclose(held_out_errors(Ys, obs, 5),
                                    naive_held_out_errors(Ys, obs, 5), rtol=1e-8)
 
     @pytest.mark.parametrize("tiny", [1e-5, 1e-7, 1e-9, 1e-11])
@@ -600,7 +594,7 @@ class TestSelectLatentDim:
         right, _ = np.linalg.qr(rng.standard_normal((D, sv.size)))
         Ys = (left * sv) @ right.T + rng.standard_normal(D)
         obs = _sampled_cells(D, 12, 3)
-        np.testing.assert_allclose(held_out_errors(*estimator._row_space(Ys)[1:], obs, 5),
+        np.testing.assert_allclose(held_out_errors(Ys, obs, 5),
                                    naive_held_out_errors(Ys, obs, 5), rtol=1e-8)
 
     @pytest.mark.parametrize("observed", [[0], [0, 1], [1, 2], [2, 0], [0, 1, 2]])
@@ -622,7 +616,7 @@ class TestSelectLatentDim:
         k_max = min(5, n - 2, D - 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            errors = held_out_errors(*_row_space_of(block), observed, k_max)
+            errors = held_out_errors(block, observed, k_max)
             k = select_latent_dim(rows, observed, 5)
         assert errors.shape == (n, k_max) and np.isfinite(errors).all()
         assert 1 <= k <= k_max
@@ -737,6 +731,19 @@ class TestPreparedBlock:
             assert np.array_equal(s_raw.ll_history, s_blk.ll_history)
             assert s_raw.n_iters == s_blk.n_iters
             assert np.array_equal(c_raw, c_blk)
+
+    def test_training_rows_are_centred_once(self):
+        # log-like rows of three applications' two quantities: the block's
+        # mean is the rows' own column mean, subtracted once, and its row
+        # space reproduces the centred rows
+        rng = np.random.default_rng(11)
+        rows = 10.0 + rng.standard_normal((3, 2, 6, 40)) * rng.uniform(0.1, 3.0, 40)
+        block = estimator._block(rows)
+        mean = rows.mean(axis=-2)
+        assert np.array_equal(block.mean, mean)
+        assert np.array_equal(block.rows, rows - mean[..., None, :])
+        np.testing.assert_allclose(block.coords @ block.basis.swapaxes(-1, -2), block.rows,
+                                   rtol=0, atol=1e-12 * np.abs(block.rows).max())
 
     @staticmethod
     def _three_app_draw():
@@ -873,14 +880,14 @@ class TestStackedHelpers:
         ks = select_latent_dim(stacked, obs, estimator.MAX_LATENT_DIM)
         assert ks.shape == (2,)
         if k_max >= 1:
-            errors = held_out_errors(*_row_space_of(stacked), obs, k_max)
+            errors = held_out_errors(stacked, obs, k_max)
         for q in range(2):
             single = estimator._block(rows[q])
             for name, got, ref in zip(estimator._Block._fields, stacked, single):
                 assert got[q].shape == ref.shape and got[q].tobytes() == ref.tobytes(), name
             assert ks[q] == select_latent_dim(rows[q], obs, estimator.MAX_LATENT_DIM)
             if k_max >= 1:
-                ref = held_out_errors(*_row_space_of(single), obs, k_max)
+                ref = held_out_errors(single, obs, k_max)
                 assert errors[q].shape == ref.shape and errors[q].tobytes() == ref.tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -914,7 +921,7 @@ class TestStackedHelpers:
         ks = select_latent_dim(stacked, cells, estimator.MAX_LATENT_DIM)
         assert ks.shape == (n_sets, 2)
         if k_max >= 1:
-            errors = held_out_errors(*_row_space_of(stacked), cells, k_max)
+            errors = held_out_errors(stacked, cells, k_max)
             assert errors.shape == (n_sets, 2, n_train, k_max)
         for i in range(n_sets):
             for q in range(2):
@@ -922,13 +929,13 @@ class TestStackedHelpers:
                 single = estimator._block(rows[i, q])
                 assert ks[i, q] == select_latent_dim(single, own, estimator.MAX_LATENT_DIM)
                 if k_max >= 1:
-                    ref = held_out_errors(*_row_space_of(single), own, k_max)
+                    ref = held_out_errors(single, own, k_max)
                     assert errors[i, q].tobytes() == ref.tobytes(), (i, q)
 
     def test_sets_sampling_different_numbers_of_cells_rejected(self):
         block = estimator._block(rank_k_matrix(6, 8, 2, 0)[None].repeat(2, axis=0))
         with pytest.raises(ValueError, match="same number of distinct cells"):
-            held_out_errors(*_row_space_of(block), [[0, 1, 2], [3, 4, 4]], 2)
+            held_out_errors(block, [[0, 1, 2], [3, 4, 4]], 2)
 
     def test_poles_near_underflow(self):
         # one cell of 7e-157 leaves sv^2 subnormal; normalizing the root's
@@ -937,10 +944,10 @@ class TestStackedHelpers:
         tiny[0, 0] = 7.05593218e-157
         rows = np.stack([np.zeros((3, 2)), tiny])
         stacked = estimator._block(rows)
-        errors = held_out_errors(*_row_space_of(stacked), [0], 1)
+        errors = held_out_errors(stacked, [0], 1)
         assert np.isfinite(errors).all()
         for q in range(2):
-            ref = held_out_errors(*_row_space_of(estimator._block(rows[q])), [0], 1)
+            ref = held_out_errors(estimator._block(rows[q]), [0], 1)
             assert errors[q].tobytes() == ref.tobytes()
 
 
@@ -1051,6 +1058,24 @@ class TestPipeline:
         r2 = predict_best_config(m, app, plan)
         assert r1.chosen == r2.chosen
         np.testing.assert_array_equal(r1.energy, r2.energy)
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e3, 3600.0])
+    @pytest.mark.parametrize("profile", ["ci", "full"])
+    def test_time_units_change_no_pick(self, profile, factor):
+        # every training and sampled time multiplied by one factor (a change
+        # of units) shifts each log time column, which centring absorbs: the
+        # same pick, times scaled by the factor and the same powers
+        m, _ = _system_and_features(profile)
+        for k in (1, 2):
+            for app in m.apps:
+                plan = select_samples(m.n_configs, 15, 1000 * k + app.app_id, app.app_id)
+                view, samples = mask_application(m, app.app_id, plan)
+                ref = predict_new_app(view, samples)
+                got = predict_new_app(dataclasses.replace(view, time=view.time * factor),
+                                      dataclasses.replace(samples, time=samples.time * factor))
+                assert got.chosen == ref.chosen
+                np.testing.assert_allclose(got.time, ref.time * factor, rtol=1e-9)
+                np.testing.assert_allclose(got.power, ref.power, rtol=1e-9)
 
     def test_plan_below_minimum_rejected(self, ci_system):
         m = ci_system.matrix

@@ -4,10 +4,11 @@ file."""
 
 import codecs
 import locale
+import re
 
 import pytest
 
-from heterotune import cli, dataset, platforms
+from heterotune import cli, dataset, platforms, readers
 from heterotune.errors import DataFormatError
 from heterotune.synthetic import PROFILES, generate_system
 
@@ -28,11 +29,11 @@ READERS = {
 }
 
 # key/value readers -> a file whose last line is neither a section, a key
-# nor a comment
+# nor a comment, and that line's number
 MALFORMED = {
-    "load_system": "[platform p]\nkind = cpu\nthis line has no separator\n",
-    "load_training": "[training]\npower = power.csv\nthis line has no separator\n",
-    "run_manifest": "samples = 20\nthis line has no separator\n",
+    "load_system": ("[platform p]\nkind = cpu\nthis line has no separator\n", 3),
+    "load_training": ("[training]\npower = power.csv\nthis line has no separator\n", 3),
+    "run_manifest": ("samples = 20\nthis line has no separator\n", 2),
 }
 
 
@@ -56,8 +57,21 @@ def test_undecodable_file_names_its_path(tmp_path, ci_matrix, reader):
 @pytest.mark.parametrize("reader", MALFORMED)
 def test_malformed_key_value_line_names_its_path(tmp_path, ci_matrix, reader):
     path = tmp_path / "bad.conf"
-    path.write_text(MALFORMED[reader])
+    text, line = MALFORMED[reader]
+    path.write_text(text)
     with pytest.raises(DataFormatError) as info:
         READERS[reader](str(path), ci_matrix)
     assert str(info.value).startswith(f"{path}: ")
     assert "this line has no separator" in str(info.value)
+    assert re.search(rf"\bline +{line}\b", str(info.value)), str(info.value)
+
+
+def test_values_are_read_literally(tmp_path):
+    # a '%' is an ordinary character, not an interpolation
+    path = tmp_path / "run.conf"
+    path.write_text("cpu_cmd = app:1 %s\ngpu_cmd = 100%%\n")
+    assert cli._splice_manifest(["sample", "--manifest", str(path)])[1:3] == [
+        "--cpu-cmd=app:1 %s", "--gpu-cmd=100%%"]
+    path.write_text("[platform p]\ncmd = app:1 %s\nshare = 100%%\n")
+    assert readers.read_sections(str(path), "platform file") == {
+        "platform p": {"cmd": "app:1 %s", "share": "100%%"}}
