@@ -40,7 +40,7 @@ from .dataset import (
 from .errors import BackendError, DataFormatError, EstimatorError
 from .energy import total_energy_row
 from .estimator import feature_matrix, predict_best_config, predict_new_app
-from .evaluation import APPROACHES, DEFAULT_HOLISTIC_SAMPLES, HOLISTIC, evaluate
+from .evaluation import APPROACHES, BRUTE_FORCE, DEFAULT_HOLISTIC_SAMPLES, HOLISTIC, evaluate
 from .platforms import PlatformKind, load_system
 from .readers import read_lines
 from .synthetic import PROFILES
@@ -290,19 +290,22 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _require_training(matrix: TrainingMatrix, manifest: str, skip_app: int | None = None) -> None:
+def _require_training(matrix: TrainingMatrix, manifest: str, skip_app: int | None = None,
+                      predicting: bool = True) -> None:
     """Reject a training set that leaves the estimator no training row, or
     that has an unmeasured cell outside ``skip_app``'s row, which the
     estimator masks out.  ``predict`` trains on every row but its target's;
     ``evaluate`` (no ``skip_app``) holds out each application in turn, so it
-    needs two."""
+    needs two when an approach it runs is ``predicting``, and one for brute
+    force alone."""
     rows = [i for i, a in enumerate(matrix.apps) if a.app_id != skip_app]
     if skip_app is not None and not rows:
         raise DataFormatError(f"{manifest}: no training row besides the target application "
                               f"{skip_app}")
-    if skip_app is None and len(rows) < 2:
-        raise DataFormatError(f"{manifest}: evaluate needs at least 2 applications, "
-                              f"got {len(rows)}")
+    needed = 2 if predicting else 1
+    if skip_app is None and len(rows) < needed:
+        raise DataFormatError(f"{manifest}: evaluate needs at least {needed} "
+                              f"application{'s' if needed > 1 else ''}, got {len(rows)}")
     unmeasured = np.isnan(matrix.power[rows])
     if unmeasured.any():
         i, j = np.argwhere(unmeasured)[0]
@@ -384,7 +387,9 @@ def cmd_evaluate(args) -> int:
         raise DataFormatError(f"--samples sets the {HOLISTIC} budget and cannot take effect "
                               f"without {HOLISTIC} in --approaches")
     matrix = load_training(args.training)
-    _require_training(matrix, args.training)
+    # an unknown name is left to evaluate, which names it
+    _require_training(matrix, args.training,
+                      predicting=any(a in APPROACHES and a != BRUTE_FORCE for a in approaches))
     if args.out:
         _out_directory(args.out)
     try:

@@ -38,8 +38,19 @@ eigendecomposition of its own, and each quantity's EM starts from its slice
 of the block.  The rank choice also takes each stacked set's own sampled
 cells, so ``evaluation.evaluate`` prepares the blocks of several
 applications' training views at once and picks all their ranks in one
-call, every set with the bits of its own call; each prediction then takes
-its slice (``Prepared``).
+call, every set with the bits of its own call.
+
+``em_fit`` takes leading axes too: ``evaluation.evaluate`` runs every EM
+fit of one trial's pool in one call, as stacks of the fits that share a
+rank, each fit leaving its stack when it converges.  A stacked fit runs
+only in the columns its iterates can reach: its p sampled cells and an
+orthonormal basis of the unsampled part of its training rows' span, at
+most p + r columns instead of D.  EM starts in that span, and the M-step
+regresses each unsampled column on the training rows alone, so the mean
+and loadings never leave it; D still counts in sigma^2 and in the
+log-likelihood, and the fit is mapped back to the D columns once.  Each
+prediction then takes its finished fits (``Prepared``).  A 2-D call, as
+on the single-request path, fits in the D columns themselves.
 """
 
 from __future__ import annotations
@@ -61,6 +72,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _LOG_MAX = float(np.log(np.finfo(float).max))   # the largest log exp maps to a float
+_QR_SETS = 3   # stacked fits per QR call when em_fit compresses their columns
 
 
 @dataclass(frozen=True)
@@ -187,9 +199,12 @@ class _Block(NamedTuple):
     rows' scatter in the basis is vt^T diag(sv^2) vt.  That one SVD is the
     spectrum both of the rank choice's held-out fits and of EM's starting
     point.  Every field may carry leading axes, one entry per row set
-    (``predict_new_app`` stacks log power and log time)."""
+    (``predict_new_app`` stacks log power and log time).  ``rows`` is None
+    in the blocks ``evaluation.evaluate`` keeps for a whole pool: neither
+    the rank choice nor a stacked ``em_fit`` reads them, and on full they
+    would double what the pool holds."""
 
-    rows: np.ndarray
+    rows: np.ndarray | None
     mean: np.ndarray
     basis: np.ndarray
     coords: np.ndarray
@@ -402,10 +417,10 @@ def select_latent_dim(
     ``held_out_errors``; each set's rank is the one its own call gives.
     """
     block = _block(rows)
-    n, D = block.rows.shape[-2:]
+    n, D = block.coords.shape[-2], block.basis.shape[-2]
     k_max = min(k_max, n - 2, D - 1)
     if k_max < 2:
-        ks = np.ones(block.rows.shape[:-2], dtype=int)
+        ks = np.ones(block.basis.shape[:-2], dtype=int)
     else:
         errors = held_out_errors(block, observed_idx, k_max)
         summed = errors.sum(axis=-2, keepdims=True)         # (..., 1, k_max)
@@ -420,9 +435,11 @@ def select_latent_dim(
 def _initial_parameters(
     block: _Block, init_s: np.ndarray, latent_dim: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """``em_fit``'s starting point (mu, W, sigma^2, K): the maximum-likelihood
-    PPCA fit (Tipping & Bishop, JRSS-B 61(3), 1999) of the centred training
-    rows of ``block`` stacked with the regression row ``init_s``.
+    """``em_fit``'s starting point (alpha, beta, sigma^2, K): the
+    maximum-likelihood PPCA fit (Tipping & Bishop, JRSS-B 61(3), 1999) of
+    the centred training rows of ``block`` stacked with the regression row
+    ``init_s``, its mean ``basis @ alpha`` and loadings ``basis @ beta``
+    given by their coordinates in the block's ``basis``.
 
     The raw regression row carries misfit in directions no training row
     supports; stacking it as-is plants spurious components in the initial
@@ -446,17 +463,18 @@ def _initial_parameters(
     past min(N, D) count in the mean, as in ``held_out_errors``.  K then
     drops directions the spectrum cannot support: loading columns born at
     (near) zero norm otherwise collapse through |w|^2 ~ sigma^2, where the
-    latent posterior of the partially observed row blows up.
+    latent posterior of the partially observed row blows up.  Only the
+    block's ``basis``, ``coords``, ``sv`` and ``vt`` are read.
     """
-    n_train, D = block.rows.shape
+    n_train, D = block.coords.shape[0], block.basis.shape[0]
     N = n_train + 1
     K = max(1, min(latent_dim, D - 1, N - 1))
-    basis, sv, vt = block.basis, block.sv, block.vt
+    sv, vt = block.sv, block.vt
     lam_tr = sv**2 / n_train
     k_proj = int(np.count_nonzero(lam_tr > max(1e-9 * lam_tr[0], 1e-12)))
     k = max(1, min(K, k_proj))
-    top = basis @ vt[:k].T                      # (D, k), the top right singular vectors
-    a = init_s @ top                            # the projected row, in them
+    top = vt[:k].T          # (r, k), the top right singular vectors, in the basis
+    a = (init_s @ block.basis) @ top            # the projected row, in them
     nu, Q = np.linalg.eigh(np.diag(sv[:k] ** 2) + (n_train / N) * np.outer(a, a))
     # a rank-one raise of the top k eigenvalues interlaces with the rest, so
     # the spectrum stays in descending order
@@ -464,13 +482,186 @@ def _initial_parameters(
     lam[:k] = nu[::-1]
     lam[k:sv.size] = sv[k:] ** 2
     lam /= N
-    mu = top @ a / N
     s2 = max(float(lam[K:].sum()) / (D - K), SIGMA2_FLOOR)
     # every direction past k is below the support threshold, so K <= k
     supported = lam[:K] - s2 > max(1e-9 * lam[0], 1e-10)
     K = max(1, int(np.count_nonzero(supported)))
-    W = top @ Q[:, :-K - 1:-1] * np.sqrt(np.maximum(lam[:K] - s2, SIGMA2_FLOOR))
-    return mu, W, s2, K
+    beta = top @ Q[:, :-K - 1:-1] * np.sqrt(np.maximum(lam[:K] - s2, SIGMA2_FLOOR))
+    return top @ a / N, beta, s2, K
+
+
+def _em(Ys: np.ndarray, obs: np.ndarray, y_obs: np.ndarray, mu: np.ndarray, W: np.ndarray,
+        s2, D: int):
+    """PX-EM from (mu, W, s2) to convergence: ``em_fit``'s iterations.
+
+    ``Ys`` (..., n_train, C) are the centred training rows in C columns that
+    stand for D configurations, ``obs`` (p,) the columns of the target's
+    sampled cells, ``y_obs`` (..., 1, p) its centred values there, and
+    mu (..., 1, C), W (..., C, K) and s2 (a float, or one per set) the
+    starting point.  Row vectors are 1-row matrices; a stacked set's
+    scalars are 1 x 1 ones, while a 2-D fit keeps its scalars as numbers.
+    Leading axes are a stack of sets that share n_train, C, D, p and K;
+    each set leaves the stack at the iteration it converges and is not
+    iterated again.
+    Returns (W, mu, s2, m_t, ll_history, n_iters, converged, floored), m_t
+    the target's latent posterior mean under the final parameters; for a
+    stack each is an array over its sets, and row i of ``ll_history``
+    (sets, the stack's iterations + 1) holds set i's in its first
+    n_iters + 1 entries.
+    """
+    max_iters, tol = EstimatorParams.max_iters, EstimatorParams.tol
+    lead = Ys.shape[:-2]
+    stack = bool(lead)
+    n_train, C = Ys.shape[-2:]
+    K, p = W.shape[-1], obs.size
+    N = n_train + 1
+    n_cells = n_train * D + p   # cells the likelihood sees
+    # W_o^T W_o has no more than min(K, p) nonzero eigenvalues (eigh sorts
+    # them ascending): the eigenvalues it can have are those above ``low``
+    low = np.zeros(K)
+    low[:K - min(K, p)] = np.inf
+    # a set's sum over its rows and columns, and the larger of two of its
+    # numbers; a 2-D fit's are plain numbers, taken by the plain calls
+    if stack:
+        s2 = s2[:, None, None]
+        total, larger = (lambda a: a.sum(axis=(-2, -1), keepdims=True)), np.maximum
+    else:
+        total, larger = np.ndarray.sum, max
+    floored = s2 <= SIGMA2_FLOOR
+    # The M-step's two normal matrices, of the intercept-augmented [1, z]
+    # over the training rows and over them plus the target, share one stack
+    # and one batched inverse; the moments of the intercept, and the
+    # regression targets' intercept columns, stay fixed.
+    G = np.empty(lead + (2, K + 1, K + 1))
+    G[..., 0, 0, 0], G[..., 1, 0, 0] = n_train, N
+    B = np.empty(lead + (C, K + 1))
+    B[..., 0] = Ys.sum(axis=-2)
+    B_o = np.empty(lead + (p, K + 1))
+    B_o[..., 0] = B[..., obs, 0] + y_obs[..., 0, :]
+
+    def statistics(W, mu, s2):
+        """Observed-data log-likelihood and E-step posteriors at (W, mu, s2).
+
+        The stop test at these parameters and the next iteration's E-step
+        share them.  Both come from the K x K eigendecompositions (lam, V)
+        of W^T W and W_o^T W_o, so no SVD or inverse is needed: a row's
+        coordinates along the loadings' eigenvectors, P = r W V, give its
+        quadratic form in the loadings' span, P^2 / (lam (lam + s2)), and
+        its latent posterior mean (P / (lam + s2)) V^T.  The residual off
+        that span is formed explicitly, not as |r|^2 - P^2 / lam, which
+        cancels catastrophically as sigma^2 collapses."""
+        Dc = Ys - mu
+        lam, V = np.linalg.eigh(W.mT @ W)
+        WV = W @ V
+        P = Dc @ WV                                  # (..., n_train, K)
+        Wo = W.take(obs, axis=-2)
+        r_o = y_obs - mu.take(obs, axis=-1)
+        lam_o, V_o = np.linalg.eigh(Wo.mT @ Wo)
+        WoV = Wo @ V_o
+        P_o = r_o @ WoV                              # (..., 1, K)
+        if stack:
+            lam, lam_o = lam[:, None], lam_o[:, None]
+        # W_o can have lower rank than min(K, p) (it is zero when the
+        # sampled columns carry no loading, as with one training row): its
+        # span, in the likelihood, has only the eigenpairs that do not
+        # vanish: the target's covariance is s2 along the others
+        span = lam_o > low
+        ls, ls_o = lam + s2, lam_o + s2
+        c_o = np.divide(P_o, lam_o, out=np.zeros(P_o.shape), where=span)
+        perp = Dc - (P / lam) @ WV.mT
+        perp_o = r_o - c_o @ WoV.mT
+        quad = (total(P**2 / (lam * ls)) + total(c_o * P_o / ls_o)
+                + (total(perp**2) + total(perp_o**2)) / s2)
+        logdet = (total(n_train * np.log(ls) + np.log(np.where(span, ls_o, s2)))
+                  + (n_train * (D - K) + p - K) * np.log(s2))
+        Vs, Vs_o = V / ls, V_o / ls_o
+        # posterior means, and latent covariances summed over the training
+        # rows and the target's
+        return -0.5 * (n_cells * _LOG_2PI + logdet + quad), (
+            P @ Vs.mT, P_o @ Vs_o.mT, n_train * s2 * (Vs @ V.mT), s2 * (Vs_o @ V_o.mT))
+
+    ll, post = statistics(W, mu, s2)
+    history = [ll]
+    if stack:
+        # the stack's sets by their place in it; each leaves with its results
+        active = np.arange(lead[0])
+        actives = [active]
+        out = [np.empty_like(W), np.empty_like(mu), np.empty_like(s2), np.empty(lead + (1, K)),
+               None, np.full(lead, max_iters), np.zeros(lead, dtype=bool), np.empty_like(floored)]
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        m_dense, m_t, sz_train, sz_t = post
+
+        # Joint M-step over (mu, W) via the intercept-augmented latent
+        # vector [1, z]; decoupled conditional updates of mean and loadings
+        # zig-zag badly when one factor dominates the spectrum.  Each column
+        # is regressed on the rows that observe it: training rows everywhere,
+        # the target only at its sampled cells.  Imputing the target's
+        # unsampled cells would add them to the missing data, and when a
+        # factor is carried by the target alone its unsampled loadings would
+        # then grow only ~3 % per iteration (120-170 iterations on `ci`).
+        sum_train = m_dense.sum(axis=-2, keepdims=True, out=G[..., 0, :1, 1:])
+        sum_m = np.add(sum_train, m_t, out=G[..., 1, :1, 1:])
+        G[..., 1:, 0] = G[..., 0, 1:]
+        A_train = np.add(sz_train, m_dense.mT @ m_dense, out=G[..., 0, 1:, 1:])
+        A = np.add(A_train + sz_t, m_t.mT @ m_t, out=G[..., 1, 1:, 1:])
+        inv = np.linalg.inv(G)
+        B[..., 1:] = Ys.mT @ m_dense
+        sol = B @ inv[..., 0, :, :]
+        np.add(B[..., 1:].take(obs, axis=-2), y_obs.mT * m_t, out=B_o[..., 1:])
+        sol[..., obs, :] = B_o @ inv[..., 1, :, :]
+        mu_new, W_new = sol[..., None, :, 0], sol[..., 1:]
+
+        # CM step for the isotropic noise variance over the observed cells;
+        # the latent covariances enter through the loadings' K x K Gram
+        # matrices
+        Wo_new = W_new.take(obs, axis=-2)
+        R = Ys - mu_new - m_dense @ W_new.mT
+        r_t = y_obs - mu_new.take(obs, axis=-1) - m_t @ Wo_new.mT
+        s2_new = (total(R**2) + total((W_new.mT @ W_new) * sz_train)
+                  + total(r_t**2) + total((Wo_new.mT @ Wo_new) * sz_t)) / n_cells
+        floored = floored | (s2_new <= SIGMA2_FLOOR)
+        s2_new = larger(s2_new, SIGMA2_FLOOR)
+
+        # PX-EM reduction: fold the latent mean and covariance the E-step
+        # implies into (mu, W).  The folded model gives rows the same
+        # distribution as the expanded one, so s2 needs no update.
+        m_bar = sum_m / N
+        L = np.linalg.cholesky(A / N - m_bar.mT * m_bar)
+        mu = mu_new + m_bar @ W_new.mT
+        W, s2 = W_new @ L, s2_new
+        prev = ll
+        ll, post = statistics(W, mu, s2)
+        history.append(ll)
+        done = abs(ll - prev) / larger(abs(prev), 1.0) < tol
+        if not stack:
+            if done:
+                converged = True
+                break
+            continue
+        actives.append(active)
+        done = done[:, 0, 0]
+        if done.any() or it == max_iters:
+            # sets that converged (or reached the cap) leave the stack
+            leave = done | (it == max_iters)
+            gone = active[leave]
+            for field, value in zip(out, (W, mu, s2, post[1])):
+                field[gone] = value[leave]
+            out[5][gone], out[6][gone], out[7][gone] = it, done[leave], floored[leave]
+            stay = ~leave
+            if not stay.any():
+                break
+            Ys, y_obs, W, mu, s2, ll, floored, G, B, B_o, active = (
+                a[stay] for a in (Ys, y_obs, W, mu, s2, ll, floored, G, B, B_o, active))
+            post = tuple(a[stay] for a in post)
+    if stack:
+        out[4] = np.empty((lead[0], len(history)))
+        for i, (sets, values) in enumerate(zip(actives, history)):
+            out[4][sets, i] = values[:, 0, 0]
+        return (out[0], out[1][:, 0], out[2][:, 0, 0], out[3][:, 0], out[4], out[5], out[6],
+                out[7][:, 0, 0])
+    return W, mu[0], float(s2), post[1][0], np.array(history), it, converged, bool(floored)
 
 
 def em_fit(
@@ -478,8 +669,8 @@ def em_fit(
     observed_idx: Sequence[int],
     observed_values: Sequence[float],
     initial_row: np.ndarray,
-    params: EstimatorParams | None = None,
-) -> tuple[EstimatorState, np.ndarray]:
+    params: EstimatorParams | np.ndarray | None = None,
+) -> tuple[EstimatorState | list[EstimatorState], np.ndarray]:
     """Fit the factor model and complete the target row.
 
     ``training_rows`` are fully observed: raw rows, or their ``_Block``,
@@ -518,146 +709,106 @@ def em_fit(
     loadings' eigenvectors, the M-step's two normal matrices are written
     into one preallocated stack and inverted by one batched call, and the
     noise variance's latent-covariance terms come from the loadings' K x K
-    Gram matrices.  Each normal matrix's inverse has the bits of its own
-    call.
+    Gram matrices.
+
+    Leading axes of ``training_rows`` (..., n_train, D) are a stack of
+    independent fits that share n_train, D and the sample count, such as
+    every fit of one ``evaluation.evaluate`` trial: ``observed_idx``,
+    ``observed_values`` (..., p) and ``initial_row`` (..., D) broadcast
+    against them, and ``params`` is an EstimatorParams every fit shares or
+    an int array (...) of each fit's rank.  The fits are run as stacks of
+    equal K, the rank ``_initial_parameters`` settles on, and each leaves
+    its stack at its own convergence.  Each stacked fit runs only in the
+    columns its iterates can reach: its sampled cells and an orthonormal
+    basis of the unsampled part of its training rows' span.  That is
+    exact: the start lies in the span, and the M-step regresses every
+    unsampled column on the training rows alone, so mu and W never leave
+    span(basis) + span(e_obs); every other step is a per-column linear map
+    or an inner product over columns, which the orthonormal basis keeps.
+    D still counts in sigma^2 and in the log-likelihood, and mean, loadings
+    and completion are mapped back to the D columns once.  On full that is
+    p + r = 15 + 16 columns instead of 393; where p + r >= D (the 9-column
+    GPU-only pool) the columns are the configurations themselves.  Returns
+    one state per fit, in the stack's C order, and the completions
+    (..., D).  A 2-D call runs one fit in the D columns, with no stack.
     """
-    params = params or EstimatorParams()
     block = _block(training_rows)
-    Ys, col_mean = block.rows, block.mean
-    n_train, D = Ys.shape
+    params = EstimatorParams() if params is None else params
+    ranks = params.latent_dim if isinstance(params, EstimatorParams) else params
     obs = np.asarray(observed_idx, dtype=int)
-    y_obs_raw = np.asarray(observed_values, dtype=float)
-    N = n_train + 1
+    y_raw = np.asarray(observed_values, dtype=float)
+    init_s = np.asarray(initial_row, dtype=float) - block.mean
+    lead = block.basis.shape[:-2]
+    D, r = block.basis.shape[-2:]
+    if not lead:
+        alpha, beta, s2, K = _initial_parameters(block, init_s, int(ranks))
+        W, mu, s2, m_t, history, it, converged, floored = _em(
+            block.rows, obs, (y_raw - block.mean[obs])[None], (block.basis @ alpha)[None],
+            block.basis @ beta, s2, D)
+        # the posterior under the final parameters gives the completion
+        completed = W @ m_t + mu + block.mean
+        completed[obs] = y_raw
+        return EstimatorState(W, mu, s2, history, it, converged, floored), completed
 
-    # the target row in the training rows' centred columns
-    y_obs = y_obs_raw - col_mean[obs]
-    init_s = np.asarray(initial_row, dtype=float) - col_mean
+    # every stacked fit along one leading axis
+    S, p = math.prod(lead), obs.shape[-1]
+    basis, coords, sv, vt, mean = (f.reshape((S,) + f.shape[len(lead):])
+                                   for f in (block.basis, block.coords, block.sv, block.vt,
+                                             block.mean))
+    obs = np.broadcast_to(obs, lead + (p,)).reshape(S, p)
+    y_raw = np.broadcast_to(y_raw, lead + (p,)).reshape(S, p)
+    init_s = np.broadcast_to(init_s, lead + (D,)).reshape(S, D)
+    ranks = np.broadcast_to(ranks, lead).reshape(S)
+    starts = [_initial_parameters(_Block(None, None, *fields), s, int(k))
+              for *fields, s, k in zip(basis, coords, sv, vt, init_s, ranks)]
+    # The compressed columns: each fit's sampled cells, then its unsampled
+    # cells' part of the basis, b_u = Q_u R, in the orthonormal basis Q_u of
+    # its span, C = p + min(r, D - p) columns in all.  A few fits per QR
+    # call bound the copies it makes, and Q_u is not kept but taken again,
+    # by the same QR, where the fits are mapped back.
+    flat = basis.reshape(-1, r)
+    _, others = _per_set_cells(obs, basis)      # rows of ``flat``
+    compress = p + r < D
 
-    mu, W, s2, K = _initial_parameters(block, init_s, params.latent_dim)
-    k_obs = min(K, obs.size)       # W_o^T W_o has no more nonzero eigenvalues
-    n_cells = n_train * D + obs.size   # cells the likelihood sees
-    floored = s2 <= SIGMA2_FLOOR
-    # The M-step's two normal matrices, of the intercept-augmented [1, z]
-    # over the training rows and over them plus the target, share one stack
-    # and one batched inverse; the moments of the intercept, and the
-    # regression targets' intercept columns, stay fixed.
-    G = np.empty((2, K + 1, K + 1))
-    G[:, 0, 0] = n_train, N
-    B = np.empty((D, K + 1))
-    B[:, 0] = Ys.sum(axis=0)
-    B_o = np.empty((obs.size, K + 1))
-    B_o[:, 0] = B[obs, 0] + y_obs
+    def unsampled(fits):
+        return np.take(flat, others[fits], axis=0)
 
-    def statistics(W, mu, s2):
-        """Observed-data log-likelihood and E-step posteriors at (W, mu, s2).
-
-        The stop test at these parameters and the next iteration's E-step
-        share them.  Both come from the K x K eigendecompositions (lam, V)
-        of W^T W and W_o^T W_o, so no SVD or inverse is needed: a row's
-        coordinates along the loadings' eigenvectors, P = r W V, give its
-        quadratic form in the loadings' span, P^2 / (lam (lam + s2)), and
-        its latent posterior mean (P / (lam + s2)) V^T.  The residual off
-        that span is formed explicitly, not as |r|^2 - P^2 / lam, which
-        cancels catastrophically as sigma^2 collapses."""
-        Dc = Ys - mu
-        lam, V = np.linalg.eigh(W.T @ W)
-        WV = W @ V
-        P = Dc @ WV                                  # (n_train, K)
-        Wo = W[obs]
-        r_o = y_obs - mu[obs]
-        lam_o, V_o = np.linalg.eigh(Wo.T @ Wo)
-        WoV = Wo @ V_o
-        P_o = r_o @ WoV
-        # W_o can have lower rank than k_obs (it is zero when the sampled
-        # columns carry no loading, as with one training row): its span, in
-        # the likelihood, has only the eigenpairs that do not vanish (eigh
-        # sorts them ascending)
-        top = slice(max(K - k_obs, int(np.searchsorted(lam_o, 0.0, side="right"))), K)
-        lam_t, P_t = lam_o[top], P_o[top]
-        ls, ls_o = lam + s2, lam_o + s2
-        ls_t = ls_o[top]
-        perp = Dc - (P / lam) @ WV.T
-        perp_o = r_o - (P_t / lam_t) @ WoV[:, top].T
-        quad = ((P**2 / (lam * ls)).sum() + (P_t**2 / (lam_t * ls_t)).sum()
-                + ((perp**2).sum() + (perp_o**2).sum()) / s2)
-        logdet = (n_train * np.log(ls).sum() + np.log(ls_t).sum()
-                  + (n_train * (D - K) + obs.size - lam_t.size) * math.log(s2))
-        Vs, Vs_o = V / ls, V_o / ls_o
-        # posterior means, and latent covariances summed over the training
-        # rows and the target's
-        return -0.5 * float(n_cells * _LOG_2PI + logdet + quad), (
-            P @ Vs.T, P_o @ Vs_o.T, n_train * s2 * (Vs @ V.T), s2 * (Vs_o @ V_o.T))
-
-    ll, post = statistics(W, mu, s2)
-    ll_hist = [ll]
-    converged = False
-    it = 0
-    for it in range(1, params.max_iters + 1):
-        m_dense, m_t, sz_train, sz_t = post
-
-        # Joint M-step over (mu, W) via the intercept-augmented latent
-        # vector [1, z]; decoupled conditional updates of mean and loadings
-        # zig-zag badly when one factor dominates the spectrum.  Each column
-        # is regressed on the rows that observe it: training rows everywhere,
-        # the target only at its sampled cells.  Imputing the target's
-        # unsampled cells would add them to the missing data, and when a
-        # factor is carried by the target alone its unsampled loadings would
-        # then grow only ~3 % per iteration (120-170 iterations on `ci`).
-        sum_train = m_dense.sum(axis=0, out=G[0, 0, 1:])
-        sum_m = np.add(sum_train, m_t, out=G[1, 0, 1:])
-        G[:, 1:, 0] = G[:, 0, 1:]
-        A_train = np.add(sz_train, m_dense.T @ m_dense, out=G[0, 1:, 1:])
-        A = np.add(A_train + sz_t, m_t[:, None] * m_t, out=G[1, 1:, 1:])
-        inv = np.linalg.inv(G)
-        B[:, 1:] = Ys.T @ m_dense
-        sol = B @ inv[0]
-        np.add(B[obs, 1:], y_obs[:, None] * m_t, out=B_o[:, 1:])
-        sol[obs] = B_o @ inv[1]
-        mu_new, W_new = sol[:, 0], sol[:, 1:]
-
-        # CM step for the isotropic noise variance over the observed cells;
-        # the latent covariances enter through the loadings' K x K Gram
-        # matrices
-        Wo_new = W_new[obs]
-        R = Ys - mu_new - m_dense @ W_new.T
-        r_t = y_obs - mu_new[obs] - Wo_new @ m_t
-        total = ((R**2).sum() + ((W_new.T @ W_new) * sz_train).sum()
-                 + (r_t**2).sum() + ((Wo_new.T @ Wo_new) * sz_t).sum())
-        s2_new = total / n_cells
-        if s2_new <= SIGMA2_FLOOR:
-            s2_new = SIGMA2_FLOOR
-            floored = True
-
-        # PX-EM reduction: fold the latent mean and covariance the E-step
-        # implies into (mu, W).  The folded model gives rows the same
-        # distribution as the expanded one, so s2 needs no update.
-        m_bar = sum_m / N
-        L = np.linalg.cholesky(A / N - m_bar[:, None] * m_bar)
-        mu_new = mu_new + W_new @ m_bar
-        W_new = W_new @ L
-
-        W, mu, s2 = W_new, mu_new, float(s2_new)
-        ll, post = statistics(W, mu, s2)
-        ll_hist.append(ll)
-        if abs(ll - ll_hist[-2]) / max(abs(ll_hist[-2]), 1.0) < params.tol:
-            converged = True
-            break
-
-    # the posterior under the final parameters gives the completion
-    m_t = post[1]
-    completed = W @ m_t + mu + col_mean
-    completed[obs] = y_obs_raw
-
-    state = EstimatorState(
-        loadings=W,
-        mean=mu,
-        noise_var=s2,
-        ll_history=np.asarray(ll_hist),
-        n_iters=it,
-        converged=converged,
-        sigma2_floored=floored,
-    )
-    return state, completed
+    basis_c = np.empty((S, p + min(r, D - p), r))
+    basis_c[:, :p] = np.take(flat, obs + D * np.arange(S)[:, None], axis=0)
+    if compress:
+        for part in range(0, S, _QR_SETS):
+            fits = slice(part, part + _QR_SETS)
+            basis_c[fits, p:] = np.linalg.qr(unsampled(fits), mode="r")
+    else:
+        basis_c[:, p:] = unsampled(slice(None))
+    rows_c = coords @ basis_c.swapaxes(-1, -2)
+    y_obs = y_raw - np.take_along_axis(mean, obs, axis=-1)
+    Ks = np.array([K for *_, K in starts])
+    states: list = [None] * S
+    completed = np.empty((S, D))
+    for K in sorted(set(Ks.tolist())):   # np.unique would import numpy.ma, 1 MB
+        g = np.flatnonzero(Ks == K)
+        alpha, beta, s2 = (np.array([starts[i][j] for i in g]) for j in range(3))
+        W, mu, s2, m_t, history, iters, converged, floored = _em(
+            rows_c[g], np.arange(p), y_obs[g, None], (basis_c[g] @ alpha[..., None]).mT,
+            basis_c[g] @ beta, s2, D)
+        # mean, loadings and completion, mapped back to the D columns
+        fit = np.concatenate([mu[..., None], W, (W @ m_t[..., None]) + mu[..., None]], axis=-1)
+        full = np.empty((g.size, D, K + 2))
+        np.put_along_axis(full, obs[g, :, None], fit[:, :p], axis=1)
+        for part in range(0, g.size, _QR_SETS):
+            fits, some = slice(part, part + _QR_SETS), g[part:part + _QR_SETS]
+            fit_u = fit[fits, p:]
+            np.put_along_axis(full[fits], (others[some] - D * some[:, None])[..., None],
+                              np.linalg.qr(unsampled(some))[0] @ fit_u if compress else fit_u,
+                              axis=1)
+        completed[g] = full[..., -1] + mean[g]
+        for j, i in enumerate(g):
+            states[i] = EstimatorState(full[j, :, 1:-1], full[j, :, 0], float(s2[j]),
+                                       history[j, :iters[j] + 1], int(iters[j]),
+                                       bool(converged[j]), bool(floored[j]))
+    np.put_along_axis(completed, obs, y_raw, axis=-1)
+    return states, completed.reshape(lead + (D,))
 
 
 def complete_row(
@@ -709,17 +860,15 @@ def predict_energy(
 
 
 class Prepared(NamedTuple):
-    """What ``predict_new_app`` derives from the training view and the
-    sampled cells before its fits: ``logs``, the ``_block`` of the view's
-    log power and log time rows, (2, n_apps, n_configs); ``ranks`` (2,),
-    the ranks ``select_latent_dim`` picks on it for the sampled cells; and
-    ``features``, the view's ``feature_matrix``.  A caller that predicts
-    many applications of one matrix (``evaluation.evaluate``) prepares them
-    in stacks and hands each prediction its slice."""
+    """The finished fits of one prediction, for a caller that fits many
+    predictions at once (``evaluation.evaluate`` runs each trial's fits as
+    ``em_fit`` stacks): ``completed`` (2, n_configs), the log power and log
+    time rows as ``em_fit`` completes them at the ranks
+    ``select_latent_dim`` picks, and ``converged``, whether both fits
+    converged."""
 
-    logs: _Block
-    ranks: np.ndarray
-    features: np.ndarray
+    completed: np.ndarray
+    converged: bool
 
 
 def predict_best_config(
@@ -754,9 +903,9 @@ def predict_new_app(
     on it, both regression rows from one ``init_regression`` call, and both
     completions are mapped back through one ``exp``, the sampled cells
     passed through.  Each quantity's ``em_fit`` takes its slice of the
-    block.  ``prepared`` carries the block, both ranks and the features
+    block, a 2-D fit of its own.  ``prepared`` carries both finished fits
     when the caller has them already (see ``Prepared``); they are trusted
-    to be this view's and these cells', and only their shapes are checked.
+    to be this view's and these cells', and only their shape is checked.
 
     Raises ValueError when ``matrix`` has no row or an unmeasured cell, or
     holds the sampled application, whose own measured row it would train on,
@@ -771,26 +920,24 @@ def predict_new_app(
     if any(a.app_id == samples.app_id for a in matrix.apps):
         raise ValueError(f"app_id {samples.app_id} is a training row of the matrix")
     idx = samples.config_indices
+    sampled = np.array([samples.power, samples.time], dtype=float)
     if prepared is None:
         logs = _block(np.log([matrix.power, matrix.time]))
-        prepared = Prepared(logs, select_latent_dim(logs, idx, MAX_LATENT_DIM),
-                            feature_matrix(matrix))
-    elif (prepared.logs.rows.shape != (2, matrix.n_apps, matrix.n_configs)
-          or np.shape(prepared.ranks) != (2,) or len(prepared.features) != matrix.n_configs):
-        raise ValueError(f"prepared block {prepared.logs.rows.shape}, ranks "
-                         f"{np.shape(prepared.ranks)} and {len(prepared.features)} feature rows do "
-                         f"not fit a view of {matrix.n_apps} x {matrix.n_configs}")
-    logs, ks, features = prepared
-    sampled = np.array([samples.power, samples.time], dtype=float)
-    log_sampled = np.log(sampled)
-    initial = init_regression(idx, log_sampled, features)
-    completed = np.empty_like(initial)
-    converged = True
-    for q in range(2):
-        state, completed[q] = em_fit(_Block(*(field[q] for field in logs)), idx,
-                                     log_sampled[q], initial[q],
-                                     EstimatorParams(latent_dim=int(ks[q])))
-        converged = converged and state.converged
+        ks = select_latent_dim(logs, idx, MAX_LATENT_DIM)
+        log_sampled = np.log(sampled)
+        initial = init_regression(idx, log_sampled, feature_matrix(matrix))
+        completed = np.empty_like(initial)
+        converged = True
+        for q in range(2):
+            state, completed[q] = em_fit(_Block(*(field[q] for field in logs)), idx,
+                                         log_sampled[q], initial[q],
+                                         EstimatorParams(latent_dim=int(ks[q])))
+            converged = converged and state.converged
+        prepared = Prepared(completed, converged)
+    elif np.shape(prepared.completed) != (2, matrix.n_configs):
+        raise ValueError(f"prepared completions of shape {np.shape(prepared.completed)} do not "
+                         f"fit a view of {matrix.n_apps} x {matrix.n_configs}")
+    completed, converged = prepared
     beyond = np.argwhere(~(completed <= _LOG_MAX))
     if beyond.size:
         q, j = beyond[0]

@@ -23,7 +23,9 @@ from .estimator import (
     PredictionResult,
     _block,
     _Block,
+    em_fit,
     feature_matrix,
+    init_regression,
     predict_best_config,
     select_latent_dim,
 )
@@ -161,30 +163,59 @@ def _sub_seed(seed: int, trial: int, a_idx: int, approach: str) -> int:
         [seed, trial, a_idx, APPROACHES.index(approach)]).generate_state(1)[0])
 
 
-def _stack_picks(
+def _training_blocks(logs: np.ndarray, stacks: Sequence[slice]) -> _Block:
+    """The ``_Block`` of every application's training view, ``logs``
+    (2, n_apps, n_configs) less its row, with fields (n_apps, 2, ...),
+    prepared one stack of applications at a time.  It leaves out the
+    centred rows, which neither the rank choice nor a stacked ``em_fit``
+    reads: on full they would double what the pool keeps."""
+    n_apps = logs.shape[1]
+    fields = None
+    for stack in stacks:
+        part = _block(np.stack([np.delete(logs, a, axis=1) for a in range(n_apps)[stack]]))
+        if fields is None:
+            fields = [np.empty((n_apps,) + f.shape[1:]) for f in part[1:]]
+        for field, value in zip(fields, part[1:]):
+            field[stack] = value
+        del part   # the next stack's _block runs without it
+    return _Block(None, *fields)
+
+
+def _pool_picks(
     pool: TrainingMatrix,
     logs: np.ndarray,
     features: np.ndarray,
-    stack: range,
     plans: Sequence[Sequence[SamplePlan]],
-) -> list[list[int]]:
+) -> np.ndarray:
     """Chosen column of ``pool`` for each plan of ``plans`` (trials, apps),
-    whose column i samples application ``stack[i]`` of ``pool``.
+    whose column i samples application i of ``pool``.
 
     The applications' training views, ``logs`` (2, n_apps, n_configs) less
-    each one's row, are prepared as one ``_block`` for every trial, and one
-    ``select_latent_dim`` call per trial picks the ranks of all of them;
-    each prediction then takes its slice (``Prepared``) through
+    each one's row, are prepared as ``_block``s once for every trial,
+    ``_STACK`` applications at a time, and kept without their centred rows,
+    which no step below reads.  In each trial one ``select_latent_dim``
+    call per stack picks its ranks, one ``init_regression`` call per
+    application fills its two regression rows, and one ``em_fit`` call
+    runs every fit of the pool as stacks of equal rank; each prediction
+    then takes its finished fits (``Prepared``) through
     ``predict_best_config``."""
-    block = _block(np.stack([np.delete(logs, a, axis=1) for a in stack]))
-    picks = []
-    for trial_plans in plans:
+    n_apps = pool.n_apps
+    stacks = [slice(start, start + _STACK) for start in range(0, n_apps, _STACK)]
+    block = _training_blocks(logs, stacks)
+    fields = block[1:]
+    picks = np.empty((len(plans), n_apps), dtype=int)
+    for trial, trial_plans in enumerate(plans):
         cells = np.array([plan.sample_configs for plan in trial_plans])[:, None, :]
-        ranks = select_latent_dim(block, cells, MAX_LATENT_DIM)
-        picks.append([
-            predict_best_config(pool, plan.target_app, plan,
-                                Prepared(_Block(*(f[i] for f in block)), ranks[i], features)).chosen
-            for i, plan in enumerate(trial_plans)])
+        ranks = np.concatenate([
+            select_latent_dim(_Block(None, *(f[stack] for f in fields)), cells[stack],
+                              MAX_LATENT_DIM) for stack in stacks])
+        values = np.take_along_axis(logs.swapaxes(0, 1), cells, axis=-1)    # (apps, 2, p)
+        initial = np.array([init_regression(c[0], v, features) for c, v in zip(cells, values)])
+        states, completed = em_fit(block, cells, values, initial, ranks)
+        converged = np.reshape([state.converged for state in states], (n_apps, 2)).all(axis=1)
+        picks[trial] = [predict_best_config(pool, plan.target_app, plan,
+                                            Prepared(completed[i], bool(converged[i]))).chosen
+                        for i, plan in enumerate(trial_plans)]
     return picks
 
 
@@ -201,17 +232,18 @@ def evaluate(
     Each predicting approach draws on a pool of configurations: the whole
     matrix (holistic) or one platform's columns (the single-platform
     baselines, each prediction as ``single_platform_baseline`` makes it).
-    A pool's sub-matrix, log rows and features are taken once per call.
-    Its applications are predicted in stacks of ``_STACK``, stack by stack
-    and, within a stack, trial by trial: the stack's training views (the
-    pool less each application's row) are prepared as one ``_block`` for
-    every trial, one ``select_latent_dim`` call per trial picks all the
-    stack's ranks from each application's own samples, and each prediction
-    then runs through ``predict_best_config`` with its slice.  The holistic
-    predictions run on ``matrix`` itself, in application order when
-    ``trials`` is 1.  Records keep (trial, application, approach) order,
-    approaches in the order given, and each equals the record of one
-    prediction at a time with the same sub-seed.
+    A pool's sub-matrix, log rows and features are taken once per call,
+    and so are the ``_block``s of its training views (the pool less each
+    application's row), ``_STACK`` applications at a time.  Each trial then
+    picks the ranks stack by stack, one ``select_latent_dim`` call each,
+    from each application's own samples; fills every application's two
+    regression rows; runs every EM fit of the pool in one ``em_fit`` call,
+    as stacks of equal rank in the columns EM can reach; and passes each
+    prediction's finished fits through ``predict_best_config``.  The
+    holistic predictions run on ``matrix`` itself, in application order
+    when ``trials`` is 1.  Records keep (trial, application, approach)
+    order, approaches in the order given, and each equals the record of
+    one prediction at a time with the same sub-seed.
 
     Before any prediction, raises ValueError when the matrix has an
     unmeasured cell or, for an approach that predicts, one application, or
@@ -266,12 +298,7 @@ def evaluate(
                                  app.app_id) for a_idx, app in enumerate(pool.apps)]
                  for trial in range(trials)]
         logs = np.log([pool.power, pool.time])
-        chosen = np.empty((trials, pool.n_apps), dtype=int)
-        for start in range(0, pool.n_apps, _STACK):
-            stack = slice(start, start + _STACK)
-            chosen[:, stack] = _stack_picks(pool, logs, features, range(pool.n_apps)[stack],
-                                            [row[stack] for row in plans])
-        picks[approach] = cols[chosen]
+        picks[approach] = cols[_pool_picks(pool, logs, features, plans)]
 
     energy_rows = [measured_energy_row(matrix, app.app_id) for app in matrix.apps]
     records: list[TrialRecord] = []

@@ -721,6 +721,25 @@ class TestEvaluateCommand:
         two = with_apps(training_dir, tmp_path / "two", (2, 3))
         _require_training(load_training(two), two)
 
+    def test_brute_force_alone_needs_one_application(self, training_dir, tmp_path, capsys):
+        # brute force predicts nothing, so one application is enough; any
+        # predicting approach beside it still needs two, and an unknown
+        # name is named before the count is checked
+        one = with_apps(training_dir, tmp_path / "one", (2,))
+        capsys.readouterr()
+        assert main(["evaluate", "--training", one, "--approaches", "brute-force"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "brute-force" in out and "holistic" not in out
+        for approaches, message in (
+                ("brute-force,gpu-only", f"{one}: evaluate needs at least 2 applications, got 1"),
+                ("brute-force,bogus", "unknown approaches: ['bogus']")):
+            assert main(["evaluate", "--training", one, "--approaches", approaches]) == EXIT_PARSE
+            assert capsys.readouterr().err == f"error: {message}\n"
+        none = with_apps(training_dir, tmp_path / "none", ())
+        assert main(["evaluate", "--training", none, "--approaches", "brute-force"]) == EXIT_PARSE
+        assert capsys.readouterr().err == (f"error: {none}: evaluate needs at least 1 "
+                                           f"application, got 0\n")
+
     def test_malformed_training_exits_parse(self, tmp_path):
         bad = tmp_path / "manifest.conf"
         bad.write_text("[training]\npower = nowhere.csv\ntime = nowhere.csv\nplatforms = nope.conf\n")

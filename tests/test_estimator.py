@@ -445,7 +445,8 @@ class TestInitialParameters:
         rows = rank_k_matrix(n_train, D, min(rank, n_train, D), seed, noise_sd)
         block = estimator._block(rows)
         init_s = np.random.default_rng(seed + 1).standard_normal(D)
-        mu, W, s2, K = estimator._initial_parameters(block, init_s, latent_dim)
+        alpha, beta, s2, K = estimator._initial_parameters(block, init_s, latent_dim)
+        mu, W = block.basis @ alpha, block.basis @ beta
         mu_ref, W_ref, s2_ref, K_ref = naive_initial_parameters(block.rows, init_s, latent_dim)
         assert K == K_ref == W.shape[1]
         assert s2 == pytest.approx(s2_ref, rel=1e-9)
@@ -794,25 +795,31 @@ class TestPreparedBlock:
             predict_new_app(view, samples)
 
     def test_prepared_argument_equals_own_preparation_and_is_shape_checked(self):
+        # finished fits made by the public calls, one quantity at a time as
+        # predict_new_app makes them, give its own prediction bit for bit
         m, feats = _system_and_features("ci")
         app = m.apps[2].app_id
         plan = select_samples(m.n_configs, 15, 7, app)
         view, samples = mask_application(m, app, plan)
+        idx = samples.config_indices
         logs = estimator._block(np.log([view.power, view.time]))
-        prepared = estimator.Prepared(
-            logs, select_latent_dim(logs, samples.config_indices, estimator.MAX_LATENT_DIM), feats)
+        ks = select_latent_dim(logs, idx, estimator.MAX_LATENT_DIM)
+        values = np.log([samples.power, samples.time])
+        initial = init_regression(idx, values, feats)
+        fits = [em_fit(estimator._Block(*(f[q] for f in logs)), idx, values[q], initial[q],
+                       EstimatorParams(latent_dim=int(ks[q]))) for q in range(2)]
+        prepared = estimator.Prepared(np.array([completed for _, completed in fits]),
+                                      all(state.converged for state, _ in fits))
         own = predict_new_app(view, samples)
         for got in (predict_new_app(view, samples, prepared),
                     predict_best_config(m, app, plan, prepared)):
             for name in ("power", "time", "energy"):
                 assert np.array_equal(getattr(got, name), getattr(own, name)), name
             assert (got.chosen, got.converged) == (own.chosen, own.converged)
-        # a block of another view, one rank, or another matrix's features
-        other = estimator._block(np.log([view.power[1:], view.time[1:]]))
-        for wrong in (prepared._replace(logs=other), prepared._replace(ranks=prepared.ranks[:1]),
-                      prepared._replace(features=feats[1:])):
+        # completions one configuration short, or of one quantity
+        for wrong in (prepared.completed[:, 1:], prepared.completed[:1]):
             with pytest.raises(ValueError, match="do not fit a view of 5 x 40"):
-                predict_new_app(view, samples, wrong)
+                predict_new_app(view, samples, prepared._replace(completed=wrong))
 
     def test_full_system_prediction_factors_each_quantity_once(self, monkeypatch):
         # the rank choice and EM's start of both quantities share one
@@ -949,6 +956,122 @@ class TestStackedHelpers:
         for q in range(2):
             ref = held_out_errors(estimator._block(rows[q]), [0], 1)
             assert errors[q].tobytes() == ref.tobytes()
+
+
+def _pool_fits(matrix, n_samples, seed):
+    """``em_fit``'s stacked arguments for every application of ``matrix``
+    and both quantities, as ``evaluation.evaluate`` builds them: training
+    views (apps, 2, n_apps - 1, n_configs), each application's own cells
+    (apps, 1, p) and values (apps, 2, p), regression rows and ranks."""
+    logs = np.log([matrix.power, matrix.time])
+    rows = np.stack([np.delete(logs, a, axis=1) for a in range(matrix.n_apps)])
+    plans = [select_samples(matrix.n_configs, n_samples, seed + a, app.app_id)
+             for a, app in enumerate(matrix.apps)]
+    cells = np.array([plan.sample_configs for plan in plans])[:, None, :]
+    values = np.take_along_axis(logs.swapaxes(0, 1), cells, axis=-1)
+    initial = np.array([init_regression(c[0], v, feature_matrix(matrix))
+                        for c, v in zip(cells, values)])
+    ranks = select_latent_dim(estimator._block(rows), cells, estimator.MAX_LATENT_DIM)
+    return rows, cells, values, initial, ranks
+
+
+class TestStackedEmFit:
+    """A stacked ``em_fit`` runs its fits as stacks of equal K in the columns
+    EM can reach; each set must be the fit of its own 2-D call."""
+
+    @staticmethod
+    def _assert_each_set_is_its_own_fit(rows, cells, values, initial, ranks, floored=True):
+        """Every set's K, iterations, flags and history length equal its own
+        2-D fit's, and its completion, loadings and mean agree within 1e-9
+        of their largest entry; for a fit whose sigma^2 sits at its floor,
+        only when ``floored``."""
+        lead = rows.shape[:-2]
+        cells = np.broadcast_to(cells, lead + cells.shape[-1:])
+        states, completed = em_fit(rows, cells, values, initial, ranks)
+        assert len(states) == math.prod(lead) and completed.shape == lead + rows.shape[-1:]
+        for state, i in zip(states, np.ndindex(lead)):
+            own, own_completed = em_fit(rows[i], cells[i], values[i], initial[i],
+                                        EstimatorParams(latent_dim=int(ranks[i])))
+            assert (state.loadings.shape[1], state.n_iters, state.converged,
+                    state.sigma2_floored, len(state.ll_history)) == (
+                own.loadings.shape[1], own.n_iters, own.converged, own.sigma2_floored,
+                len(own.ll_history)), i
+            if own.sigma2_floored and not floored:
+                continue
+            for got, ref in ((completed[i], own_completed), (state.loadings, own.loadings),
+                             (state.mean, own.mean)):
+                np.testing.assert_allclose(got, ref, rtol=1e-9,
+                                           atol=1e-9 * max(np.abs(ref).max(), 1e-300))
+        return states
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_sets=st.integers(1, 4), n_train=st.integers(1, 8), D=st.integers(2, 14),
+           data=st.data())
+    def test_each_set_equals_its_own_fit(self, n_sets, n_train, D, data):
+        # each set is a low-rank system with its target row held out, plus
+        # noise or not, and its own sampled cells and rank; one sampled cell
+        # or two fall below most ranks, and D < n_train leaves nothing for
+        # the compression to shrink.  A fit whose sigma^2 sits at its floor
+        # amplifies rounding: one of 3 x 3 rows at K = 2 moves by 1.3e-9 of
+        # its completion when its own 2-D call takes the rows' reconstruction
+        # from the block, 1.1e-16 away.  So here floored fits are compared
+        # by K, iterations and flags; the tests below compare the floored
+        # fits of one training row in full.
+        p = data.draw(st.integers(1, D))
+        sets = []
+        for _ in range(n_sets):
+            full = rank_k_matrix(n_train + 1, D, data.draw(st.integers(1, 4)),
+                                 data.draw(st.integers(0, 2**32 - 1)),
+                                 data.draw(st.sampled_from([0.0, 0.05, 0.3])))
+            cells = np.array(data.draw(st.permutations(range(D)))[:p])
+            init = full[-1] + data.draw(st.sampled_from([0.0, 0.1, 1.0])) * np.cos(np.arange(D))
+            sets.append((full[:-1], cells, full[-1, cells], init,
+                         data.draw(st.integers(1, estimator.MAX_LATENT_DIM))))
+        self._assert_each_set_is_its_own_fit(*(np.array(field) for field in zip(*sets)),
+                                             floored=False)
+
+    def test_sets_stop_at_different_iterations(self):
+        # the ci profile's fits take 3 to 18 iterations, and each set
+        # leaves its stack at its own
+        m, _ = _system_and_features("ci")
+        states = self._assert_each_set_is_its_own_fit(*_pool_fits(m, 15, 1))
+        iters = {state.n_iters for state in states}
+        assert min(iters) <= 3 and max(iters) >= 9
+
+    def test_one_training_row_floors_sigma2(self):
+        # with one training row every fit floors sigma^2; these take 9-10
+        # iterations where others of the stack take 2-3
+        m = generate_system(SyntheticSpec(n_apps=2, platforms=CI_SYSTEM, rank=2,
+                                          noise_sd=0.05, seed=9)).matrix
+        states = self._assert_each_set_is_its_own_fit(*_pool_fits(m, 15, 0))
+        assert all(state.sigma2_floored for state in states)
+        assert sorted(state.n_iters for state in states) == [2, 3, 9, 10]
+
+    def test_gpu_only_block_is_not_shrunk(self):
+        # the full profile's 9-column GPU pool: 17 training rows and 3
+        # samples, so p + r >= D and the columns are the configurations
+        m, _ = _system_and_features("full")
+        gpu = m.select_configs(m.platform_config_indices(DEFAULT_SYSTEM[1].name))
+        rows, *rest = _pool_fits(gpu, 3, 0)
+        assert rows.shape[-1] == 9 and rows.shape[-2] > 9
+        self._assert_each_set_is_its_own_fit(rows, *rest)
+
+    def test_fewer_sampled_cells_than_k(self):
+        # two sampled cells under ranks 3-5: W_o^T W_o has vanishing
+        # eigenpairs, which the likelihood leaves out
+        rng = np.random.default_rng(3)
+        full = np.stack([rank_k_matrix(9, 30, 4, seed, noise_sd=0.05) for seed in range(4)])
+        cells = np.stack([rng.permutation(30)[:2] for _ in range(4)])
+        values = np.take_along_axis(full[:, -1], cells, axis=-1)
+        states = self._assert_each_set_is_its_own_fit(full[:, :-1], cells, values,
+                                                      full[:, -1], np.array([3, 4, 5, 4]))
+        assert all(state.loadings.shape[1] > 2 for state in states)
+
+    def test_full_profile_pool(self):
+        # the holistic pool of one full evaluate trial: 36 fits of 393
+        # columns, compressed to 15 sampled cells and 16 span coordinates
+        m, _ = _system_and_features("full")
+        self._assert_each_set_is_its_own_fit(*_pool_fits(m, 15, 7))
 
 
 class TestPredictEnergy:

@@ -292,8 +292,9 @@ def _one_prediction_at_a_time(matrix, approaches, trials, seed):
 
 
 class TestStackedEvaluate:
-    """``evaluate`` prepares the rank choices of its applications in stacks;
-    its records must be those of one public prediction at a time."""
+    """``evaluate`` prepares the rank choices of its applications in stacks
+    and runs each trial's EM fits as stacks of equal rank; its records must
+    be those of one public prediction at a time."""
 
     @pytest.mark.parametrize("trials", [1, 2])
     @pytest.mark.parametrize("spec, approaches", [
@@ -309,6 +310,31 @@ class TestStackedEvaluate:
         m = generate_system(spec).matrix
         report = evaluate(m, approaches=approaches, trials=trials, seed=4)
         assert report.records == _one_prediction_at_a_time(m, approaches, trials, seed=4)
+
+    @pytest.mark.parametrize("max_iters", [EstimatorParams.max_iters, 3])
+    @pytest.mark.parametrize("spec", [
+        PROFILES["ci"], PROFILES["full"],
+        SyntheticSpec(n_apps=2, platforms=CI_SYSTEM, rank=2, noise_sd=0.05, seed=9),
+    ], ids=["ci", "full", "2-apps"])
+    def test_each_prediction_carries_its_own_convergence(self, spec, max_iters, monkeypatch):
+        # the benchmark reads ``converged`` from each result that
+        # evaluation.predict_best_config returns inside evaluate; it must be
+        # that of the same prediction made alone.  A cap of three iterations
+        # leaves some predictions of every set converged and others not.
+        monkeypatch.setattr(EstimatorParams, "max_iters", max_iters)
+        flags = []
+        real = evaluation.predict_best_config
+
+        def recording(matrix, app_id, plan, *args):
+            result = real(matrix, app_id, plan, *args)
+            flags.append((result.converged, real(matrix, app_id, plan).converged))
+            return result
+
+        monkeypatch.setattr(evaluation, "predict_best_config", recording)
+        evaluate(generate_system(spec).matrix, trials=2, seed=3)
+        assert flags and all(got is own for got, own in flags)
+        if max_iters == 3:
+            assert {got for got, _ in flags} == {True, False}
 
     @pytest.mark.parametrize("trials", [1, 2])
     def test_each_prediction_goes_once_through_predict_best_config(self, ci_system, monkeypatch,
