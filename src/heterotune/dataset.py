@@ -117,8 +117,13 @@ class SampleSet:
             raise ValueError("sample arrays must align with config_indices")
         if len(set(self.config_indices)) != len(self.config_indices):
             raise ValueError("config_indices must be distinct")
-        if (np.asarray(self.power) <= 0).any() or (np.asarray(self.time) <= 0).any():
-            raise ValueError("sample power and time must be positive")
+        for name in ("power", "time"):
+            values = np.asarray(getattr(self, name))
+            if not np.isfinite(values).all():
+                raise ValueError(f"sample {name} must be finite, got "
+                                 f"{float(values[~np.isfinite(values)][0])!r}")
+            if (values <= 0).any():
+                raise ValueError("sample power and time must be positive")
 
 
 @dataclass(frozen=True)
@@ -247,16 +252,21 @@ def mask_application(
         power=matrix.power[keep],
         time=matrix.time[keep],
     )
+    return view, target_samples(matrix, row, plan)
+
+
+def target_samples(matrix: TrainingMatrix, row: int, plan: SamplePlan) -> SampleSet:
+    """The plan's sampled cells of ``matrix``'s row ``row``, the SampleSet
+    ``mask_application`` gives that row's application."""
     idx = np.array(plan.sample_configs, dtype=int)
     if np.isnan(matrix.power[row, idx]).any():
         raise ValueError("plan samples an unobserved cell of the target row")
-    samples = SampleSet(
-        app_id=app_id,
+    return SampleSet(
+        app_id=matrix.apps[row].app_id,
         config_indices=tuple(plan.sample_configs),
         power=matrix.power[row, idx],
         time=matrix.time[row, idx],
     )
-    return view, samples
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ configuration of each platform in isolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,9 @@ class RunMeasurement:
     mean_time: float
 
     def __post_init__(self) -> None:
+        for name in ("mean_power", "mean_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {float(getattr(self, name))!r}")
         if self.mean_time <= 0:
             raise ValueError("mean_time must be positive")
         if self.mean_power <= 0:

@@ -34,11 +34,12 @@ quantities.  That
 SVD is the spectrum of both the rank choice and EM's start: each held-out
 fit of the rank choice is a rank-one downdate of it, so the choice for both
 quantities adds one batched ``eigvalsh`` of the held-out spectra and no
-eigendecomposition of its own, and each quantity's EM starts from its slice
-of the block.  The rank choice also takes each stacked set's own sampled
-cells, so ``evaluation.evaluate`` prepares the blocks of several
-applications' training views at once and picks all their ranks in one
-call, every set with the bits of its own call.
+eigendecomposition of its own, and both quantities' EM starts are taken
+from their slices of the block by one stacked call.  The rank choice also
+takes each stacked set's own sampled cells, so ``evaluation.evaluate``
+prepares the blocks of several applications' training views at once and
+picks all their ranks in one call, every set with the bits of its own
+call.
 
 ``em_fit`` takes leading axes too: ``evaluation.evaluate`` runs every EM
 fit of one trial's pool in one call, as stacks of the fits that share a
@@ -61,7 +62,13 @@ from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import SamplePlan, SampleSet, TrainingMatrix, mask_application
+from .dataset import (
+    SamplePlan,
+    SampleSet,
+    TrainingMatrix,
+    mask_application,
+    target_samples,
+)
 from .energy import total_energy_row
 from .errors import EstimatorError, InsufficientSamplesError
 from .platforms import PlatformKind, PlatformSpec
@@ -148,45 +155,58 @@ def feature_matrix(matrix: TrainingMatrix) -> np.ndarray:
 
 
 def init_regression(
-    observed_idx: Sequence[int],
+    observed_idx: Sequence[int] | np.ndarray,
     observed_values: Sequence[float] | np.ndarray,
     features: np.ndarray,
 ) -> np.ndarray:
-    """Fill a row by least squares on the quadratic basis.
+    """Fill rows by least squares on the quadratic basis.
 
     Fits the observed cells, evaluates at every configuration, then puts the
     measured values back at the observed cells.  A rank-deficient design
     (e.g. every sample on one memory setting) gets the minimum-norm
-    solution.  ``observed_values`` (p,) give one row (n_configs,); a stack
-    (q, p) of values at the same cells gives q rows (q, n_configs), each
-    the bits of its own call, from one standardized design: every row is
-    solved by its own ``lstsq`` (a multi-column solve or product would
-    round differently).  Raises InsufficientSamplesError when there are
-    fewer observations than basis functions.
+    solution: singular values of the standardized design at or below
+    lstsq's default cutoff, eps max(p, F) s_max for p cells and F
+    non-constant basis functions, count as zero.
+
+    ``observed_idx`` (p,) is one design, and a stack (..., p) is one design
+    per set, such as every application of an ``evaluation.evaluate`` pool.
+    ``observed_values`` (..., p) carry the leading axes of ``observed_idx``
+    and then any of their own, value rows that share their set's design:
+    (p,) values give one row (n_configs,), (q, p) give q rows, and
+    ``evaluate`` passes (apps, 2, p) values at (apps, p) cells for
+    (apps, 2, n_configs) rows.  Every design is standardized and factored
+    by one batched SVD, and every value row is solved by vector-matrix
+    products of its own, so each row has the bits of its own call.
+    Raises InsufficientSamplesError when there are fewer observations than
+    basis functions.
     """
     idx = np.asarray(observed_idx, dtype=int)
     y = np.asarray(observed_values, dtype=float)
-    n_feat = features.shape[1]
-    if idx.size < n_feat:
+    n_feat, p = features.shape[1], idx.shape[-1]
+    if p < n_feat:
         raise InsufficientSamplesError(
-            f"insufficient samples: regression basis has {n_feat} functions, got {idx.size}"
+            f"insufficient samples: regression basis has {n_feat} functions, got {p}"
         )
-    X = features[idx]
+    sets = math.prod(idx.shape[:-1])
+    idx = idx.reshape(sets, p)
+    ys = y.reshape(sets, -1, 1, p)                     # (sets, rows, 1, p)
+    X = features[idx, 1:]
     # Center/scale the non-constant columns so that the minimum-norm fill of
     # a rank-deficient design does not depend on the coordinates' units; the
     # intercept is carried by the mean of y.
-    mu = X[:, 1:].mean(axis=0)
-    sd = X[:, 1:].std(axis=0)
+    mu = X.mean(axis=-2, keepdims=True)
+    sd = X.std(axis=-2, keepdims=True)
     sd = np.where(sd > 1e-12, sd, 1.0)
-    Xc = (X[:, 1:] - mu) / sd
-    Fc = (features[:, 1:] - mu) / sd
-    rows = np.empty(y.shape[:-1] + (features.shape[0],))
-    for row, values in zip(rows.reshape(-1, rows.shape[-1]), y.reshape(-1, y.shape[-1])):
-        y_mean = values.mean()
-        beta, *_ = np.linalg.lstsq(Xc, values - y_mean, rcond=None)
-        row[:] = y_mean + Fc @ beta
-    rows[..., idx] = y
-    return rows
+    U, s, Vt = np.linalg.svd((X - mu) / sd, full_matrices=False)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > _EPS * max(X.shape[-2:]) * s[:, :1])
+    y_mean = ys.mean(axis=-1, keepdims=True)
+    # the coefficients, divided by the scales, act on the basis columns as
+    # they are, so no standardized copy of every configuration's basis is
+    # made: (basis - mu) / sd @ beta is basis @ (beta / sd) - mu @ (beta / sd)
+    beta = ((ys - y_mean) @ U[:, None]) * inv[:, None, None, :] @ Vt[:, None] / sd[:, None]
+    rows = (y_mean - beta @ mu.mT[:, None] + beta @ features[:, 1:].T)[..., 0, :]
+    np.put_along_axis(rows, idx[:, None, :], ys[..., 0, :], axis=-1)
+    return rows.reshape(y.shape[:-1] + (features.shape[0],))
 
 
 class _Block(NamedTuple):
@@ -432,9 +452,22 @@ def select_latent_dim(
     return int(ks) if ks.ndim == 0 else ks
 
 
+class _Start(NamedTuple):
+    """EM's starting point, as ``_initial_parameters`` makes it: the
+    coordinates ``alpha`` (..., r) of the mean and ``beta`` (..., r, k) of
+    the loadings in the block's basis, the noise variance and the rank K.
+    Each field may carry leading axes, one entry per fit; a stack's
+    ``beta`` is then padded with zero columns past each fit's K."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    noise_var: float | np.ndarray
+    rank: int | np.ndarray
+
+
 def _initial_parameters(
-    block: _Block, init_s: np.ndarray, latent_dim: int
-) -> tuple[np.ndarray, np.ndarray, float, int]:
+    block: _Block, init_s: np.ndarray, latent_dim: int | np.ndarray
+) -> _Start:
     """``em_fit``'s starting point (alpha, beta, sigma^2, K): the
     maximum-likelihood PPCA fit (Tipping & Bishop, JRSS-B 61(3), 1999) of
     the centred training rows of ``block`` stacked with the regression row
@@ -465,29 +498,61 @@ def _initial_parameters(
     (near) zero norm otherwise collapse through |w|^2 ~ sigma^2, where the
     latent posterior of the partially observed row blows up.  Only the
     block's ``basis``, ``coords``, ``sv`` and ``vt`` are read.
+
+    Leading axes of the block (and of ``init_s`` (..., D) and
+    ``latent_dim``, which broadcast against them) are a stack of fits,
+    such as every fit of ``em_fit``'s stacked path or both quantities of
+    ``predict_new_app``.  The fits are grouped by their projection rank k,
+    and each group takes one batched k x k eigendecomposition; K enters
+    only as a mask, so every fit gets the bits of its own call.  A 2-D
+    block gives one start, with a float sigma^2, an int K and loadings of
+    K columns; a stack gives arrays, loadings padded to the largest k.
     """
-    n_train, D = block.coords.shape[0], block.basis.shape[0]
+    lead = block.basis.shape[:-2]
+    (n_train, r), D = block.coords.shape[-2:], block.basis.shape[-2]
     N = n_train + 1
-    K = max(1, min(latent_dim, D - 1, N - 1))
-    sv, vt = block.sv, block.vt
-    lam_tr = sv**2 / n_train
-    k_proj = int(np.count_nonzero(lam_tr > max(1e-9 * lam_tr[0], 1e-12)))
-    k = max(1, min(K, k_proj))
-    top = vt[:k].T          # (r, k), the top right singular vectors, in the basis
-    a = (init_s @ block.basis) @ top            # the projected row, in them
-    nu, Q = np.linalg.eigh(np.diag(sv[:k] ** 2) + (n_train / N) * np.outer(a, a))
-    # a rank-one raise of the top k eigenvalues interlaces with the rest, so
-    # the spectrum stays in descending order
-    lam = np.zeros(min(N, D))
-    lam[:k] = nu[::-1]
-    lam[k:sv.size] = sv[k:] ** 2
+    S, L = math.prod(lead), min(N, D)
+    sv, vt = block.sv.reshape(S, r), block.vt.reshape(S, r, r)
+    K = (np.maximum(1, np.minimum(latent_dim, min(D - 1, N - 1)))
+         + np.zeros(lead, dtype=int)).reshape(S, 1)
+    # the spectrum, its top k to be replaced by the stacked rows' own
+    lam = np.zeros((S, L))
+    lam[:, :r] = sv**2
+    lam_tr = lam[:, :r] / n_train
+    k_proj = (lam_tr > np.maximum(1e-9 * lam_tr[:, :1], 1e-12)).sum(axis=-1, keepdims=True)
+    k = np.maximum(1, np.minimum(K, k_proj))
+    k_max = int(k.max())
+    cols = np.arange(L)
+    # The regression row in the right singular vectors, zero past each
+    # fit's k: its projection onto the block's top-k principal subspace.
+    # Every product below has the same shape for every fit, or sums over
+    # an outer axis, where padding with zeros changes no bit.
+    a = (np.asarray(init_s)[..., None, :] @ block.basis @ block.vt.mT).reshape(S, r)[:, :k_max]
+    a *= cols[:k_max] < k
+    Q = np.zeros((S, k_max, k_max))
+    for k_g in sorted(set(k[:, 0].tolist())):
+        g = (k[:, 0] == k_g).nonzero()[0]
+        a_g = a[g, :k_g]
+        M = (n_train / N) * (a_g[:, :, None] * a_g[:, None, :])
+        M.reshape(g.size, k_g * k_g)[:, ::k_g + 1] += lam[g, :k_g]
+        nu, V = np.linalg.eigh(M)
+        # a rank-one raise of the top k eigenvalues interlaces with the
+        # rest, so the spectrum stays in descending order
+        lam[g, :k_g] = nu[:, ::-1]
+        Q[g, :k_g, :k_g] = V[..., ::-1]
     lam /= N
-    s2 = max(float(lam[K:].sum()) / (D - K), SIGMA2_FLOOR)
+    s2 = np.maximum((lam * (cols >= K)).sum(axis=-1, keepdims=True) / (D - K), SIGMA2_FLOOR)
     # every direction past k is below the support threshold, so K <= k
-    supported = lam[:K] - s2 > max(1e-9 * lam[0], 1e-10)
-    K = max(1, int(np.count_nonzero(supported)))
-    beta = top @ Q[:, :-K - 1:-1] * np.sqrt(np.maximum(lam[:K] - s2, SIGMA2_FLOOR))
-    return top @ a / N, beta, s2, K
+    supported = (lam - s2 > np.maximum(1e-9 * lam[:, :1], 1e-10)) & (cols < K)
+    K = np.maximum(1, supported.sum(axis=-1, keepdims=True))
+    scale = np.sqrt(np.maximum(lam[:, :k_max] - s2, SIGMA2_FLOOR)) * (cols[:k_max] < K)
+    top = vt[:, :k_max]             # the top right singular vectors, as rows
+    beta = (top[..., None] * Q[:, :, None]).sum(axis=1) * scale[:, None]
+    alpha = (a[..., None] * top).sum(axis=1) / N
+    if not lead:
+        return _Start(alpha[0], beta[0, :, :K[0, 0]], float(s2[0, 0]), int(K[0, 0]))
+    return _Start(alpha.reshape(lead + (r,)), beta.reshape(lead + beta.shape[1:]),
+                  s2.reshape(lead), K.reshape(lead))
 
 
 def _em(Ys: np.ndarray, obs: np.ndarray, y_obs: np.ndarray, mu: np.ndarray, W: np.ndarray,
@@ -668,7 +733,7 @@ def em_fit(
     training_rows: np.ndarray | _Block,
     observed_idx: Sequence[int],
     observed_values: Sequence[float],
-    initial_row: np.ndarray,
+    initial_row: np.ndarray | _Start,
     params: EstimatorParams | np.ndarray | None = None,
 ) -> tuple[EstimatorState | list[EstimatorState], np.ndarray]:
     """Fit the factor model and complete the target row.
@@ -684,7 +749,11 @@ def em_fit(
     orthonormal basis of the centred training rows that ``held_out_errors``
     also uses, so past the block, which holds the SVD of the n_train x r
     coordinate matrix, it costs a k x k eigendecomposition, and no SVD of a
-    D-column matrix.  Each iteration runs the E-step under the current
+    D-column matrix.  ``initial_row`` may also be that start itself, a
+    ``_Start``, which carries its rank, so ``params`` is then not read:
+    ``predict_new_app`` makes both quantities' starts in one stacked
+    ``_initial_parameters`` call and hands each 2-D fit its own.  Each
+    iteration runs the E-step under the current
     parameters and conditional maximizations of mean, loadings and noise
     variance, so the observed-data log-likelihood never decreases.  The
     latent vectors are the only missing data: each column's mean and
@@ -716,9 +785,10 @@ def em_fit(
     every fit of one ``evaluation.evaluate`` trial: ``observed_idx``,
     ``observed_values`` (..., p) and ``initial_row`` (..., D) broadcast
     against them, and ``params`` is an EstimatorParams every fit shares or
-    an int array (...) of each fit's rank.  The fits are run as stacks of
-    equal K, the rank ``_initial_parameters`` settles on, and each leaves
-    its stack at its own convergence.  Each stacked fit runs only in the
+    an int array (...) of each fit's rank.  Every fit's start comes from
+    one stacked ``_initial_parameters`` call, and the fits are run as
+    stacks of equal K, the rank it settles on; each leaves its stack at
+    its own convergence.  Each stacked fit runs only in the
     columns its iterates can reach: its sampled cells and an orthonormal
     basis of the unsampled part of its training rows' span.  That is
     exact: the start lies in the span, and the M-step regresses every
@@ -733,18 +803,22 @@ def em_fit(
     (..., D).  A 2-D call runs one fit in the D columns, with no stack.
     """
     block = _block(training_rows)
-    params = EstimatorParams() if params is None else params
-    ranks = params.latent_dim if isinstance(params, EstimatorParams) else params
+    if isinstance(initial_row, _Start):
+        start = initial_row
+    else:
+        params = EstimatorParams() if params is None else params
+        start = _initial_parameters(
+            block, np.asarray(initial_row, dtype=float) - block.mean,
+            params.latent_dim if isinstance(params, EstimatorParams) else params)
     obs = np.asarray(observed_idx, dtype=int)
     y_raw = np.asarray(observed_values, dtype=float)
-    init_s = np.asarray(initial_row, dtype=float) - block.mean
     lead = block.basis.shape[:-2]
     D, r = block.basis.shape[-2:]
     if not lead:
-        alpha, beta, s2, K = _initial_parameters(block, init_s, int(ranks))
+        alpha, beta, s2, K = start
         W, mu, s2, m_t, history, it, converged, floored = _em(
             block.rows, obs, (y_raw - block.mean[obs])[None], (block.basis @ alpha)[None],
-            block.basis @ beta, s2, D)
+            block.basis @ beta[:, :K], float(s2), D)
         # the posterior under the final parameters gives the completion
         completed = W @ m_t + mu + block.mean
         completed[obs] = y_raw
@@ -757,10 +831,7 @@ def em_fit(
                                              block.mean))
     obs = np.broadcast_to(obs, lead + (p,)).reshape(S, p)
     y_raw = np.broadcast_to(y_raw, lead + (p,)).reshape(S, p)
-    init_s = np.broadcast_to(init_s, lead + (D,)).reshape(S, D)
-    ranks = np.broadcast_to(ranks, lead).reshape(S)
-    starts = [_initial_parameters(_Block(None, None, *fields), s, int(k))
-              for *fields, s, k in zip(basis, coords, sv, vt, init_s, ranks)]
+    alpha, beta, s2, Ks = (f.reshape((S,) + f.shape[len(lead):]) for f in start)
     # The compressed columns: each fit's sampled cells, then its unsampled
     # cells' part of the basis, b_u = Q_u R, in the orthonormal basis Q_u of
     # its span, C = p + min(r, D - p) columns in all.  A few fits per QR
@@ -783,15 +854,13 @@ def em_fit(
         basis_c[:, p:] = unsampled(slice(None))
     rows_c = coords @ basis_c.swapaxes(-1, -2)
     y_obs = y_raw - np.take_along_axis(mean, obs, axis=-1)
-    Ks = np.array([K for *_, K in starts])
     states: list = [None] * S
     completed = np.empty((S, D))
     for K in sorted(set(Ks.tolist())):   # np.unique would import numpy.ma, 1 MB
         g = np.flatnonzero(Ks == K)
-        alpha, beta, s2 = (np.array([starts[i][j] for i in g]) for j in range(3))
-        W, mu, s2, m_t, history, iters, converged, floored = _em(
-            rows_c[g], np.arange(p), y_obs[g, None], (basis_c[g] @ alpha[..., None]).mT,
-            basis_c[g] @ beta, s2, D)
+        W, mu, s2_g, m_t, history, iters, converged, floored = _em(
+            rows_c[g], np.arange(p), y_obs[g, None], (basis_c[g] @ alpha[g, :, None]).mT,
+            basis_c[g] @ beta[g, :, :K], s2[g], D)
         # mean, loadings and completion, mapped back to the D columns
         fit = np.concatenate([mu[..., None], W, (W @ m_t[..., None]) + mu[..., None]], axis=-1)
         full = np.empty((g.size, D, K + 2))
@@ -804,7 +873,7 @@ def em_fit(
                               axis=1)
         completed[g] = full[..., -1] + mean[g]
         for j, i in enumerate(g):
-            states[i] = EstimatorState(full[j, :, 1:-1], full[j, :, 0], float(s2[j]),
+            states[i] = EstimatorState(full[j, :, 1:-1], full[j, :, 0], float(s2_g[j]),
                                        history[j, :iters[j] + 1], int(iters[j]),
                                        bool(converged[j]), bool(floored[j]))
     np.put_along_axis(completed, obs, y_raw, axis=-1)
@@ -880,12 +949,37 @@ def predict_best_config(
     """End-to-end holistic prediction for one application of the matrix.
 
     Leave-one-application-out masking, then ``predict_new_app`` on the
-    masked view, with ``prepared`` when given; masking keeps every
-    configuration, so the features and the scored system are the matrix's
-    own.
+    masked view; masking keeps every configuration, so the features and
+    the scored system are the matrix's own.  Finished fits (``prepared``)
+    read no training grid, so no view is built for them: only the
+    target's sampled cells are taken (``dataset.target_samples``), and the
+    view's checks are made on the matrix less the target's row, each
+    refusal with the view's message.
     """
-    view, samples = mask_application(matrix, app_id, plan)
-    return predict_new_app(view, samples, prepared)
+    if prepared is None:
+        return predict_new_app(*mask_application(matrix, app_id, plan))
+    row = matrix.app_index(app_id)
+    samples = target_samples(matrix, row, plan)
+    return _score(matrix, _training_rows(matrix, samples, row), samples, prepared)
+
+
+def _training_rows(
+    matrix: TrainingMatrix, samples: SampleSet, held_out: int | None = None
+) -> int:
+    """``predict_new_app``'s checks of the training rows for ``samples``'
+    application: the rows of ``matrix`` less its row ``held_out`` (None:
+    every row).  Returns their number."""
+    n_train = matrix.n_apps - (held_out is not None)
+    if n_train == 0:
+        raise ValueError("no training rows")
+    unmeasured = np.isnan(matrix.power)
+    if held_out is not None:
+        unmeasured[held_out] = False
+    if unmeasured.any():
+        raise ValueError("training rows must be fully observed")
+    if any(a.app_id == samples.app_id for i, a in enumerate(matrix.apps) if i != held_out):
+        raise ValueError(f"app_id {samples.app_id} is a training row of the matrix")
+    return n_train
 
 
 def predict_new_app(
@@ -900,10 +994,11 @@ def predict_new_app(
     platform.  The two quantities are carried as one stack wherever their
     steps are independent of each other: their training rows are prepared
     as one ``_block``, both ranks come from one ``select_latent_dim`` call
-    on it, both regression rows from one ``init_regression`` call, and both
-    completions are mapped back through one ``exp``, the sampled cells
-    passed through.  Each quantity's ``em_fit`` takes its slice of the
-    block, a 2-D fit of its own.  ``prepared`` carries both finished fits
+    on it, both regression rows from one ``init_regression`` call, both EM
+    starts from one ``_initial_parameters`` call, and both completions are
+    mapped back through one ``exp``, the sampled cells passed through.
+    Each quantity's ``em_fit`` takes its slices of the block and of the
+    start, a 2-D fit of its own.  ``prepared`` carries both finished fits
     when the caller has them already (see ``Prepared``); they are trusted
     to be this view's and these cells', and only their shape is checked.
 
@@ -913,30 +1008,34 @@ def predict_new_app(
     when a completed log lies beyond ``exp``'s range (the training rows then
     support no finite estimate from these samples) or an energy overflows.
     """
-    if matrix.n_apps == 0:
-        raise ValueError("no training rows")
-    if not matrix.fully_observed:
-        raise ValueError("training rows must be fully observed")
-    if any(a.app_id == samples.app_id for a in matrix.apps):
-        raise ValueError(f"app_id {samples.app_id} is a training row of the matrix")
-    idx = samples.config_indices
-    sampled = np.array([samples.power, samples.time], dtype=float)
+    n_train = _training_rows(matrix, samples)
     if prepared is None:
+        idx = samples.config_indices
         logs = _block(np.log([matrix.power, matrix.time]))
         ks = select_latent_dim(logs, idx, MAX_LATENT_DIM)
-        log_sampled = np.log(sampled)
+        log_sampled = np.log([samples.power, samples.time])
         initial = init_regression(idx, log_sampled, feature_matrix(matrix))
+        starts = _initial_parameters(logs, initial - logs.mean, ks)
         completed = np.empty_like(initial)
         converged = True
         for q in range(2):
             state, completed[q] = em_fit(_Block(*(field[q] for field in logs)), idx,
-                                         log_sampled[q], initial[q],
-                                         EstimatorParams(latent_dim=int(ks[q])))
+                                         log_sampled[q], _Start(*(field[q] for field in starts)))
             converged = converged and state.converged
         prepared = Prepared(completed, converged)
-    elif np.shape(prepared.completed) != (2, matrix.n_configs):
+    return _score(matrix, n_train, samples, prepared)
+
+
+def _score(
+    matrix: TrainingMatrix, n_train: int, samples: SampleSet, prepared: Prepared
+) -> PredictionResult:
+    """``predict_new_app``'s scoring of finished fits: their shape checked
+    against a view of ``n_train`` rows and ``matrix``'s configurations,
+    each log mapped back through ``exp`` with the sampled cells passed
+    through, and the energy argmin over ``matrix``'s system."""
+    if np.shape(prepared.completed) != (2, matrix.n_configs):
         raise ValueError(f"prepared completions of shape {np.shape(prepared.completed)} do not "
-                         f"fit a view of {matrix.n_apps} x {matrix.n_configs}")
+                         f"fit a view of {n_train} x {matrix.n_configs}")
     completed, converged = prepared
     beyond = np.argwhere(~(completed <= _LOG_MAX))
     if beyond.size:
@@ -946,8 +1045,9 @@ def predict_new_app(
             f"{matrix.configs[j].config_id}, beyond exp's range: the training rows "
             "support no finite estimate from these samples"
         )
+    idx = samples.config_indices
     rows = np.exp(completed)
-    rows[:, idx] = sampled
+    rows[:, idx] = samples.power, samples.time
     with np.errstate(over="ignore"):
         result = predict_energy(*rows, matrix.system, observed_idx=idx, converged=converged)
     if np.isinf(result.energy).any():

@@ -194,11 +194,13 @@ def _pool_picks(
     each one's row, are prepared as ``_block``s once for every trial,
     ``_STACK`` applications at a time, and kept without their centred rows,
     which no step below reads.  In each trial one ``select_latent_dim``
-    call per stack picks its ranks, one ``init_regression`` call per
-    application fills its two regression rows, and one ``em_fit`` call
-    runs every fit of the pool as stacks of equal rank; each prediction
-    then takes its finished fits (``Prepared``) through
-    ``predict_best_config``."""
+    call per stack picks its ranks, one ``init_regression`` call fills
+    every application's two regression rows from its own design (one
+    batched SVD of the pool's designs), and one ``em_fit`` call takes
+    every fit's start in one stacked ``_initial_parameters`` call and runs
+    the fits as stacks of equal rank; each prediction then takes its
+    finished fits (``Prepared``) through ``predict_best_config``, which
+    only scores them."""
     n_apps = pool.n_apps
     stacks = [slice(start, start + _STACK) for start in range(0, n_apps, _STACK)]
     block = _training_blocks(logs, stacks)
@@ -210,7 +212,7 @@ def _pool_picks(
             select_latent_dim(_Block(None, *(f[stack] for f in fields)), cells[stack],
                               MAX_LATENT_DIM) for stack in stacks])
         values = np.take_along_axis(logs.swapaxes(0, 1), cells, axis=-1)    # (apps, 2, p)
-        initial = np.array([init_regression(c[0], v, features) for c, v in zip(cells, values)])
+        initial = init_regression(cells[:, 0], values, features)
         states, completed = em_fit(block, cells, values, initial, ranks)
         converged = np.reshape([state.converged for state in states], (n_apps, 2)).all(axis=1)
         picks[trial] = [predict_best_config(pool, plan.target_app, plan,
@@ -237,9 +239,11 @@ def evaluate(
     application's row), ``_STACK`` applications at a time.  Each trial then
     picks the ranks stack by stack, one ``select_latent_dim`` call each,
     from each application's own samples; fills every application's two
-    regression rows; runs every EM fit of the pool in one ``em_fit`` call,
-    as stacks of equal rank in the columns EM can reach; and passes each
-    prediction's finished fits through ``predict_best_config``.  The
+    regression rows in one ``init_regression`` call; runs every EM fit of
+    the pool in one ``em_fit`` call, its starts taken together and its
+    fits as stacks of equal rank in the columns EM can reach; and passes
+    each prediction's finished fits through ``predict_best_config``, which
+    scores them without building the prediction's training view.  The
     holistic predictions run on ``matrix`` itself, in application order
     when ``trials`` is 1.  Records keep (trial, application, approach)
     order, approaches in the order given, and each equals the record of

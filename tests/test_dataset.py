@@ -538,3 +538,13 @@ class TestMaskApplication:
         m = tiny_matrix()
         with pytest.raises(KeyError):
             mask_application(m, 99, select_samples(3, 1, 0, 99))
+
+    @pytest.mark.parametrize("field", ["power", "time"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected_by_name(self, field, value):
+        # NaN <= 0 is False, so a positivity check alone lets NaN through
+        # to the regression and EM
+        arrays = {"power": np.ones(3), "time": np.ones(3)}
+        arrays[field][1] = value
+        with pytest.raises(ValueError, match=f"^sample {field} must be finite, got {value!r}$"):
+            SampleSet(99, (0, 1, 2), **arrays)

@@ -109,3 +109,12 @@ class TestRunMeasurement:
         for power in (-1.0, 0.0):
             with pytest.raises(ValueError, match="non-positive power"):
                 RunMeasurement(1, cfg, mean_power=power, mean_time=1.0)
+
+    @pytest.mark.parametrize("field", ["mean_power", "mean_time"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_by_name(self, field, value):
+        # NaN <= 0 is False, so a positivity check alone lets NaN through
+        cfg = NativeConfig("tiny-cpu", PlatformKind.CPU, 1, 1.0, 1)
+        fields = {"mean_power": 1.0, "mean_time": 1.0, field: np.float64(value)}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            RunMeasurement(1, cfg, **fields)

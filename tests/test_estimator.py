@@ -209,6 +209,42 @@ class TestInitRegression:
         for q in range(2):
             assert stacked[q].tobytes() == init_regression(obs, values[q], feats).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(profile=st.sampled_from(["ci", "full", "gpu"]), n_sets=st.integers(1, 4),
+           n_rows=st.sampled_from([None, 1, 2]), extra=st.integers(0, 20), data=st.data())
+    def test_stacked_designs_equal_their_own_calls(self, profile, n_sets, n_rows, extra, data):
+        # a stack of designs, each with its own sampled cells, as evaluate
+        # passes a pool's applications: cells (sets, p) and values
+        # (sets, p) or (sets, rows, p).  p is the basis size itself or
+        # more, and a deficient set takes every sample from one memory
+        # setting of the 10-function basis
+        m, feats = _system_and_features("ci" if profile == "ci" else "full")
+        if profile == "gpu":
+            feats = feature_matrix(m.select_configs(m.platform_config_indices("quadro-k620")))
+        n = min(feats.shape[1] + extra, feats.shape[0])
+        cells = []
+        for _ in range(n_sets):
+            pool = np.arange(feats.shape[0])
+            if profile != "gpu" and data.draw(st.booleans()):
+                pool = np.flatnonzero(feats[:, 3] == feats[data.draw(st.sampled_from([0, -1])), 3])
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            cells.append(np.sort(np.random.default_rng(seed).choice(pool, min(n, pool.size),
+                                                                    replace=False)))
+        if len({c.size for c in cells}) > 1:   # a deficient pool holds fewer than n cells
+            cells = [c[:min(c.size for c in cells)] for c in cells]
+        cells = np.array(cells)
+        if cells.shape[1] < feats.shape[1]:
+            return
+        shape = (n_sets,) + (() if n_rows is None else (n_rows,)) + cells.shape[1:]
+        values = data.draw(hnp.arrays(float, shape, elements=st.floats(-50.0, 50.0)))
+        stacked = init_regression(cells, values, feats)
+        assert stacked.shape == shape[:-1] + (feats.shape[0],)
+        for i in range(n_sets):
+            own = init_regression(cells[i], values[i], feats)
+            scale = max(np.abs(own).max(), 1e-300)
+            np.testing.assert_allclose(stacked[i], own, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_array_equal(stacked[i][..., cells[i]], values[i])
+
 
 def direct_loglik(state, training_rows, obs, observed_values):
     """Observed-data Gaussian log-likelihood at a fit's (W, mu, sigma^2),
@@ -469,6 +505,38 @@ class TestInitialParameters:
         eig = np.linalg.eigvalsh(np.cov(stacked, rowvar=False, bias=True))
         assert eig.size == D
         assert s2 == pytest.approx(eig[: D - K].mean(), rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_sets=st.integers(1, 5), n_train=st.integers(1, 12), D=st.integers(2, 40),
+           data=st.data())
+    def test_stack_equals_each_fits_own_call(self, n_sets, n_train, D, data):
+        # a stack of blocks sharing n_train and D, each with its own
+        # regression row and rank: exact low rank under a larger latent_dim
+        # projects at k_proj < K, one training row (n_train 1) projects at
+        # k = 1 on a zero block, and D < n_train is the GPU pools' shape
+        sets = []
+        for _ in range(n_sets):
+            rows = rank_k_matrix(n_train, D, min(data.draw(st.integers(1, 4)), n_train, D),
+                                 data.draw(st.integers(0, 2**32 - 1)),
+                                 data.draw(st.sampled_from([0.0, 0.0, 0.01, 0.3])))
+            init = rows.mean(axis=0) + data.draw(st.sampled_from([0.1, 1.0, 10.0])) * np.cos(
+                np.arange(D) * data.draw(st.floats(0.1, 3.0)))
+            sets.append((rows, init, data.draw(st.integers(1, 8))))
+        rows, init, latent = (np.array(field) for field in zip(*sets))
+        block = estimator._block(rows)
+        start = estimator._initial_parameters(block, init - block.mean, latent)
+        assert start.beta.shape[:2] == (n_sets, block.basis.shape[-1])
+        for i in range(n_sets):
+            single = estimator._block(rows[i])
+            own = estimator._initial_parameters(single, init[i] - single.mean, int(latent[i]))
+            K = own.rank
+            assert start.rank[i] == K == own.beta.shape[1]
+            assert not start.beta[i, :, K:].any()
+            beta = start.beta[i, :, :K]
+            for got, ref in ((start.alpha[i], own.alpha), (beta @ beta.T, own.beta @ own.beta.T),
+                             (start.noise_var[i], own.noise_var)):
+                np.testing.assert_allclose(got, ref, rtol=0,
+                                           atol=1e-12 * max(np.abs(ref).max(), 1e-300))
 
     def test_full_system_prediction_runs_no_wide_svd(self, monkeypatch):
         # the set-up works in the training rows' span: no SVD sees more
@@ -821,13 +889,61 @@ class TestPreparedBlock:
             with pytest.raises(ValueError, match="do not fit a view of 5 x 40"):
                 predict_new_app(view, samples, prepared._replace(completed=wrong))
 
+    @pytest.mark.parametrize("profile, app_index", [("ci", 0), ("ci", 4), ("full", 7)])
+    def test_prepared_scoring_equals_the_views_prediction(self, profile, app_index):
+        # a prepared predict_best_config builds no view; it scores the
+        # same fits to every field predict_new_app gives on the view
+        m, _ = _system_and_features(profile)
+        app = m.apps[app_index].app_id
+        plan = select_samples(m.n_configs, 15, 3, app)
+        view, samples = mask_application(m, app, plan)
+        prepared = estimator.Prepared(np.log([view.power[0], view.time[0]]) + 0.01, False)
+        got = predict_best_config(m, app, plan, prepared)
+        ref = predict_new_app(view, samples, prepared)
+        for field in dataclasses.fields(ref):
+            assert np.array_equal(getattr(got, field.name), getattr(ref, field.name)), field.name
+
+    def test_prepared_refusals_keep_their_messages(self):
+        # every refusal of the view's path, made without building the view
+        m, _ = _system_and_features("ci")
+        app = m.apps[1].app_id
+        plan = select_samples(m.n_configs, 15, 5, app)
+        view, samples = mask_application(m, app, plan)
+        prepared = estimator.Prepared(np.log([view.power[0], view.time[0]]), True)
+        for wrong in (prepared.completed[:, 1:], prepared.completed[:1]):
+            with pytest.raises(ValueError, match="^prepared completions of shape .* do not fit "
+                                                 "a view of 5 x 40$"):
+                predict_best_config(m, app, plan, prepared._replace(completed=wrong))
+        with pytest.raises(ValueError, match=f"^app_id {app} is a training row of the matrix$"):
+            predict_new_app(m, samples, prepared)
+        # an unmeasured cell in another row, and one at a sampled cell of
+        # the target's
+        other, cell = m.app_index(app) + 1, plan.sample_configs[0]
+        for row, message in ((other, "training rows must be fully observed"),
+                             (m.app_index(app), "plan samples an unobserved cell of the target "
+                                                "row")):
+            power, time = m.power.copy(), m.time.copy()
+            power[row, cell] = time[row, cell] = np.nan
+            holed = dataclasses.replace(m, power=power, time=time)
+            for given in (None, prepared):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    predict_best_config(holed, app, plan, given)
+        alone = dataclasses.replace(m, apps=m.apps[1:2], power=m.power[1:2], time=m.time[1:2])
+        for given in (None, prepared):
+            with pytest.raises(ValueError, match="^no training rows$"):
+                predict_best_config(alone, app, plan, given)
+        with pytest.raises(KeyError):
+            predict_best_config(m, 99, plan, prepared)
+
     def test_full_system_prediction_factors_each_quantity_once(self, monkeypatch):
         # the rank choice and EM's start of both quantities share one
         # stacked thin QR and one stacked SVD of the row-space coordinates;
         # the held-out fits take their eigenvalues from one stacked eigvalsh
-        # and their eigenvectors from that SVD, so no eigh sees them
-        # and each EM iteration inverts both of its normal matrices in one
-        # batched call
+        # and their eigenvectors from that SVD, so no eigh sees them; both
+        # regression rows share one SVD of their design, both EM starts one
+        # stacked eigh (both quantities project at rank 2 here), and each
+        # EM iteration inverts both of its normal matrices in one batched
+        # call
         m, _ = _system_and_features("full")
         calls = []
         for name in ("qr", "svd", "eigh", "eigvalsh", "inv"):
@@ -853,11 +969,13 @@ class TestPreparedBlock:
         n_train = m.n_apps - 1
         held_out = (2, n_train, n_train - 1, n_train - 1)
         assert [c for c in calls if c[0] in ("qr", "svd")] == [
-            ("qr", (2, m.n_configs, n_train - 1)), ("svd", (2, n_train, n_train - 1))]
+            ("qr", (2, m.n_configs, n_train - 1)), ("svd", (2, n_train, n_train - 1)),
+            ("svd", (1, 15, 9))]
         assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", held_out)]
         # EM's own eigh calls are K x K, one fit at a time
         eigh_shapes = [shape for name, shape in calls if name == "eigh"]
-        assert eigh_shapes and all(len(shape) == 2 for shape in eigh_shapes), eigh_shapes
+        assert eigh_shapes[0] == (2, 2, 2), eigh_shapes
+        assert eigh_shapes[1:] and all(len(shape) == 2 for shape in eigh_shapes[1:]), eigh_shapes
         assert held_out not in eigh_shapes
 
 
