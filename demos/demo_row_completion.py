@@ -25,8 +25,9 @@ row = matrix.app_index(app.app_id)
 print(f"target application: {app.app_id} ({app.benchmark}/{app.input_name}, {app.dwarf})")
 print(f"matrix: {matrix.n_apps} applications x {matrix.n_configs} configurations")
 
-plan = select_samples(matrix.n_configs, 15, seed=4, target_app=app.app_id)
-print(f"sampling {len(plan.sample_configs)} configurations (seed {plan.seed})")
+plan_seed = 4
+plan = select_samples(matrix.n_configs, 15, seed=plan_seed, target_app=app.app_id)
+print(f"sampling {len(plan.sample_configs)} configurations (seed {plan_seed})")
 
 result = predict_best_config(matrix, app.app_id, plan)
 

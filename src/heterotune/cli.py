@@ -190,9 +190,9 @@ def save_samples(path: str, samples: SampleSet, seed: int, configs) -> None:
             )
 
 
-def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
-    """Read a sample file back; returns the sample set and its seed.  The
-    header gives each key of ``SAMPLE_HEADER`` once and no other key."""
+def load_samples(path: str, matrix: TrainingMatrix) -> SampleSet:
+    """Read a sample file back as its sample set.  The header gives each
+    key of ``SAMPLE_HEADER`` once, as an integer, and no other key."""
     meta = {}   # key -> (line, value)
     body = []
     for r, ln in read_lines(path, "sample file"):
@@ -245,14 +245,12 @@ def load_samples(path: str, matrix: TrainingMatrix) -> tuple[SampleSet, int]:
             header.append(int(value))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{r}: bad header metadata: {exc}") from exc
-    app_id, seed = header
-    samples = SampleSet(
-        app_id=app_id,
+    return SampleSet(
+        app_id=header[0],
         config_indices=tuple(idx),
         power=np.array(power),
         time=np.array(time),
     )
-    return samples, seed
 
 
 def cmd_sample(args) -> int:
@@ -319,7 +317,7 @@ def cmd_predict(args) -> int:
     """Estimate all configurations from training + samples and print the
     most energy-efficient one.  Never touches a measurement backend."""
     matrix = load_training(args.training)
-    samples, seed = load_samples(args.sample, matrix)
+    samples = load_samples(args.sample, matrix)
     _require_training(matrix, args.training, skip_app=samples.app_id)
     if args.out:
         _out_directory(args.out)
@@ -332,7 +330,7 @@ def cmd_predict(args) -> int:
         power[row, idx] = samples.power
         time[row, idx] = samples.time
         matrix = dataclasses.replace(matrix, power=power, time=time)
-        plan = SamplePlan(samples.app_id, samples.config_indices, seed)
+        plan = SamplePlan(samples.app_id, samples.config_indices)
         result = predict_best_config(matrix, samples.app_id, plan)
     else:
         result = predict_new_app(matrix, samples)

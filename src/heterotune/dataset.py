@@ -100,7 +100,6 @@ class SamplePlan:
 
     target_app: int
     sample_configs: tuple[int, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ def select_samples(n_configs: int, n: int, seed: int, target_app: int = 0) -> Sa
         raise ValueError(f"cannot sample {n} of {n_configs} configs")
     rng = np.random.default_rng(seed)
     picks = rng.choice(n_configs, size=n, replace=False)
-    return SamplePlan(target_app=target_app, sample_configs=tuple(sorted(int(i) for i in picks)), seed=seed)
+    return SamplePlan(target_app=target_app, sample_configs=tuple(sorted(int(i) for i in picks)))
 
 
 def mask_application(

@@ -211,20 +211,16 @@ def init_regression(
 
 class _Block(NamedTuple):
     """Fully observed training rows, prepared once for both the rank choice
-    and EM: ``rows`` less their column ``mean``, which ``em_fit`` restores;
-    an orthonormal ``basis`` (..., D, r) of the span of those centred rows;
-    their coordinates ``coords`` (..., n, r) in it, so that ``rows`` is
-    ``coords @ basis.T``; and the coordinates' singular values ``sv``
-    (..., r) and right singular vectors ``vt`` (..., r, r), so that the
-    rows' scatter in the basis is vt^T diag(sv^2) vt.  That one SVD is the
-    spectrum both of the rank choice's held-out fits and of EM's starting
-    point.  Every field may carry leading axes, one entry per row set
-    (``predict_new_app`` stacks log power and log time).  ``rows`` is None
-    in the blocks ``evaluation.evaluate`` keeps for a whole pool: neither
-    the rank choice nor a stacked ``em_fit`` reads them, and on full they
-    would double what the pool holds."""
+    and EM: their column ``mean``, which ``em_fit`` restores; an
+    orthonormal ``basis`` (..., D, r) of the span of the centred rows;
+    their coordinates ``coords`` (..., n, r) in it, so that the centred
+    rows are ``coords @ basis.T``; and the coordinates' singular values
+    ``sv`` (..., r) and right singular vectors ``vt`` (..., r, r), so that
+    the rows' scatter in the basis is vt^T diag(sv^2) vt.  That one SVD is
+    the spectrum both of the rank choice's held-out fits and of EM's
+    starting point.  Every field may carry leading axes, one entry per row
+    set (``predict_new_app`` stacks log power and log time)."""
 
-    rows: np.ndarray | None
     mean: np.ndarray
     basis: np.ndarray
     coords: np.ndarray
@@ -250,7 +246,7 @@ def _block(rows: np.ndarray | _Block) -> _Block:
     basis, _ = np.linalg.qr(np.swapaxes(spanning, -1, -2))
     coords = centred @ basis
     _, sv, vt = np.linalg.svd(coords, full_matrices=False)
-    return _Block(centred, mean, basis, coords, sv, vt)
+    return _Block(mean, basis, coords, sv, vt)
 
 
 def _per_set_cells(observed_idx: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,14 +451,15 @@ def select_latent_dim(
 class _Start(NamedTuple):
     """EM's starting point, as ``_initial_parameters`` makes it: the
     coordinates ``alpha`` (..., r) of the mean and ``beta`` (..., r, k) of
-    the loadings in the block's basis, the noise variance and the rank K.
-    Each field may carry leading axes, one entry per fit; a stack's
-    ``beta`` is then padded with zero columns past each fit's K."""
+    the loadings in the block's basis, padded with zero columns past each
+    fit's K, the noise variance (...) and the rank K (...).  The leading
+    axes, one entry per fit, are those of the block; a 2-D block's start
+    has 0-d ``noise_var`` and ``rank``."""
 
     alpha: np.ndarray
     beta: np.ndarray
-    noise_var: float | np.ndarray
-    rank: int | np.ndarray
+    noise_var: np.ndarray
+    rank: np.ndarray
 
 
 def _initial_parameters(
@@ -504,9 +501,9 @@ def _initial_parameters(
     such as every fit of ``em_fit``'s stacked path or both quantities of
     ``predict_new_app``.  The fits are grouped by their projection rank k,
     and each group takes one batched k x k eigendecomposition; K enters
-    only as a mask, so every fit gets the bits of its own call.  A 2-D
-    block gives one start, with a float sigma^2, an int K and loadings of
-    K columns; a stack gives arrays, loadings padded to the largest k.
+    only as a mask, so every fit gets the bits of its own call.  Every
+    block, a 2-D one too, gives a ``_Start`` with the block's leading
+    axes, its loadings padded to the largest k.
     """
     lead = block.basis.shape[:-2]
     (n_train, r), D = block.coords.shape[-2:], block.basis.shape[-2]
@@ -549,8 +546,6 @@ def _initial_parameters(
     top = vt[:, :k_max]             # the top right singular vectors, as rows
     beta = (top[..., None] * Q[:, :, None]).sum(axis=1) * scale[:, None]
     alpha = (a[..., None] * top).sum(axis=1) / N
-    if not lead:
-        return _Start(alpha[0], beta[0, :, :K[0, 0]], float(s2[0, 0]), int(K[0, 0]))
     return _Start(alpha.reshape(lead + (r,)), beta.reshape(lead + beta.shape[1:]),
                   s2.reshape(lead), K.reshape(lead))
 
@@ -648,11 +643,12 @@ def _em(Ys: np.ndarray, obs: np.ndarray, y_obs: np.ndarray, mu: np.ndarray, W: n
     ll, post = statistics(W, mu, s2)
     history = [ll]
     if stack:
-        # the stack's sets by their place in it; each leaves with its results
+        # the stack's sets by their place in it; each leaves with its results,
+        # which hold the start until then (all of them at max_iters 0)
         active = np.arange(lead[0])
         actives = [active]
-        out = [np.empty_like(W), np.empty_like(mu), np.empty_like(s2), np.empty(lead + (1, K)),
-               None, np.full(lead, max_iters), np.zeros(lead, dtype=bool), np.empty_like(floored)]
+        out = [W.copy(), mu.copy(), s2.copy(), post[1].copy(), None, np.full(lead, max_iters),
+               np.zeros(lead, dtype=bool), floored.copy()]
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
@@ -800,7 +796,8 @@ def em_fit(
     p + r = 15 + 16 columns instead of 393; where p + r >= D (the 9-column
     GPU-only pool) the columns are the configurations themselves.  Returns
     one state per fit, in the stack's C order, and the completions
-    (..., D).  A 2-D call runs one fit in the D columns, with no stack.
+    (..., D).  A 2-D call runs one fit in the D columns, with no stack, on
+    its block's centred rows ``coords @ basis.T``.
     """
     block = _block(training_rows)
     if isinstance(initial_row, _Start):
@@ -817,8 +814,8 @@ def em_fit(
     if not lead:
         alpha, beta, s2, K = start
         W, mu, s2, m_t, history, it, converged, floored = _em(
-            block.rows, obs, (y_raw - block.mean[obs])[None], (block.basis @ alpha)[None],
-            block.basis @ beta[:, :K], float(s2), D)
+            block.coords @ block.basis.T, obs, (y_raw - block.mean[obs])[None],
+            (block.basis @ alpha)[None], block.basis @ beta[:, :K], float(s2), D)
         # the posterior under the final parameters gives the completion
         completed = W @ m_t + mu + block.mean
         completed[obs] = y_raw

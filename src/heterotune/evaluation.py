@@ -166,19 +166,17 @@ def _sub_seed(seed: int, trial: int, a_idx: int, approach: str) -> int:
 def _training_blocks(logs: np.ndarray, stacks: Sequence[slice]) -> _Block:
     """The ``_Block`` of every application's training view, ``logs``
     (2, n_apps, n_configs) less its row, with fields (n_apps, 2, ...),
-    prepared one stack of applications at a time.  It leaves out the
-    centred rows, which neither the rank choice nor a stacked ``em_fit``
-    reads: on full they would double what the pool keeps."""
+    prepared one stack of applications at a time."""
     n_apps = logs.shape[1]
     fields = None
     for stack in stacks:
         part = _block(np.stack([np.delete(logs, a, axis=1) for a in range(n_apps)[stack]]))
         if fields is None:
-            fields = [np.empty((n_apps,) + f.shape[1:]) for f in part[1:]]
-        for field, value in zip(fields, part[1:]):
+            fields = [np.empty((n_apps,) + f.shape[1:]) for f in part]
+        for field, value in zip(fields, part):
             field[stack] = value
         del part   # the next stack's _block runs without it
-    return _Block(None, *fields)
+    return _Block(*fields)
 
 
 def _pool_picks(
@@ -192,24 +190,22 @@ def _pool_picks(
 
     The applications' training views, ``logs`` (2, n_apps, n_configs) less
     each one's row, are prepared as ``_block``s once for every trial,
-    ``_STACK`` applications at a time, and kept without their centred rows,
-    which no step below reads.  In each trial one ``select_latent_dim``
-    call per stack picks its ranks, one ``init_regression`` call fills
-    every application's two regression rows from its own design (one
-    batched SVD of the pool's designs), and one ``em_fit`` call takes
-    every fit's start in one stacked ``_initial_parameters`` call and runs
-    the fits as stacks of equal rank; each prediction then takes its
-    finished fits (``Prepared``) through ``predict_best_config``, which
-    only scores them."""
+    ``_STACK`` applications at a time.  In each trial one
+    ``select_latent_dim`` call per stack picks its ranks, one
+    ``init_regression`` call fills every application's two regression rows
+    from its own design (one batched SVD of the pool's designs), and one
+    ``em_fit`` call takes every fit's start in one stacked
+    ``_initial_parameters`` call and runs the fits as stacks of equal rank;
+    each prediction then takes its finished fits (``Prepared``) through
+    ``predict_best_config``, which only scores them."""
     n_apps = pool.n_apps
     stacks = [slice(start, start + _STACK) for start in range(0, n_apps, _STACK)]
     block = _training_blocks(logs, stacks)
-    fields = block[1:]
     picks = np.empty((len(plans), n_apps), dtype=int)
     for trial, trial_plans in enumerate(plans):
         cells = np.array([plan.sample_configs for plan in trial_plans])[:, None, :]
         ranks = np.concatenate([
-            select_latent_dim(_Block(None, *(f[stack] for f in fields)), cells[stack],
+            select_latent_dim(_Block(*(f[stack] for f in block)), cells[stack],
                               MAX_LATENT_DIM) for stack in stacks])
         values = np.take_along_axis(logs.swapaxes(0, 1), cells, axis=-1)    # (apps, 2, p)
         initial = init_regression(cells[:, 0], values, features)

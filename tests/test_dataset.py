@@ -532,7 +532,7 @@ class TestMaskApplication:
         with pytest.raises(ValueError, match="config_indices must be distinct"):
             SampleSet(99, (0, 2, 0), np.ones(3), np.ones(3))
         with pytest.raises(ValueError, match="config_indices must be distinct"):
-            mask_application(m, 1, SamplePlan(1, (2, 2), 0))
+            mask_application(m, 1, SamplePlan(1, (2, 2)))
 
     def test_unknown_app_rejected(self):
         m = tiny_matrix()

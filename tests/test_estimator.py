@@ -482,9 +482,11 @@ class TestInitialParameters:
         block = estimator._block(rows)
         init_s = np.random.default_rng(seed + 1).standard_normal(D)
         alpha, beta, s2, K = estimator._initial_parameters(block, init_s, latent_dim)
-        mu, W = block.basis @ alpha, block.basis @ beta
-        mu_ref, W_ref, s2_ref, K_ref = naive_initial_parameters(block.rows, init_s, latent_dim)
-        assert K == K_ref == W.shape[1]
+        assert not beta[:, K:].any()
+        mu, W = block.basis @ alpha, block.basis @ beta[:, :K]
+        mu_ref, W_ref, s2_ref, K_ref = naive_initial_parameters(rows - block.mean, init_s,
+                                                                latent_dim)
+        assert K == K_ref
         assert s2 == pytest.approx(s2_ref, rel=1e-9)
         # loadings' signs are arbitrary; the reference's largest entry sets
         # the unit
@@ -500,7 +502,7 @@ class TestInitialParameters:
         block = estimator._block(rows)
         init_s = np.random.default_rng(D + 1).standard_normal(D)
         _, _, s2, K = estimator._initial_parameters(block, init_s, 3)
-        stacked, K_asked = stacked_rows(block.rows, init_s, 3)
+        stacked, K_asked = stacked_rows(rows - block.mean, init_s, 3)
         assert K == K_asked == 3
         eig = np.linalg.eigvalsh(np.cov(stacked, rowvar=False, bias=True))
         assert eig.size == D
@@ -530,13 +532,27 @@ class TestInitialParameters:
             single = estimator._block(rows[i])
             own = estimator._initial_parameters(single, init[i] - single.mean, int(latent[i]))
             K = own.rank
-            assert start.rank[i] == K == own.beta.shape[1]
-            assert not start.beta[i, :, K:].any()
-            beta = start.beta[i, :, :K]
-            for got, ref in ((start.alpha[i], own.alpha), (beta @ beta.T, own.beta @ own.beta.T),
+            assert start.rank[i] == K
+            assert not start.beta[i, :, K:].any() and not own.beta[:, K:].any()
+            beta, own_beta = start.beta[i, :, :K], own.beta[:, :K]
+            for got, ref in ((start.alpha[i], own.alpha), (beta @ beta.T, own_beta @ own_beta.T),
                              (start.noise_var[i], own.noise_var)):
                 np.testing.assert_allclose(got, ref, rtol=0,
                                            atol=1e-12 * max(np.abs(ref).max(), 1e-300))
+
+    @pytest.mark.parametrize("n_train, D, latent_dim", [(5, 40, 3), (1, 12, 2), (17, 9, 5)])
+    def test_2d_block_gives_its_stack_of_one_start(self, n_train, D, latent_dim):
+        # a 2-D block's start has a stack's fields: 0-d sigma^2 and K, and
+        # loadings padded past K, each with the bits of a stack of one
+        rows = rank_k_matrix(n_train, D, min(3, n_train), seed=D, noise_sd=0.1)
+        block = estimator._block(rows)
+        init_s = np.random.default_rng(D).standard_normal(D)
+        own = estimator._initial_parameters(block, init_s, latent_dim)
+        one = estimator._initial_parameters(estimator._Block(*(f[None] for f in block)),
+                                            init_s[None], np.array([latent_dim]))
+        for got, ref in zip(own, one):
+            assert got.shape == ref.shape[1:] and got.dtype == ref.dtype
+            assert got.tobytes() == ref[0].tobytes()
 
     def test_full_system_prediction_runs_no_wide_svd(self, monkeypatch):
         # the set-up works in the training rows' span: no SVD sees more
@@ -803,16 +819,16 @@ class TestPreparedBlock:
 
     def test_training_rows_are_centred_once(self):
         # log-like rows of three applications' two quantities: the block's
-        # mean is the rows' own column mean, subtracted once, and its row
-        # space reproduces the centred rows
+        # mean is the rows' own column mean, and its row space reproduces
+        # the rows less that mean
         rng = np.random.default_rng(11)
         rows = 10.0 + rng.standard_normal((3, 2, 6, 40)) * rng.uniform(0.1, 3.0, 40)
         block = estimator._block(rows)
         mean = rows.mean(axis=-2)
         assert np.array_equal(block.mean, mean)
-        assert np.array_equal(block.rows, rows - mean[..., None, :])
-        np.testing.assert_allclose(block.coords @ block.basis.swapaxes(-1, -2), block.rows,
-                                   rtol=0, atol=1e-12 * np.abs(block.rows).max())
+        centred = rows - mean[..., None, :]
+        np.testing.assert_allclose(block.coords @ block.basis.swapaxes(-1, -2), centred,
+                                   rtol=0, atol=1e-12 * np.abs(centred).max())
 
     @staticmethod
     def _three_app_draw():
@@ -1190,6 +1206,32 @@ class TestStackedEmFit:
         # columns, compressed to 15 sampled cells and 16 span coordinates
         m, _ = _system_and_features("full")
         self._assert_each_set_is_its_own_fit(*_pool_fits(m, 15, 7))
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_iteration_cap_stops_each_set_as_its_own_fit(self, monkeypatch, cap):
+        # a 2 x 6 x 12 stack, compressed to 6 sampled cells and 5 span
+        # coordinates, that converges in 5 and 14 iterations: capped below
+        # that, each set stops where its own 2-D call does, with its
+        # sigma^2 to the bit.  With no iteration each returns its start
+        rng = np.random.default_rng(5)
+        full = np.stack([rank_k_matrix(7, 12, 3, seed, noise_sd=0.05) for seed in (1, 2)])
+        cells = np.stack([np.sort(rng.permutation(12)[:6]) for _ in range(2)])
+        values = np.take_along_axis(full[:, -1], cells, axis=-1)
+        initial = full[:, -1] + 0.3 * np.cos(np.arange(12))
+        block = estimator._block(full[:, :-1])
+        start = estimator._initial_parameters(block, initial - block.mean, 2)
+        monkeypatch.setattr(EstimatorParams, "max_iters", cap)
+        states, completed = em_fit(full[:, :-1], cells, values, initial, np.array([2, 2]))
+        for i, state in enumerate(states):
+            own, own_completed = em_fit(full[i, :-1], cells[i], values[i], initial[i],
+                                        EstimatorParams(latent_dim=2))
+            assert (state.n_iters, state.converged, len(state.ll_history)) == (
+                own.n_iters, own.converged, len(own.ll_history)) == (cap, False, cap + 1)
+            assert state.noise_var == own.noise_var
+            if cap == 0:
+                assert state.noise_var == start.noise_var[i]
+            np.testing.assert_allclose(completed[i], own_completed, rtol=0,
+                                       atol=1e-9 * np.abs(own_completed).max())
 
 
 class TestPredictEnergy:
