@@ -40,7 +40,7 @@ from .dataset import (
 from .errors import BackendError, DataFormatError, EstimatorError
 from .energy import total_energy_row
 from .estimator import feature_matrix, predict_best_config, predict_new_app
-from .evaluation import APPROACHES, BRUTE_FORCE, DEFAULT_HOLISTIC_SAMPLES, HOLISTIC, evaluate
+from .evaluation import APPROACHES, DEFAULT_HOLISTIC_SAMPLES, HOLISTIC, evaluate
 from .platforms import PlatformKind, load_system
 from .readers import read_lines
 from .synthetic import PROFILES
@@ -288,52 +288,29 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _require_training(matrix: TrainingMatrix, manifest: str, skip_app: int | None = None,
-                      predicting: bool = True) -> None:
-    """Reject a training set that leaves the estimator no training row, or
-    that has an unmeasured cell outside ``skip_app``'s row, which the
-    estimator masks out.  ``predict`` trains on every row but its target's;
-    ``evaluate`` (no ``skip_app``) holds out each application in turn, so it
-    needs two when an approach it runs is ``predicting``, and one for brute
-    force alone."""
-    rows = [i for i, a in enumerate(matrix.apps) if a.app_id != skip_app]
-    if skip_app is not None and not rows:
-        raise DataFormatError(f"{manifest}: no training row besides the target application "
-                              f"{skip_app}")
-    needed = 2 if predicting else 1
-    if skip_app is None and len(rows) < needed:
-        raise DataFormatError(f"{manifest}: evaluate needs at least {needed} "
-                              f"application{'s' if needed > 1 else ''}, got {len(rows)}")
-    unmeasured = np.isnan(matrix.power[rows])
-    if unmeasured.any():
-        i, j = np.argwhere(unmeasured)[0]
-        raise DataFormatError(
-            f"{manifest}: unmeasured cell at app {matrix.apps[rows[i]].app_id}, "
-            f"config {matrix.configs[j].config_id}"
-        )
-
-
 def cmd_predict(args) -> int:
     """Estimate all configurations from training + samples and print the
     most energy-efficient one.  Never touches a measurement backend."""
     matrix = load_training(args.training)
     samples = load_samples(args.sample, matrix)
-    _require_training(matrix, args.training, skip_app=samples.app_id)
     if args.out:
         _out_directory(args.out)
     known_ids = {a.app_id for a in matrix.apps}
-    if samples.app_id in known_ids:
-        # The file's measurements replace the matrix's at the sampled cells;
-        # masking then drops the rest of the row.
-        row, idx = matrix.app_index(samples.app_id), list(samples.config_indices)
-        power, time = matrix.power.copy(), matrix.time.copy()
-        power[row, idx] = samples.power
-        time[row, idx] = samples.time
-        matrix = dataclasses.replace(matrix, power=power, time=time)
-        plan = SamplePlan(samples.app_id, samples.config_indices)
-        result = predict_best_config(matrix, samples.app_id, plan)
-    else:
-        result = predict_new_app(matrix, samples)
+    try:
+        if samples.app_id in known_ids:
+            # The file's measurements replace the matrix's at the sampled
+            # cells; masking then drops the rest of the row.
+            row, idx = matrix.app_index(samples.app_id), list(samples.config_indices)
+            power, time = matrix.power.copy(), matrix.time.copy()
+            power[row, idx] = samples.power
+            time[row, idx] = samples.time
+            matrix = dataclasses.replace(matrix, power=power, time=time)
+            plan = SamplePlan(samples.app_id, samples.config_indices)
+            result = predict_best_config(matrix, samples.app_id, plan)
+        else:
+            result = predict_new_app(matrix, samples)
+    except DataFormatError as exc:   # a training set the estimator cannot use
+        raise DataFormatError(f"{args.training}: {exc}") from exc
     chosen = matrix.configs[result.chosen]
     print(f"chosen: {chosen.config_id}")
     print(f"platform: {chosen.platform}")
@@ -385,9 +362,6 @@ def cmd_evaluate(args) -> int:
         raise DataFormatError(f"--samples sets the {HOLISTIC} budget and cannot take effect "
                               f"without {HOLISTIC} in --approaches")
     matrix = load_training(args.training)
-    # an unknown name is left to evaluate, which names it
-    _require_training(matrix, args.training,
-                      predicting=any(a in APPROACHES and a != BRUTE_FORCE for a in approaches))
     if args.out:
         _out_directory(args.out)
     try:
@@ -398,6 +372,8 @@ def cmd_evaluate(args) -> int:
             seed=args.seed or 0,
             holistic_samples=args.samples or DEFAULT_HOLISTIC_SAMPLES,
         )
+    except DataFormatError as exc:   # a training set the approaches cannot use
+        raise DataFormatError(f"{args.training}: {exc}") from exc
     except ValueError as exc:   # a bad approach list, or a sample count it cannot draw
         raise DataFormatError(str(exc)) from exc
     print(report.summary_text())

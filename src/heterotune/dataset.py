@@ -181,10 +181,6 @@ class TrainingMatrix:
     def n_configs(self) -> int:
         return len(self.configs)
 
-    @property
-    def fully_observed(self) -> bool:
-        return bool(self.mask.all())
-
     def app_index(self, app_id: int) -> int:
         for i, a in enumerate(self.apps):
             if a.app_id == app_id:
@@ -252,6 +248,19 @@ def mask_application(
         time=matrix.time[keep],
     )
     return view, target_samples(matrix, row, plan)
+
+
+def require_measured(matrix: TrainingMatrix, skip_row: int | None = None) -> None:
+    """Refuse a training set the estimator cannot read: raise DataFormatError
+    naming the first unmeasured cell, in row order, outside the row
+    ``skip_row`` (None: every row)."""
+    unmeasured = np.isnan(matrix.power)
+    if skip_row is not None:
+        unmeasured[skip_row] = False
+    if unmeasured.any():
+        i, j = np.argwhere(unmeasured)[0]
+        raise DataFormatError(f"unmeasured cell at app {matrix.apps[i].app_id}, "
+                              f"config {matrix.configs[j].config_id}")
 
 
 def target_samples(matrix: TrainingMatrix, row: int, plan: SamplePlan) -> SampleSet:

@@ -7,7 +7,9 @@ ValueError from user-facing paths.
 
 
 class DataFormatError(ValueError):
-    """Malformed or inconsistent input file (platform file, manifest, grid)."""
+    """Malformed or inconsistent input file (platform file, manifest, grid),
+    or a training set the estimator cannot use: too few rows, or an
+    unmeasured cell it would read."""
 
 
 class EstimatorError(RuntimeError):

@@ -67,10 +67,11 @@ from .dataset import (
     SampleSet,
     TrainingMatrix,
     mask_application,
+    require_measured,
     target_samples,
 )
 from .energy import total_energy_row
-from .errors import EstimatorError, InsufficientSamplesError
+from .errors import DataFormatError, EstimatorError, InsufficientSamplesError
 from .platforms import PlatformKind, PlatformSpec
 
 SIGMA2_FLOOR = 1e-12
@@ -823,9 +824,8 @@ def em_fit(
 
     # every stacked fit along one leading axis
     S, p = math.prod(lead), obs.shape[-1]
-    basis, coords, sv, vt, mean = (f.reshape((S,) + f.shape[len(lead):])
-                                   for f in (block.basis, block.coords, block.sv, block.vt,
-                                             block.mean))
+    basis, coords, mean = (f.reshape((S,) + f.shape[len(lead):])
+                           for f in (block.basis, block.coords, block.mean))
     obs = np.broadcast_to(obs, lead + (p,)).reshape(S, p)
     y_raw = np.broadcast_to(y_raw, lead + (p,)).reshape(S, p)
     alpha, beta, s2, Ks = (f.reshape((S,) + f.shape[len(lead):]) for f in start)
@@ -965,15 +965,13 @@ def _training_rows(
 ) -> int:
     """``predict_new_app``'s checks of the training rows for ``samples``'
     application: the rows of ``matrix`` less its row ``held_out`` (None:
-    every row).  Returns their number."""
+    every row).  Returns their number.  No such row, or an unmeasured cell
+    in one (``dataset.require_measured``), leaves nothing to train on and
+    is refused with a DataFormatError, in the words the CLI prints."""
     n_train = matrix.n_apps - (held_out is not None)
     if n_train == 0:
-        raise ValueError("no training rows")
-    unmeasured = np.isnan(matrix.power)
-    if held_out is not None:
-        unmeasured[held_out] = False
-    if unmeasured.any():
-        raise ValueError("training rows must be fully observed")
+        raise DataFormatError(f"no training row besides the target application {samples.app_id}")
+    require_measured(matrix, held_out)
     if any(a.app_id == samples.app_id for i, a in enumerate(matrix.apps) if i != held_out):
         raise ValueError(f"app_id {samples.app_id} is a training row of the matrix")
     return n_train
@@ -999,11 +997,12 @@ def predict_new_app(
     when the caller has them already (see ``Prepared``); they are trusted
     to be this view's and these cells', and only their shape is checked.
 
-    Raises ValueError when ``matrix`` has no row or an unmeasured cell, or
-    holds the sampled application, whose own measured row it would train on,
-    or when ``prepared`` does not fit the view's shape, and EstimatorError
-    when a completed log lies beyond ``exp``'s range (the training rows then
-    support no finite estimate from these samples) or an energy overflows.
+    Raises DataFormatError (a ValueError) when ``matrix`` has no row or an
+    unmeasured cell; ValueError when it holds the sampled application, whose
+    own measured row it would train on, or when ``prepared`` does not fit
+    the view's shape; and EstimatorError when a completed log lies beyond
+    ``exp``'s range (the training rows then support no finite estimate from
+    these samples) or an energy overflows.
     """
     n_train = _training_rows(matrix, samples)
     if prepared is None:

@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import SamplePlan, TrainingMatrix, select_samples
+from .dataset import SamplePlan, TrainingMatrix, require_measured, select_samples
 from .energy import total_energy_row
+from .errors import DataFormatError
 from .estimator import (
     MAX_LATENT_DIM,
     Prepared,
@@ -245,15 +246,16 @@ def evaluate(
     order, approaches in the order given, and each equals the record of
     one prediction at a time with the same sub-seed.
 
-    Before any prediction, raises ValueError when the matrix has an
-    unmeasured cell or, for an approach that predicts, one application, or
-    when an approach cannot draw its samples: ``gpu-only`` on a system
-    without a GPU, or a count outside the range from the basis size of the
+    Before any prediction, refuses a matrix that cannot train the
+    approaches with a DataFormatError: an unmeasured cell (named by
+    ``dataset.require_measured``), or fewer applications than two when an
+    approach predicts, one for brute force alone.  Raises ValueError when
+    an approach cannot draw its samples: ``gpu-only`` on a system without
+    a GPU, or a count outside the range from the basis size of the
     configurations it draws from (the fewest samples a fit takes) to their
     number.
     """
-    if not matrix.fully_observed:
-        raise ValueError("evaluation needs a fully observed matrix")
+    require_measured(matrix)
     unknown = set(approaches) - set(APPROACHES)
     if unknown:
         raise ValueError(f"unknown approaches: {sorted(unknown)}")
@@ -261,8 +263,10 @@ def evaluate(
         raise ValueError(f"an approach is listed twice in {list(approaches)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if matrix.n_apps < 2 and any(a != BRUTE_FORCE for a in approaches):
-        raise ValueError(f"evaluation needs at least 2 applications, got {matrix.n_apps}")
+    needed = 2 if any(a != BRUTE_FORCE for a in approaches) else 1
+    if matrix.n_apps < needed:
+        raise DataFormatError(f"evaluate needs at least {needed} "
+                              f"application{'s' if needed > 1 else ''}, got {matrix.n_apps}")
     cpu = next(s.name for s in matrix.system if s.kind is PlatformKind.CPU)
     gpu = next((s.name for s in matrix.system if s.kind is PlatformKind.GPU), None)
     if GPU_ONLY in approaches and gpu is None:

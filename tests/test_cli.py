@@ -23,15 +23,25 @@ from heterotune.cli import (
     EXIT_ESTIMATOR,
     EXIT_OK,
     EXIT_PARSE,
-    _require_training,
     build_parser,
     main,
     save_samples,
 )
-from heterotune.dataset import load_training, mask_application, save_training, select_samples
-from heterotune.errors import BackendError
-from heterotune.estimator import EstimatorParams
-from heterotune.evaluation import brute_force_best, measured_energy_row
+from heterotune.dataset import (
+    SamplePlan,
+    load_training,
+    mask_application,
+    save_training,
+    select_samples,
+)
+from heterotune.errors import BackendError, DataFormatError
+from heterotune.estimator import (
+    EstimatorParams,
+    Prepared,
+    predict_best_config,
+    predict_new_app,
+)
+from heterotune.evaluation import brute_force_best, evaluate, measured_energy_row
 from heterotune.platforms import NativeConfig, PlatformKind, save_system
 from heterotune.synthetic import CI_SYSTEM, PROFILES, SyntheticSpec, generate_system
 
@@ -257,7 +267,7 @@ class TestBenchmark:
         if backing:   # the backing matrix's own ids are measured
             assert main(["benchmark", *source, "--apps", str(apps_file),
                          "--out", str(out)]) == EXIT_OK
-            assert load_training(str(out / "manifest.conf")).fully_observed
+            assert load_training(str(out / "manifest.conf")).mask.all()
 
 
 class TestSample:
@@ -504,7 +514,7 @@ class TestPredict:
             assert err == f"error: {manifest}: no training row besides the target application 2\n"
         # one other row is enough
         other = with_apps(training_dir, tmp_path / "other", (3,))
-        _require_training(load_training(other), other, skip_app=2)
+        assert main(["predict", "--training", other, "--sample", str(sample)]) == EXIT_OK
 
     def test_too_few_samples_exits_estimator(self, training_dir, tmp_path):
         matrix = load_training(str(training_dir / "manifest.conf"))
@@ -719,7 +729,7 @@ class TestEvaluateCommand:
             assert err == (f"error: {manifest}: evaluate needs at least 2 applications, "
                            f"got {len(app_ids)}\n")
         two = with_apps(training_dir, tmp_path / "two", (2, 3))
-        _require_training(load_training(two), two)
+        assert main(["evaluate", "--training", two]) == EXIT_OK
 
     def test_brute_force_alone_needs_one_application(self, training_dir, tmp_path, capsys):
         # brute force predicts nothing, so one application is enough; any
@@ -745,6 +755,75 @@ class TestEvaluateCommand:
         bad.write_text("[training]\npower = nowhere.csv\ntime = nowhere.csv\nplatforms = nope.conf\n")
         rc = main(["evaluate", "--training", str(bad)])
         assert rc == EXIT_PARSE
+
+
+# Training sets the estimator cannot use: the rows kept of the ci set
+# (None: all), its unmeasured (app_id, column) cells, the approaches
+# evaluated, and the words ``predict`` (app 2's samples) and ``evaluate``
+# refuse each with, "{j}" standing for column j's config id.  ``predict``
+# masks out app 2's own row, whose gap (column 1, not a sampled one) only
+# ``evaluate`` names.
+UNUSABLE_TRAINING = {
+    "unmeasured cell": (None, [(4, 5), (3, 9), (2, 1)], "holistic",
+                        "unmeasured cell at app 3, config {9}",
+                        "unmeasured cell at app 2, config {1}"),
+    "header-only grids": ((), [], "holistic",
+                          "no training row besides the target application 2",
+                          "evaluate needs at least 2 applications, got 0"),
+    "one application": ((2,), [], "holistic,brute-force",
+                        "no training row besides the target application 2",
+                        "evaluate needs at least 2 applications, got 1"),
+    "brute force alone on none": ((), [], "brute-force", None,
+                                  "evaluate needs at least 1 application, got 0"),
+}
+
+
+class TestUnusableTrainingSet:
+    """The library refuses a training set it cannot train on with a
+    DataFormatError in the CLI's words; the CLI prefixes its manifest."""
+
+    @pytest.mark.parametrize("case", list(UNUSABLE_TRAINING))
+    def test_library_and_cli_refuse_in_the_same_words(self, training_dir, tmp_path, capsys,
+                                                      case):
+        kept, holes, approaches, predict_words, evaluate_words = UNUSABLE_TRAINING[case]
+        full = load_training(str(training_dir / "manifest.conf"))
+        manifest = with_unmeasured_cells(training_dir, tmp_path / "holed", holes)
+        if kept is not None:
+            manifest = with_apps(tmp_path / "holed", tmp_path / "kept", kept)
+        matrix = load_training(manifest)
+        sample = tmp_path / "s.csv"
+        assert main(["sample", "--backend-data", str(training_dir / "manifest.conf"),
+                     "--cpu-cmd", "app:2", "--gpu-cmd", "app:2", "--seed", "4",
+                     "--out", str(sample)]) == EXIT_OK
+        samples = cli.load_samples(str(sample), full)
+        plan = SamplePlan(2, samples.config_indices)
+        words = {command: w and w.format(*(c.config_id for c in full.configs))
+                 for command, w in (("predict", predict_words), ("evaluate", evaluate_words))}
+
+        calls = [("evaluate", lambda: evaluate(matrix, approaches=approaches.split(",")))]
+        if words["predict"] and 2 in {a.app_id for a in matrix.apps}:
+            prepared = Prepared(np.log([full.power[1], full.time[1]]), True)
+            calls += [("predict", lambda: predict_best_config(matrix, 2, plan)),
+                      ("predict", lambda: predict_best_config(matrix, 2, plan, prepared)),
+                      ("predict", lambda: predict_new_app(*mask_application(matrix, 2, plan)))]
+        elif words["predict"]:
+            calls += [("predict", lambda: predict_new_app(matrix, samples))]
+        for command, call in calls:
+            with pytest.raises(DataFormatError) as refused:
+                call()
+            assert str(refused.value) == words[command]
+
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {"predict": ["--sample", str(sample)], "evaluate": ["--approaches", approaches]}
+        for command, w in words.items():
+            if w is None:
+                continue
+            assert main([command, "--training", manifest, *argv[command],
+                         "--out", str(out)]) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {manifest}: {w}\n")
+            assert not out.exists() or not any(out.iterdir())
 
 
 class TestManifestAndParams:

@@ -935,7 +935,8 @@ class TestPreparedBlock:
         # an unmeasured cell in another row, and one at a sampled cell of
         # the target's
         other, cell = m.app_index(app) + 1, plan.sample_configs[0]
-        for row, message in ((other, "training rows must be fully observed"),
+        for row, message in ((other, f"unmeasured cell at app {m.apps[other].app_id}, "
+                                     f"config {m.configs[cell].config_id}"),
                              (m.app_index(app), "plan samples an unobserved cell of the target "
                                                 "row")):
             power, time = m.power.copy(), m.time.copy()
@@ -946,7 +947,8 @@ class TestPreparedBlock:
                     predict_best_config(holed, app, plan, given)
         alone = dataclasses.replace(m, apps=m.apps[1:2], power=m.power[1:2], time=m.time[1:2])
         for given in (None, prepared):
-            with pytest.raises(ValueError, match="^no training rows$"):
+            with pytest.raises(ValueError, match="^no training row besides the target "
+                                                 f"application {app}$"):
                 predict_best_config(alone, app, plan, given)
         with pytest.raises(KeyError):
             predict_best_config(m, 99, plan, prepared)
@@ -1392,7 +1394,7 @@ class TestPipeline:
         m = ci_system.matrix
         _, samples = mask_application(m, 1, select_samples(m.n_configs, 15, seed=1))
         empty = dataclasses.replace(m, apps=(), power=m.power[:0], time=m.time[:0])
-        with pytest.raises(ValueError, match="no training rows"):
+        with pytest.raises(ValueError, match="^no training row besides the target application 1$"):
             predict_new_app(empty, samples)
 
     def test_target_in_the_training_rows_rejected(self, ci_system):

@@ -202,7 +202,8 @@ class TestEvaluate:
         power = np.array([[10.0, np.nan, 20.0]])
         time = np.array([[1.0, np.nan, 1.0]])
         m = small_matrix(power, time)
-        with pytest.raises(ValueError, match="fully observed"):
+        with pytest.raises(ValueError, match=f"^unmeasured cell at app {m.apps[0].app_id}, "
+                                             f"config {m.configs[1].config_id}$"):
             evaluate(m)
 
     def test_one_application_rejected_unless_only_brute_force(self):

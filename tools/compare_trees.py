@@ -15,7 +15,10 @@ run in this process on the same inputs.  The checks:
   1000 k + app id; 12 per application on ``ci``, 3 on full), every pick is
   identical, and so are each EM fit's K, iteration count, ``converged`` and
   ``sigma2_floored``.  The largest relative difference of the power, time
-  and energy cells is reported, and must stay within 1e-12.
+  and energy cells is reported, and must stay within 1e-12;
+* ``heterotune predict`` and ``evaluate`` on training sets the estimator
+  cannot use (``UNUSABLE``, taken from the ``ci`` profile) give the same
+  exit code, stdout and stderr, each tree's directory read as ``<dir>``.
 
 Then ROUNDS rounds time each tree's panel requests and one
 ``evaluate(trials=1)`` call, the trees' order alternating from round to
@@ -26,16 +29,25 @@ fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import os
 import sys
+import tempfile
 from time import perf_counter
 
 import numpy as np
 
 PANEL = {"ci": 12, "full": 3}   # panel requests per application
 ROW_TOL = 1e-12
+# Unusable training sets: the ci rows kept (None: all) and the (row, column)
+# cells left unmeasured; each is given to ``predict`` with app 2's samples
+# (row 1, not sampled at column 20) and to ``evaluate`` with its default and
+# its brute-force-only approaches.
+UNUSABLE = {"unmeasured": (None, [(3, 5), (2, 9), (1, 20)]), "header-only": ((), []),
+            "one-app": ((1,), [])}
 
 
 def load(tree: str, name: str):
@@ -89,6 +101,36 @@ def matrices(ht, profile: str) -> dict:
     return {name: ht.generate_system(s).matrix for name, s in specs.items()}
 
 
+def refusals(ht, directory: str) -> list:
+    """Exit code, stdout and stderr of ``ht``'s ``predict`` and ``evaluate``
+    on each ``UNUSABLE`` training set, which ``ht`` writes under
+    ``directory``; the directory reads as ``<dir>`` in each run."""
+    cli = importlib.import_module(ht.__name__ + ".cli")
+    matrix = matrices(ht, "ci")["ci"]
+    _, samples = ht.mask_application(matrix, 2, ht.select_samples(matrix.n_configs, 15, 4, 2))
+    os.makedirs(directory)
+    sample = os.path.join(directory, "samples.csv")
+    cli.save_samples(sample, samples, 4, matrix.configs)
+    commands = (["predict", "--sample", sample], ["evaluate"],
+                ["evaluate", "--approaches", "brute-force"])
+    out = []
+    for name, (rows, cells) in UNUSABLE.items():
+        power, time = matrix.power.copy(), matrix.time.copy()
+        for cell in cells:
+            power[cell] = time[cell] = np.nan
+        keep = list(range(matrix.n_apps) if rows is None else rows)
+        unusable = dataclasses.replace(matrix, apps=tuple(matrix.apps[i] for i in keep),
+                                       power=power[keep], time=time[keep])
+        manifest = ht.save_training(unusable, os.path.join(directory, name))
+        for command, *flags in commands:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main([command, "--training", manifest, *flags])
+            out.append((name, command, rc)
+                       + tuple(s.getvalue().replace(directory, "<dir>") for s in (stdout, stderr)))
+    return out
+
+
 def timed(call) -> float:
     t0 = perf_counter()
     call()
@@ -104,7 +146,12 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=10)
     args = ap.parse_args(argv)
     trees = load(args.parent, "heterotune_parent"), load(args.change, "heterotune_change")
-    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [refusals(ht, os.path.join(tmp, ht.__name__)) for ht in trees]
+    same = runs[0] == runs[1]
+    print(f"unusable training sets: {len(runs[0])} predict and evaluate runs "
+          f"{'identical' if same else 'DIFFER'}")
+    failed = [] if same else ["unusable training sets"]
     for profile in args.profiles:
         systems = [matrices(ht, profile) for ht in trees]
         for name in systems[0]:
